@@ -11,7 +11,6 @@ machine-parseable line: ``error: <Kind>: <message>``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,12 +38,6 @@ _ERROR_KINDS = (
 
 class CliError(Exception):
     pass
-
-
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.parent / (path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -206,53 +199,41 @@ def _embed_audio(
     return entries, stats
 
 
-def _encode_text(text: str, vocab: encoder.Vocabulary, params: encoder.EncoderParams) -> np.ndarray:
-    tokens = encoder.tokenize(encoder.normalize_text(text), vocab)
-    return encoder.text_encode(tokens, params, len(vocab))
+def _caption_texts(records: list[ingest.ClipRecord]) -> list[tuple[str, str]]:
+    return [(f"{rec.clip_id}#{k}", cap) for rec in records for k, cap in enumerate(rec.captions)]
 
 
-def _embed_captions(records: list[ingest.ClipRecord], settings: RunSettings) -> list[tuple[str, np.ndarray]]:
-    vocab = encoder.Vocabulary.default()
-    params = settings.encoder_params("text-encoder")
+def _variant_texts(aug_sets: list[ingest.AugmentedCaptionSet]) -> list[tuple[str, str]]:
     return [
-        (f"{rec.clip_id}#{k}", _encode_text(cap, vocab, params))
-        for rec in records
-        for k, cap in enumerate(rec.captions)
+        (f"{aug.clip_id}#{aug.caption_index}@{j}", v) for aug in aug_sets for j, v in enumerate(aug.variants)
     ]
 
 
-def _embed_variants(
-    aug_sets: list[ingest.AugmentedCaptionSet], settings: RunSettings
-) -> list[tuple[str, np.ndarray]]:
+def _embed_texts(texts: list[tuple[str, str]], settings: RunSettings) -> list[tuple[str, np.ndarray]]:
+    """Toy text-encoder vectors for (id, text) pairs."""
     vocab = encoder.Vocabulary.default()
     params = settings.encoder_params("text-encoder")
     return [
-        (f"{aug.clip_id}#{aug.caption_index}@{j}", _encode_text(v, vocab, params))
-        for aug in aug_sets
-        for j, v in enumerate(aug.variants)
+        (key, encoder.text_encode(encoder.tokenize(encoder.normalize_text(text), vocab), params, len(vocab)))
+        for key, text in texts
     ]
 
 
-def _dump_dir(settings: RunSettings) -> Path:
-    return Path(settings.encoder_spec[len("dump:") :])
-
-
-def _raw_embeddings(
-    records: list[ingest.ClipRecord], settings: RunSettings
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Raw (pre-projection) vectors for every clip and caption, toy or dump-backed."""
+def _raw_vectors(settings: RunSettings, dump_name: str, embed) -> dict[str, np.ndarray]:
+    """Raw (pre-projection) vectors by id: embed() under the toy encoder, else
+    the named file of the dump directory."""
     if settings.encoder_spec == "toy":
-        audio_entries, _ = _embed_audio(records, settings)
-        caption_entries = _embed_captions(records, settings)
-        return dict(audio_entries), dict(caption_entries)
-    base = _dump_dir(settings)
-    audio = ingest.read_embedding_dump(base / "audio.embd").as_dict()
-    captions = ingest.read_embedding_dump(base / "captions.embd").as_dict()
-    return audio, captions
+        return dict(embed())
+    return ingest.read_embedding_dump(Path(settings.encoder_spec[len("dump:") :]) / dump_name).as_dict()
+
+
+def _raw_audio(records: list[ingest.ClipRecord], settings: RunSettings) -> dict[str, np.ndarray]:
+    return _raw_vectors(settings, "audio.embd", lambda: _embed_audio(records, settings)[0])
 
 
 def _train_pairs(records: list[ingest.ClipRecord], settings: RunSettings) -> list[space.TrainPair]:
-    audio, captions = _raw_embeddings(records, settings)
+    audio = _raw_audio(records, settings)
+    captions = _raw_vectors(settings, "captions.embd", lambda: _embed_texts(_caption_texts(records), settings))
     pairs = []
     for rec in records:
         if rec.clip_id not in audio:
@@ -273,10 +254,7 @@ def _augmap(records: list[ingest.ClipRecord], settings: RunSettings) -> space.Au
     aug_sets = ingest.load_augmented_captions(settings.augmented_captions)
     known = {rec.clip_id for rec in records}
     aug_sets = [a for a in aug_sets if a.clip_id in known]
-    if settings.encoder_spec == "toy":
-        entries = dict(_embed_variants(aug_sets, settings))
-    else:
-        entries = ingest.read_embedding_dump(_dump_dir(settings) / "variants.embd").as_dict()
+    entries = _raw_vectors(settings, "variants.embd", lambda: _embed_texts(_variant_texts(aug_sets), settings))
     augmap: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
     for aug in aug_sets:
         vecs = []
@@ -308,12 +286,13 @@ def cmd_embed(settings: RunSettings) -> int:
     out = _require_out(settings)
     records = _load_records(settings)
     audio_entries, stats = _embed_audio(records, settings)
-    caption_entries = _embed_captions(records, settings)
+    caption_entries = _embed_texts(_caption_texts(records), settings)
     ingest.write_embedding_dump(audio_entries, out / "audio.embd")
     ingest.write_embedding_dump(caption_entries, out / "captions.embd")
     n_variants = 0
     if settings.augmented_captions is not None:
-        variant_entries = _embed_variants(ingest.load_augmented_captions(settings.augmented_captions), settings)
+        aug_sets = ingest.load_augmented_captions(settings.augmented_captions)
+        variant_entries = _embed_texts(_variant_texts(aug_sets), settings)
         ingest.write_embedding_dump(variant_entries, out / "variants.embd")
         n_variants = len(variant_entries)
     print(
@@ -345,7 +324,7 @@ def _run_training(settings: RunSettings, phase: str) -> int:
         result.total_steps,
         settings.train,
     )
-    _write_text(out / "loss.csv", _loss_csv(result.curve) + "\n")
+    ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))
     first = result.curve[0].loss if result.curve else float("nan")
     last = result.curve[-1].loss if result.curve else float("nan")
     print(
@@ -373,43 +352,37 @@ def cmd_evaluate(settings: RunSettings) -> int:
     queries, index = retrieval.build_eval(pairs, ckpt.audio_head, ckpt.text_head)
     report = retrieval.evaluate(queries, index)
     table = retrieval.format_metrics_table(report)
-    _write_text(out / "metrics.csv", retrieval.metrics_csv(report) + "\n")
-    _write_text(out / "report.txt", table + "\n")
+    ingest.atomic_write(out / "metrics.csv", (retrieval.metrics_csv(report) + "\n").encode("utf-8"))
+    ingest.atomic_write(out / "report.txt", (table + "\n").encode("utf-8"))
     print(table)
     return 0
 
 
 def cmd_rank(settings: RunSettings, query: str, top: int) -> int:
+    if top < 1:
+        raise CliError(f"--top must be >= 1, got {top}")
     if settings.checkpoint is None:
         raise CliError("rank requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    if settings.encoder_spec == "toy":
-        audio = dict(_embed_audio(records, settings)[0])
-    else:
-        audio = ingest.read_embedding_dump(_dump_dir(settings) / "audio.embd").as_dict()
+    audio = _raw_audio(records, settings)
     ids = [rec.clip_id for rec in records if rec.clip_id in audio]
     if not ids:
         raise CliError("no audio embeddings for the given manifest")
     index = retrieval.RetrievalIndex.build(
         ids, space.project(np.stack([audio[i] for i in ids]), ckpt.audio_head)
     )
-    vocab = encoder.Vocabulary.default()
-    qvec = space.project(
-        _encode_text(query, vocab, settings.encoder_params("text-encoder")), ckpt.text_head
-    )
-    result = retrieval.rank(qvec, index, query_id="cli-query")
-    sims = index.vectors @ space.l2_normalize(qvec)
-    by_id = dict(zip(index.ids, sims))
-    for position, clip_id in enumerate(result.ranked_ids[:top], start=1):
-        print(f"{position:>3}  {by_id[clip_id]:+.4f}  {clip_id}")
+    [(query_id, qvec)] = _embed_texts([("cli-query", query)], settings)
+    result = retrieval.rank(space.project(qvec, ckpt.text_head), index, query_id=query_id)
+    for position, (clip_id, score) in enumerate(zip(result.ranked_ids[:top], result.scores), start=1):
+        print(f"{position:>3}  {score:+.4f}  {clip_id}")
     return 0
 
 
-def cmd_gradcheck(seed: int, shapes, perturb: float) -> int:
+def cmd_gradcheck(seed: int, shapes) -> int:
     worst = 0.0
     for shape in shapes:
-        err = space.gradient_check(seed, shape, perturb=perturb)
+        err = space.gradient_check(seed, shape)
         print(f"gradcheck shape={shape}: max relative error {err:.3e}")
         worst = max(worst, err)
     if worst < GRADCHECK_TOLERANCE:
@@ -472,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join("x".join(str(d) for d in s) for s in DEFAULT_SHAPES),
         help="comma-separated NxD_inxD_out triples",
     )
-    grad_p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     return parser
 
 
@@ -480,7 +452,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            return cmd_gradcheck(args.seed, _parse_shapes(args.shapes), args.perturb)
+            return cmd_gradcheck(args.seed, _parse_shapes(args.shapes))
         settings = _build_settings(args)
         if args.command == "embed":
             return cmd_embed(settings)

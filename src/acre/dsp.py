@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -216,17 +216,6 @@ def snippet_or_pad(w: Waveform, max_seconds: float, rng: np.random.Generator) ->
         return w
     start = int(rng.integers(0, len(w) - max_len + 1))
     return Waveform(w.samples[start : start + max_len], w.sample_rate)
-
-
-def pad(w: Waveform, target_len: int) -> Waveform:
-    """Zero-pad to target_len samples; the batch loop uses this to equalize lengths."""
-    if target_len < len(w):
-        raise ValueError(f"target length {target_len} is shorter than the waveform ({len(w)})")
-    if target_len == len(w):
-        return w
-    out = np.zeros(target_len, dtype=np.float64)
-    out[: len(w)] = w.samples
-    return Waveform(out, w.sample_rate)
 
 
 def segment(s: Spectrogram, seg_frames: int) -> list[Spectrogram]:

@@ -301,14 +301,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def piece(self, token_id: int) -> str:
-        return self.pieces[token_id]
-
-    @classmethod
-    def from_file(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.strip() for line in fh if line.strip()])
-
     @classmethod
     def default(cls) -> "Vocabulary":
         ref = resources.files("acre").joinpath("data/wordpiece_vocab.txt")

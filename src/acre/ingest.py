@@ -16,8 +16,7 @@ Augmented captions: UTF-8 JSON lines, one record per line::
 
 Embedding dump (binary, little-endian): magic ``ACRE``, version u32=1,
 dim u32, count u64, then per entry a u16 id length, the UTF-8 id, and dim
-32-bit floats. Round-trips bit-exactly. The spectrogram cache reuses the same
-container with version 2 and one extra u32 header field (frames per entry).
+32-bit floats. Round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dsp import Spectrogram, Waveform
+from .dsp import Waveform
 
 CAPTIONS_PER_CLIP = 5
 VARIANTS_PER_CAPTION = 5
@@ -41,7 +39,6 @@ _REQUIRED_COLUMNS = ("file_name", "caption_1", "caption_2", "caption_3", "captio
 
 DUMP_MAGIC = b"ACRE"
 _DUMP_VERSION = 1
-_CACHE_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
 
 
@@ -271,19 +268,25 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def atomic_write(path, payload: bytes) -> None:
+    """Write payload to path through a per-process temp file and a rename.
+
+    Readers see either the old file or the new one, never a partial write.
+    """
+    path = Path(path)
     tmp = path.parent / (path.name + f".tmp.{os.getpid()}")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
 
 
-def _validate_entries(entries) -> tuple[int, list[tuple[str, np.ndarray]]]:
+def write_embedding_dump(entries, path) -> None:
+    """Write (id, vector) pairs in the binary dump format, atomically."""
     items = [(str(i), np.asarray(v)) for i, v in entries]
     if not items:
         raise IngestError("cannot write an empty embedding dump")
     dim = items[0][1].size
+    buf = bytearray(_HEADER.pack(DUMP_MAGIC, _DUMP_VERSION, dim, len(items)))
     seen: set[str] = set()
-    checked = []
     for entry_id, vec in items:
         vec = np.asarray(vec, dtype="<f4").reshape(-1)
         if vec.size != dim:
@@ -293,29 +296,13 @@ def _validate_entries(entries) -> tuple[int, list[tuple[str, np.ndarray]]]:
         if entry_id in seen:
             raise IngestError(f"duplicate entry id {entry_id!r}")
         seen.add(entry_id)
-        checked.append((entry_id, vec))
-    return dim, checked
-
-
-def _pack_entries(entries: list[tuple[str, np.ndarray]]) -> bytearray:
-    buf = bytearray()
-    for entry_id, vec in entries:
         id_bytes = entry_id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise IngestError(f"entry id too long ({len(id_bytes)} bytes)")
         buf += struct.pack("<H", len(id_bytes))
         buf += id_bytes
         buf += vec.tobytes()
-    return buf
-
-
-def write_embedding_dump(entries, path) -> None:
-    """Write (id, vector) pairs in the binary dump format, atomically."""
-    path = Path(path)
-    dim, checked = _validate_entries(entries)
-    buf = bytearray(_HEADER.pack(DUMP_MAGIC, _DUMP_VERSION, dim, len(checked)))
-    buf += _pack_entries(checked)
-    _atomic_write(path, bytes(buf))
+    atomic_write(path, bytes(buf))
 
 
 class _Cursor:
@@ -336,24 +323,18 @@ class _Cursor:
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
 
-
-def _read_container(path, expected_version: int):
+def read_embedding_dump(path) -> EmbeddingDump:
+    """Read a dump written by write_embedding_dump; bit-exact round trip."""
     path = Path(path)
     cur = _Cursor(path.read_bytes(), path)
     magic, version, dim, count = _HEADER.unpack(cur.take(_HEADER.size))
     if magic != DUMP_MAGIC:
         raise BadMagic(f"{path}: bad magic {magic!r}")
-    if version != expected_version:
-        raise CorruptHeader(f"{path}: version {version}, expected {expected_version}")
+    if version != _DUMP_VERSION:
+        raise CorruptHeader(f"{path}: version {version}, expected {_DUMP_VERSION}")
     if dim == 0:
         raise CorruptHeader(f"{path}: zero dimension")
-    return cur, dim, count
-
-
-def _read_entries(cur: _Cursor, dim: int, count: int) -> list[tuple[str, np.ndarray]]:
     entries = []
     seen: set[str] = set()
     for _ in range(count):
@@ -361,52 +342,14 @@ def _read_entries(cur: _Cursor, dim: int, count: int) -> list[tuple[str, np.ndar
         try:
             entry_id = cur.take(id_len).decode("utf-8")
         except UnicodeDecodeError:
-            raise CorruptHeader(f"{cur.path}: entry id is not valid UTF-8") from None
+            raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
         vec = np.frombuffer(cur.take(dim * 4), dtype="<f4").copy()
         if not np.all(np.isfinite(vec)):
-            raise DimMismatch(f"{cur.path}: entry {entry_id!r} contains non-finite values")
+            raise DimMismatch(f"{path}: entry {entry_id!r} contains non-finite values")
         if entry_id in seen:
-            raise IngestError(f"{cur.path}: duplicate entry id {entry_id!r}")
+            raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
         seen.add(entry_id)
         entries.append((entry_id, vec))
     if cur.pos != len(cur.raw):
-        raise CorruptHeader(f"{cur.path}: {len(cur.raw) - cur.pos} trailing bytes")
-    return entries
-
-
-def read_embedding_dump(path) -> EmbeddingDump:
-    """Read a dump written by write_embedding_dump; bit-exact round trip."""
-    cur, dim, count = _read_container(path, _DUMP_VERSION)
-    return EmbeddingDump(dim=dim, entries=tuple(_read_entries(cur, dim, count)))
-
-
-def write_spectrogram_cache(entries: Sequence[tuple[str, Spectrogram]], path) -> None:
-    """Cache spectrograms in the dump container (version 2, extra frames field).
-
-    All entries must share one frame count; each vector is the row-major
-    flattened (frames, 128) matrix.
-    """
-    path = Path(path)
-    items = list(entries)
-    if not items:
-        raise IngestError("cannot write an empty spectrogram cache")
-    frames = items[0][1].frames
-    flat = []
-    for entry_id, spec in items:
-        if spec.frames != frames:
-            raise DimMismatch(f"entry {entry_id!r}: frames {spec.frames} != {frames}")
-        flat.append((entry_id, spec.values.reshape(-1)))
-    dim, checked = _validate_entries(flat)
-    buf = bytearray(_HEADER.pack(DUMP_MAGIC, _CACHE_VERSION, dim, len(checked)))
-    buf += struct.pack("<I", frames)
-    buf += _pack_entries(checked)
-    _atomic_write(path, bytes(buf))
-
-
-def read_spectrogram_cache(path) -> list[tuple[str, Spectrogram]]:
-    cur, dim, count = _read_container(path, _CACHE_VERSION)
-    frames = cur.u32()
-    if frames == 0 or dim != frames * 128:
-        raise CorruptHeader(f"{path}: dim {dim} inconsistent with frames {frames}")
-    entries = _read_entries(cur, dim, count)
-    return [(entry_id, Spectrogram(vec.astype(np.float64).reshape(frames, 128))) for entry_id, vec in entries]
+        raise CorruptHeader(f"{path}: {len(cur.raw) - cur.pos} trailing bytes")
+    return EmbeddingDump(dim=dim, entries=tuple(entries))

@@ -16,16 +16,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dsp, encoder
-from .space import ProjectionHead, TrainConfig, TrainPair, l2_normalize, project, train
+from .space import DimMismatch, ProjectionHead, TrainConfig, TrainPair, l2_normalize, project, train
 
 REFERENCE_FULL_DATA_MAP10 = 35.22  # percent scale; full-size pre-trained system, kept as context only
 
 
 class RetrievalError(Exception):
-    pass
-
-
-class DimMismatch(RetrievalError):
     pass
 
 
@@ -64,6 +60,7 @@ class RetrievalIndex:
 class QueryResult:
     query_id: str
     ranked_ids: tuple[str, ...]
+    scores: np.ndarray  # cosine similarity of each ranked clip, in ranked order
     rank_of_target: int | None
 
 
@@ -75,7 +72,8 @@ def rank(
 ) -> QueryResult:
     """Order all indexed clips by descending cosine similarity to the query.
 
-    Ties break on ascending clip id so results are reproducible.
+    Ties break on ascending clip id so results are reproducible. The result
+    carries each clip's similarity alongside its id.
     """
     if len(index) == 0:
         raise EmptyIndex("cannot rank against an empty index")
@@ -90,7 +88,7 @@ def rank(
         if target_id not in index.ids:
             raise UnknownTargetId(f"target {target_id!r} not in index")
         rank_of_target = ranked.index(target_id) + 1
-    return QueryResult(query_id=query_id, ranked_ids=ranked, rank_of_target=rank_of_target)
+    return QueryResult(query_id=query_id, ranked_ids=ranked, scores=sims[order], rank_of_target=rank_of_target)
 
 
 def average_precision_at_10(rank_of_target: int) -> float:
@@ -281,16 +279,8 @@ def segment_length_sweep(
             counts.append(len(segments))
             grids = [encoder.extract_patches(s, geometry) for s in segments]
             audio_vecs.append(encoder.embed_long_audio(grids, enc_params))
-        index = RetrievalIndex.build(
-            [clip.clip_id for clip in clips],
-            project(np.stack(audio_vecs), audio_head),
-        )
-        queries = [
-            Query(f"{clip.clip_id}#{k}", project(cap, text_head), clip.clip_id)
-            for clip in clips
-            for k, cap in enumerate(clip.caption_vecs)
-        ]
-        report = evaluate(queries, index)
+        pairs = [TrainPair(clip.clip_id, vec, clip.caption_vecs) for clip, vec in zip(clips, audio_vecs)]
+        report = evaluate(*build_eval(pairs, audio_head, text_head))
         rows.append(
             SweepRow(length_seconds=float(length), map_at_10=report.map_at_10, segments_per_clip=tuple(counts))
         )

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ingest import atomic_write
 from .seeding import derive_seed
 
 SHARED_DIM = 1024
@@ -140,39 +141,41 @@ def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def nt_xent_loss(C: np.ndarray, temperature: float = 1.0) -> LossValue:
-    """Cross-entropy against the diagonal, averaged over rows and columns.
-
-    Rows score one audio against every caption (audio-to-text); columns score
-    one caption against every audio (text-to-audio). Logits are C/temperature.
-    """
+def _nt_xent(C: np.ndarray, temperature: float) -> tuple[LossValue, np.ndarray, np.ndarray]:
+    """The loss plus the row and column log-softmax of C / temperature it came from."""
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise NonSquare(f"similarity matrix must be square, got {C.shape}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     logits = C / temperature
+    log_rows = _log_softmax(logits, axis=1)
+    log_cols = _log_softmax(logits, axis=0)
     diag = np.arange(C.shape[0])
     # + 0.0 folds a saturated -0.0 into plain 0.0
-    audio_to_text = float(-_log_softmax(logits, axis=1)[diag, diag].mean()) + 0.0
-    text_to_audio = float(-_log_softmax(logits, axis=0)[diag, diag].mean()) + 0.0
-    return LossValue(
+    audio_to_text = float(-log_rows[diag, diag].mean()) + 0.0
+    text_to_audio = float(-log_cols[diag, diag].mean()) + 0.0
+    loss = LossValue(
         value=0.5 * (audio_to_text + text_to_audio),
         text_to_audio=text_to_audio,
         audio_to_text=audio_to_text,
     )
+    return loss, log_rows, log_cols
+
+
+def nt_xent_loss(C: np.ndarray, temperature: float = 1.0) -> LossValue:
+    """Cross-entropy against the diagonal, averaged over rows and columns.
+
+    Rows score one audio against every caption (audio-to-text); columns score
+    one caption against every audio (text-to-audio). Logits are C/temperature.
+    """
+    return _nt_xent(C, temperature)[0]
 
 
 @dataclass(frozen=True)
 class HeadGrads:
     weight: np.ndarray
     bias: np.ndarray
-
-
-def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def nt_xent_from_raw(
@@ -220,10 +223,9 @@ def loss_gradients(
     Th = Pt / nt
     C = Ah @ Th.T
 
-    loss = nt_xent_loss(C, temperature)
-    logits = C / temperature
+    loss, log_rows, log_cols = _nt_xent(C, temperature)
     eye = np.eye(n)
-    g_logits = ((_softmax(logits, axis=1) - eye) + (_softmax(logits, axis=0) - eye)) / (2.0 * n)
+    g_logits = ((np.exp(log_rows) - eye) + (np.exp(log_cols) - eye)) / (2.0 * n)
     g_C = g_logits / temperature
 
     g_Ah = g_C @ Th
@@ -241,13 +243,10 @@ def gradient_check(
     shape: tuple[int, int, int],
     temperature: float = 1.0,
     fd_step: float = 1e-4,
-    perturb: float = 0.0,
 ) -> float:
     """Max relative error between analytic gradients and central finite differences.
 
-    shape is (batch, d_in, d_out), applied to both modalities. perturb is a
-    test hook that corrupts the analytic gradients so failure paths can be
-    exercised deliberately.
+    shape is (batch, d_in, d_out), applied to both modalities.
     """
     n, d_in, d_out = shape
     rng = np.random.default_rng(derive_seed(seed, "gradient-check"))
@@ -258,10 +257,10 @@ def gradient_check(
 
     _, ga, gt = loss_gradients(A, T, audio_head, text_head, temperature)
     analytic = {
-        "audio.weight": ga.weight + perturb,
-        "audio.bias": ga.bias + perturb,
-        "text.weight": gt.weight + perturb,
-        "text.bias": gt.bias + perturb,
+        "audio.weight": ga.weight,
+        "audio.bias": ga.bias,
+        "text.weight": gt.weight,
+        "text.bias": gt.bias,
     }
     arrays = {
         "audio.weight": audio_head.weight,
@@ -536,19 +535,6 @@ def train(
     return TrainResult(audio_head, text_head, tuple(curve), state, total_steps)
 
 
-def dataset_loss(
-    pairs: Sequence[TrainPair],
-    audio_head: ProjectionHead,
-    text_head: ProjectionHead,
-    temperature: float = 1.0,
-    caption_index: int = 0,
-) -> float:
-    """Whole-dataset loss with a fixed caption per clip; handy for before/after checks."""
-    A = np.stack([pair.audio for pair in pairs])
-    T = np.stack([pair.captions[min(caption_index, len(pair.captions) - 1)] for pair in pairs])
-    return nt_xent_from_raw(A, T, audio_head, text_head, temperature).value
-
-
 def config_digest(cfg: TrainConfig) -> bytes:
     """Stable 8-byte digest of a config, stored in checkpoints."""
     return hashlib.sha256(repr(cfg).encode("utf-8")).digest()[:8]
@@ -579,7 +565,6 @@ def save_checkpoint(
     Values are quantized to float32 on save; save -> load -> save is
     byte-identical.
     """
-    path = Path(path)
     arrays = {
         "audio.weight": audio_head.weight,
         "audio.bias": audio_head.bias,
@@ -603,9 +588,7 @@ def save_checkpoint(
     for moments in (state.m, state.v):
         for key in _PARAM_ORDER:
             buf += np.asarray(moments[key], dtype="<f4").tobytes()
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_bytes(bytes(buf))
-    tmp.replace(path)
+    atomic_write(path, bytes(buf))
 
 
 def load_checkpoint(path) -> Checkpoint:

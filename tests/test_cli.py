@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from acre import cli, ingest, space
+from acre import cli, encoder, ingest, space
+from acre.seeding import derive_seed
 
 
 def run(args):
@@ -171,13 +172,64 @@ def test_rank_prints_ordering(wav_dataset, tmp_path, capsys):
     assert lines[0].split()[0] == "1"
 
 
+def test_rank_scores_are_projected_cosines(wav_dataset, tmp_path, capsys):
+    emb, out = tmp_path / "emb", tmp_path / "run"
+    assert run(["embed", *common(wav_dataset, emb)]) == 0
+    dump = ["--encoder", f"dump:{emb}"]
+    assert run(["train", *common(wav_dataset, out, dump), "--epochs", "2", "--batch-size", "3"]) == 0
+    capsys.readouterr()
+    query = "a tone of kind 2 sounds loud"
+    code = run(
+        [
+            "rank", *common(wav_dataset, tmp_path / "rankout", dump),
+            "--checkpoint", str(out / "checkpoint.ackp"),
+            "--query", query,
+            "--top", "6",
+        ]
+    )
+    assert code == 0
+    rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()]
+    printed = {clip_id: float(score) for _, score, clip_id in rows}
+
+    ckpt = space.load_checkpoint(out / "checkpoint.ackp")
+    audio = ingest.read_embedding_dump(emb / "audio.embd").as_dict()
+    vocab = encoder.Vocabulary.default()
+    params = encoder.EncoderParams(seed=derive_seed(5, "text-encoder"))
+    q = encoder.text_encode(encoder.tokenize(encoder.normalize_text(query), vocab), params, len(vocab))
+    q = space.project(q, ckpt.text_head)
+    assert len(printed) == len(audio) == 6
+    for clip_id, vec in audio.items():
+        a = space.project(vec, ckpt.audio_head)
+        cosine = a @ q / (np.linalg.norm(a) * np.linalg.norm(q))
+        assert abs(printed[clip_id] - cosine) <= 5.1e-5  # printed to four decimals
+    scores = [float(score) for _, score, _ in rows]
+    assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_rank_rejects_top_below_one(wav_dataset, tmp_path, capsys, top):
+    code = run(
+        [
+            "rank", *common(wav_dataset, tmp_path / "rankout"),
+            "--checkpoint", str(tmp_path / "unused.ackp"),
+            "--query", "a tone",
+            "--top", top,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "--top" in err
+
+
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
-def test_gradcheck_perturbed_fails(capsys):
-    assert run(["gradcheck", "--seed", "1", "--perturb", "0.01"]) == 1
+def test_gradcheck_perturbed_fails(monkeypatch, capsys):
+    monkeypatch.setattr(space, "gradient_check", lambda seed, shape: 1e-2)
+    assert run(["gradcheck", "--seed", "1"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

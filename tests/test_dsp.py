@@ -118,16 +118,6 @@ def test_snippet_short_input_unchanged():
     assert out is w
 
 
-def test_pad_keeps_prefix_and_zeroes_rest():
-    w = sine(440, 10.0)
-    out = dsp.pad(w, 960000)
-    assert len(out) == 960000
-    assert np.array_equal(out.samples[:320000], w.samples)
-    assert np.all(out.samples[320000:] == 0.0)
-    with pytest.raises(ValueError):
-        dsp.pad(w, 100)
-
-
 def spec_of_frames(frames, seed=0):
     return dsp.Spectrogram(np.random.default_rng(seed).normal(size=(frames, 128)))
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acre import ingest
-from acre.dsp import Spectrogram
 from conftest import raw_wav_bytes, write_wav_float32, write_wav_pcm16
 
 
@@ -257,15 +256,19 @@ def test_dump_rejects_empty_and_duplicates(tmp_path):
         ingest.write_embedding_dump(entries, tmp_path / "d.embd")
 
 
-def test_spectrogram_cache_round_trip(tmp_path):
-    p = tmp_path / "s.spc"
-    rng = np.random.default_rng(3)
-    specs = [(f"c{i}", Spectrogram(rng.normal(size=(7, 128)))) for i in range(4)]
-    ingest.write_spectrogram_cache(specs, p)
-    back = ingest.read_spectrogram_cache(p)
-    assert [b[0] for b in back] == [s[0] for s in specs]
-    for (_, original), (_, restored) in zip(specs, back):
-        assert np.allclose(original.values, restored.values, atol=1e-6)  # float32 storage
-    # and the plain dump reader refuses the cache version
+def test_dump_rejects_other_version(tmp_path):
+    p = tmp_path / "d.embd"
+    ingest.write_embedding_dump([("a", np.ones(3, dtype=np.float32))], p)
+    raw = bytearray(p.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)
+    p.write_bytes(bytes(raw))
     with pytest.raises(ingest.CorruptHeader, match="version"):
         ingest.read_embedding_dump(p)
+
+
+def test_atomic_write_replaces_target_without_leftovers(tmp_path):
+    p = tmp_path / "out.txt"
+    p.write_bytes(b"old contents")
+    ingest.atomic_write(p, b"new")
+    assert p.read_bytes() == b"new"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]

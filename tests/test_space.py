@@ -199,8 +199,19 @@ def test_gradients_duplicated_batch_equals_single():
     assert np.abs(ga2.bias - ga1.bias).max() < 1e-6
 
 
-def test_gradient_check_perturb_hook_fails():
-    assert space.gradient_check(0, (4, 8, 6), perturb=1e-2) > 1e-4
+def test_gradient_check_perturb_hook_fails(monkeypatch):
+    exact = space.loss_gradients
+
+    def perturbed(*args, **kwargs):
+        loss, ga, gt = exact(*args, **kwargs)
+        return (
+            loss,
+            space.HeadGrads(ga.weight + 1e-2, ga.bias + 1e-2),
+            space.HeadGrads(gt.weight + 1e-2, gt.bias + 1e-2),
+        )
+
+    monkeypatch.setattr(space, "loss_gradients", perturbed)
+    assert space.gradient_check(0, (4, 8, 6)) > 1e-4
 
 
 def test_gradient_check_single_pair_near_zero():
@@ -307,9 +318,11 @@ def test_train_loss_decreases_within_one_epoch():
         cfg = small_cfg(seed=seed, pretrain_epochs=1, batch_size=16)
         init_audio = space.ProjectionHead.initialize(12, 24, np.random.default_rng(derive_seed(seed, "audio-head")))
         init_text = space.ProjectionHead.initialize(10, 24, np.random.default_rng(derive_seed(seed, "text-head")))
-        before = space.dataset_loss(pairs, init_audio, init_text)
+        A = np.stack([pair.audio for pair in pairs])
+        T = np.stack([pair.captions[0] for pair in pairs])
+        before = space.nt_xent_from_raw(A, T, init_audio, init_text).value
         result = space.train(pairs, cfg, phase="pretrain")
-        after = space.dataset_loss(pairs, result.audio_head, result.text_head)
+        after = space.nt_xent_from_raw(A, T, result.audio_head, result.text_head).value
         assert after < before
 
 
