@@ -121,24 +121,45 @@ class Query:
 
 
 def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
-    """Mean AP@10 and R@{1,5,10} over the queries, summed in query-id order."""
+    """Mean AP@10 and R@{1,5,10} over the queries, summed in query-id order.
+
+    All queries are scored in one similarity matrix. A target's rank is
+    1 + #(sim > s_target) + #(sim == s_target and id < target id), which is
+    the order `rank` defines: descending cosine, ties on ascending clip id.
+    """
     ordered = sorted(queries, key=lambda q: q.query_id)
     if not ordered:
         raise ValueError("no queries")
-    ap_sum = 0.0
-    hits1 = hits5 = hits10 = 0
+    if len(index) == 0:
+        raise EmptyIndex("cannot rank against an empty index")
+    dim = index.vectors.shape[1]
+    column = {clip_id: j for j, clip_id in enumerate(index.ids)}
     for q in ordered:
-        r = rank(q.vector, index, q.query_id, q.target_id).rank_of_target
+        if np.shape(q.vector) != (dim,):
+            raise DimMismatch(f"query dim {np.shape(q.vector)} != index dim {dim}")
+    unit_queries = l2_normalize(np.stack([q.vector for q in ordered]))
+    for q in ordered:
+        if q.target_id not in column:
+            raise UnknownTargetId(f"target {q.target_id!r} not in index")
+    targets = np.array([column[q.target_id] for q in ordered])
+    id_order = np.empty(len(index), dtype=np.int64)
+    id_order[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
+
+    sims = unit_queries @ index.vectors.T
+    s_target = sims[np.arange(len(ordered)), targets][:, None]
+    ahead = (sims > s_target) | ((sims == s_target) & (id_order < id_order[targets][:, None]))
+    ranks = 1 + np.count_nonzero(ahead, axis=1)
+
+    # a sequential sum, not np.sum: pairwise summation would move the last bits
+    ap_sum = 0.0
+    for r in ranks.tolist():
         ap_sum += average_precision_at_10(r)
-        hits1 += r <= 1
-        hits5 += r <= 5
-        hits10 += r <= 10
     n = len(ordered)
     return MetricsReport(
         map_at_10=ap_sum / n,
-        r_at_1=hits1 / n,
-        r_at_5=hits5 / n,
-        r_at_10=hits10 / n,
+        r_at_1=int(np.count_nonzero(ranks <= 1)) / n,
+        r_at_5=int(np.count_nonzero(ranks <= 5)) / n,
+        r_at_10=int(np.count_nonzero(ranks <= 10)) / n,
         n_queries=n,
     )
 
@@ -180,11 +201,12 @@ def build_eval(
         [pair.clip_id for pair in pairs],
         project(np.stack([pair.audio for pair in pairs]), audio_head),
     )
-    queries = [
-        Query(query_id=f"{pair.clip_id}#{k}", vector=project(cap, text_head), target_id=pair.clip_id)
-        for pair in pairs
-        for k, cap in enumerate(pair.captions)
-    ]
+    captions = [(f"{pair.clip_id}#{k}", pair.clip_id, cap) for pair in pairs for k, cap in enumerate(pair.captions)]
+    for query_id, _, cap in captions:
+        if cap.shape != (text_head.d_in,):
+            raise DimMismatch(f"caption {query_id!r}: dim {cap.shape} != head d_in {text_head.d_in}")
+    vectors = project(np.stack([cap for _, _, cap in captions]), text_head)
+    queries = [Query(query_id, vec, target) for (query_id, target, _), vec in zip(captions, vectors)]
     return queries, index
 
 

@@ -62,6 +62,10 @@ class MissingAugmentation(SpaceError):
     pass
 
 
+class NonFiniteValue(SpaceError):
+    pass
+
+
 @dataclass
 class ProjectionHead:
     """Trainable linear map into the shared space: x -> weight @ x + bias."""
@@ -523,6 +527,8 @@ def train(
             T = np.stack([sample_caption(pair, rng, swap_prob, augmented) for pair in batch])
             lr = lr_at(step, total_steps, warmup_steps, lr_max, cfg.lr_min)
             loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
+            if not math.isfinite(loss.value):
+                raise NonFiniteValue(f"{phase} step {step}: loss is {loss.value}")
             grads = {
                 "audio.weight": ga.weight,
                 "audio.bias": ga.bias,
@@ -563,7 +569,8 @@ def save_checkpoint(
     """Serialize heads and optimizer state as little-endian float32, atomically.
 
     Values are quantized to float32 on save; save -> load -> save is
-    byte-identical.
+    byte-identical. An array that is not finite in float32 (NaN, or beyond
+    float32 range) raises NonFiniteValue and nothing is written.
     """
     arrays = {
         "audio.weight": audio_head.weight,
@@ -583,11 +590,13 @@ def save_checkpoint(
         config_digest(cfg),
     )
     buf = bytearray(header)
-    for key in _PARAM_ORDER:
-        buf += np.asarray(arrays[key], dtype="<f4").tobytes()
-    for moments in (state.m, state.v):
+    for prefix, group in (("", arrays), ("adam.m.", state.m), ("adam.v.", state.v)):
         for key in _PARAM_ORDER:
-            buf += np.asarray(moments[key], dtype="<f4").tobytes()
+            with np.errstate(over="ignore"):
+                values = np.asarray(group[key], dtype="<f4")
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteValue(f"{prefix}{key} is not finite as float32; checkpoint not written")
+            buf += values.tobytes()
     atomic_write(path, bytes(buf))
 
 

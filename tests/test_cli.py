@@ -143,6 +143,37 @@ def test_dump_encoder_roundtrip(wav_dataset, tmp_path):
     assert np.allclose(a.audio_head.weight, b.audio_head.weight, atol=1e-5)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_refuses_checkpoint_beyond_float32(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    ids = [f"c{i:02d}.wav" for i in range(64)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n"
+        + "".join(f"{c},a,b,c,d,e\n" for c in ids)
+    )
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    ingest.write_embedding_dump([(c, rng.normal(size=16)) for c in ids], dumps / "audio.embd")
+    ingest.write_embedding_dump(
+        [(f"{c}#{k}", rng.normal(size=12)) for c in ids for k in range(5)], dumps / "captions.embd"
+    )
+    out = tmp_path / "run"
+    # one Adam step moves each weight by about lr: finite in float64, inf in float32
+    code = run(
+        [
+            "train", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(out),
+            "--batch-size", "16", "--epochs", "2", "--lr-max", "1e200",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: NonFiniteValue: audio.weight is not finite as float32; checkpoint not written"
+    ]
+    assert list(out.glob("checkpoint.ackp*")) == []
+
+
 def test_evaluate_missing_checkpoint_exits_2(wav_dataset, tmp_path, capsys):
     code = run(
         [

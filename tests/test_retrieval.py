@@ -151,6 +151,119 @@ def test_evaluate_invariant_to_query_and_index_order():
     assert a == b
 
 
+def assert_evaluate_agrees_with_rank(queries, index):
+    # with at most ten clips every rank is inside the AP@10 cut, so a
+    # one-query mAP@10 of 1/r recovers the rank r exactly
+    assert len(index) <= 10
+    for q in queries:
+        r = retrieval.rank(q.vector, index, q.query_id, q.target_id).rank_of_target
+        assert retrieval.evaluate([q], index).map_at_10 == 1.0 / r
+
+
+def test_evaluate_agrees_with_rank_on_duplicated_clips():
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(5, 6))
+    ids = [f"c{i}" for i in range(10)]
+    index = retrieval.RetrievalIndex.build(ids, np.vstack([base, base]))
+    queries = [retrieval.Query(f"q{i}", base[i % 5] + 0.3 * rng.normal(size=6), ids[i]) for i in range(10)]
+    queries += [retrieval.Query(f"x{i}", base[i % 5], ids[i]) for i in range(10)]
+    assert_evaluate_agrees_with_rank(queries, index)
+
+
+def test_evaluate_agrees_with_rank_on_orthonormal_ties():
+    m = 8
+    ids = [f"c{i:03d}" for i in range(m)]
+    index = retrieval.RetrievalIndex.build(ids, np.eye(m))
+    queries = []
+    for target in range(m):
+        for weight in (0.5, 1.0, 2.0):
+            v = np.ones(m)
+            v[target] = weight
+            queries.append(retrieval.Query(f"q{target}w{weight}", v, ids[target]))
+    assert_evaluate_agrees_with_rank(queries, index)
+
+
+def test_evaluate_agrees_with_rank_on_shuffled_storage_order():
+    rng = np.random.default_rng(22)
+    ids = [f"c{i}" for i in range(9)]
+    vecs = np.vstack([np.repeat(rng.normal(size=(3, 4)), 2, axis=0), rng.normal(size=(3, 4))])
+    perm = rng.permutation(9)
+    index = retrieval.RetrievalIndex.build([ids[i] for i in perm], vecs[perm])
+    assert list(index.ids) != sorted(index.ids)
+    queries = [retrieval.Query(f"q{i}", vecs[i] + 0.2 * rng.normal(size=4), ids[i]) for i in range(9)]
+    queries += [retrieval.Query(f"x{i}", vecs[i], ids[i]) for i in range(9)]
+    assert_evaluate_agrees_with_rank(queries, index)
+
+
+def test_evaluate_agrees_with_rank_with_several_captions_per_clip():
+    rng = np.random.default_rng(23)
+    pairs = [
+        space.TrainPair(f"c{i}", rng.normal(size=7), tuple(rng.normal(size=5) for _ in range(4))) for i in range(10)
+    ]
+    audio_head = space.ProjectionHead.initialize(7, 6, rng)
+    text_head = space.ProjectionHead.initialize(5, 6, rng)
+    queries, index = retrieval.build_eval(pairs, audio_head, text_head)
+    assert len(queries) == 40
+    assert_evaluate_agrees_with_rank(queries, index)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("no queries", ValueError),
+        ("empty index", retrieval.EmptyIndex),
+        ("unknown target", retrieval.UnknownTargetId),
+        ("wrong dim", space.DimMismatch),
+        ("zero norm", space.ZeroNormVector),
+    ],
+)
+def test_evaluate_errors(case, error):
+    index = retrieval.RetrievalIndex.build(["a", "b"], np.eye(3)[:2])
+    good = retrieval.Query("q0", np.ones(3), "a")
+    queries = {
+        "no queries": [],
+        "empty index": [good],
+        "unknown target": [good, retrieval.Query("q1", np.ones(3), "nope")],
+        "wrong dim": [good, retrieval.Query("q1", np.ones(4), "a")],
+        "zero norm": [good, retrieval.Query("q1", np.zeros(3), "a")],
+    }[case]
+    if case == "empty index":
+        index = retrieval.RetrievalIndex(ids=(), vectors=np.zeros((0, 3)))
+    with pytest.raises(error):
+        retrieval.evaluate(queries, index)
+
+
+def test_build_eval_batched_queries_match_per_caption_projection():
+    rng = np.random.default_rng(24)
+    pairs = [
+        space.TrainPair(f"c{i}", rng.normal(size=6), tuple(rng.normal(size=5) for _ in range(1 + i % 3)))
+        for i in range(7)
+    ]
+    audio_head = space.ProjectionHead.initialize(6, 8, rng)
+    text_head = space.ProjectionHead.initialize(5, 8, rng)
+    queries, _ = retrieval.build_eval(pairs, audio_head, text_head)
+    expected = [
+        (f"{pair.clip_id}#{k}", pair.clip_id, space.project(cap, text_head))
+        for pair in pairs
+        for k, cap in enumerate(pair.captions)
+    ]
+    assert [(q.query_id, q.target_id) for q in queries] == [(qid, target) for qid, target, _ in expected]
+    for q, (_, _, vec) in zip(queries, expected):
+        assert np.linalg.norm(q.vector - vec) <= 1e-12 * np.linalg.norm(vec)
+
+
+def test_build_eval_rejects_caption_of_wrong_dim():
+    rng = np.random.default_rng(25)
+    pairs = [
+        space.TrainPair("a", rng.normal(size=6), (rng.normal(size=5),)),
+        space.TrainPair("b", rng.normal(size=6), (rng.normal(size=5), rng.normal(size=4))),
+    ]
+    head_a = space.ProjectionHead.initialize(6, 8, rng)
+    head_t = space.ProjectionHead.initialize(5, 8, rng)
+    with pytest.raises(space.DimMismatch, match="'b#1'"):
+        retrieval.build_eval(pairs, head_a, head_t)
+
+
 def test_untrained_heads_score_at_chance_level():
     # 100 clips of pure noise through random heads: expected mAP@10 is the
     # mean truncated reciprocal rank of a uniform permutation,

@@ -389,6 +389,23 @@ def test_train_errors():
         space.train(pairs, small_cfg(batch_size=2), phase="finetune", strict=True, augmented=None)
 
 
+def test_train_stops_on_first_non_finite_loss(monkeypatch):
+    exact = space.loss_gradients
+    calls = []
+
+    def nan_at_step_3(*args, **kwargs):
+        loss, ga, gt = exact(*args, **kwargs)
+        calls.append(loss)
+        if len(calls) == 4:
+            loss = space.LossValue(float("nan"), loss.text_to_audio, loss.audio_to_text)
+        return loss, ga, gt
+
+    monkeypatch.setattr(space, "loss_gradients", nan_at_step_3)
+    with pytest.raises(space.NonFiniteValue, match="step 3"):
+        space.train(tiny_pairs(2, n=32), small_cfg(batch_size=8, pretrain_epochs=2))
+    assert len(calls) == 4
+
+
 def test_train_warns_without_augmentations():
     pairs = tiny_pairs(1, n=8)
     with pytest.warns(UserWarning, match="without augmented captions"):
@@ -436,3 +453,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"not a checkpoint at all")
     with pytest.raises(space.SpaceError):
         space.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("name", ["audio.weight", "text.bias", "adam.m.audio.bias", "adam.v.text.weight"])
+def test_checkpoint_refuses_values_beyond_float32(tmp_path, name):
+    cfg = small_cfg(batch_size=8, pretrain_epochs=1)
+    result = space.train(tiny_pairs(9, n=16), cfg)
+    arrays = {
+        "audio.weight": result.audio_head.weight,
+        "text.bias": result.text_head.bias,
+        "adam.m.audio.bias": result.state.m["audio.bias"],
+        "adam.v.text.weight": result.state.v["text.weight"],
+    }
+    arrays[name].flat[0] = 1e39  # finite in float64, inf in float32
+    with pytest.raises(space.NonFiniteValue, match=name):
+        space.save_checkpoint(
+            tmp_path / "x.ackp", result.audio_head, result.text_head, result.state, result.total_steps, cfg
+        )
+    assert list(tmp_path.iterdir()) == []
