@@ -40,17 +40,35 @@ class CliError(Exception):
     pass
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Flat key = value lines; '#' starts a comment; blank lines ignored."""
-    out: dict[str, str] = {}
+# argparse entries a config file cannot set: the subcommand, the config path
+# itself, and rank's per-call query flags
+_NOT_CONFIG_KEYS = ("command", "config", "query", "top")
+_SWITCHES = ("strict", "patchout")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def parse_config_file(path, keys) -> dict[str, str | bool]:
+    """Flat key = value lines; '#' starts a comment; blank lines ignored.
+
+    Every key must be one of ``keys``, and a switch (strict, patchout) must be
+    one of 1/true/yes/on or 0/false/no/off; anything else is a usage error
+    naming the line, so no setting is ever silently dropped.
+    """
+    out: dict[str, str | bool] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise CliError(f"{path}: line {lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key not in keys:
+            raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in _SWITCHES:
+            if value.lower() not in _BOOLEANS:
+                raise CliError(f"{path}: line {lineno}: {key} must be one of {'/'.join(_BOOLEANS)}, got {value!r}")
+            value = _BOOLEANS[value.lower()]
+        out[key] = value
     return out
 
 
@@ -78,7 +96,7 @@ class RunSettings:
         return encoder.EncoderParams(seed=derive_seed(self.seed, role))
 
 
-def _setting(args: argparse.Namespace, cfg: dict[str, str], key: str, default=None):
+def _setting(args: argparse.Namespace, cfg: dict[str, str | bool], key: str, default=None):
     value = getattr(args, key, None)
     if value is not None:
         return value
@@ -87,16 +105,10 @@ def _setting(args: argparse.Namespace, cfg: dict[str, str], key: str, default=No
     return default
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
-
-
 def _build_settings(args: argparse.Namespace) -> RunSettings:
-    cfg: dict[str, str] = {}
+    cfg: dict[str, str | bool] = {}
     if getattr(args, "config", None):
-        cfg = parse_config_file(args.config)
+        cfg = parse_config_file(args.config, set(vars(args)) - set(_NOT_CONFIG_KEYS))
 
     manifests_raw = _setting(args, cfg, "manifest", default=[])
     if isinstance(manifests_raw, str):
@@ -152,8 +164,8 @@ def _build_settings(args: argparse.Namespace) -> RunSettings:
         preset=preset,
         seed=seed,
         out=Path(out) if out else None,
-        strict=_as_bool(_setting(args, cfg, "strict", False)),
-        patchout=_as_bool(_setting(args, cfg, "patchout", False)),
+        strict=_setting(args, cfg, "strict", False),
+        patchout=_setting(args, cfg, "patchout", False),
         snippet_seconds=float(_setting(args, cfg, "snippet_seconds", DEFAULT_SNIPPET_SECONDS)),
         checkpoint=Path(checkpoint) if checkpoint else None,
         whiten=whiten,
@@ -231,21 +243,24 @@ def _raw_audio(records: list[ingest.ClipRecord], settings: RunSettings) -> dict[
     return _raw_vectors(settings, "audio.embd", lambda: _embed_audio(records, settings)[0])
 
 
+def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarray:
+    """vectors[key]; a missing id is a usage error naming the kind and the id."""
+    if key not in vectors:
+        raise CliError(f"no {kind} embedding for {key!r}")
+    return vectors[key]
+
+
 def _train_pairs(records: list[ingest.ClipRecord], settings: RunSettings) -> list[space.TrainPair]:
     audio = _raw_audio(records, settings)
     captions = _raw_vectors(settings, "captions.embd", lambda: _embed_texts(_caption_texts(records), settings))
-    pairs = []
-    for rec in records:
-        if rec.clip_id not in audio:
-            raise CliError(f"no audio embedding for clip {rec.clip_id!r}")
-        caps = []
-        for k in range(len(rec.captions)):
-            key = f"{rec.clip_id}#{k}"
-            if key not in captions:
-                raise CliError(f"no caption embedding for {key!r}")
-            caps.append(captions[key])
-        pairs.append(space.TrainPair(rec.clip_id, audio[rec.clip_id], tuple(caps)))
-    return pairs
+    return [
+        space.TrainPair(
+            rec.clip_id,
+            _embedding(audio, rec.clip_id, "audio"),
+            tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
+        )
+        for rec in records
+    ]
 
 
 def _augmap(records: list[ingest.ClipRecord], settings: RunSettings) -> space.AugMap | None:
@@ -257,13 +272,9 @@ def _augmap(records: list[ingest.ClipRecord], settings: RunSettings) -> space.Au
     entries = _raw_vectors(settings, "variants.embd", lambda: _embed_texts(_variant_texts(aug_sets), settings))
     augmap: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
     for aug in aug_sets:
-        vecs = []
-        for j in range(len(aug.variants)):
-            key = f"{aug.clip_id}#{aug.caption_index}@{j}"
-            if key not in entries:
-                raise CliError(f"no variant embedding for {key!r}")
-            vecs.append(entries[key])
-        augmap[(aug.clip_id, aug.caption_index)] = tuple(vecs)
+        augmap[(aug.clip_id, aug.caption_index)] = tuple(
+            _embedding(entries, f"{aug.clip_id}#{aug.caption_index}@{j}", "variant") for j in range(len(aug.variants))
+        )
     return augmap
 
 
@@ -316,20 +327,14 @@ def _run_training(settings: RunSettings, phase: str) -> int:
     result = space.train(
         pairs, settings.train, phase=phase, augmented=augmap, strict=settings.strict, init=init
     )
-    space.save_checkpoint(
-        out / "checkpoint.ackp",
-        result.audio_head,
-        result.text_head,
-        result.state,
-        result.total_steps,
-        settings.train,
-    )
+    checkpoint = out / "checkpoint.ackp"
+    space.save_checkpoint(checkpoint, result.audio_head, result.text_head, result.total_steps, settings.train)
     ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))
     first = result.curve[0].loss if result.curve else float("nan")
     last = result.curve[-1].loss if result.curve else float("nan")
     print(
         f"{phase}: {len(pairs)} clips, {result.total_steps} steps, "
-        f"loss {first:.4f} -> {last:.4f}, checkpoint -> {out / 'checkpoint.ackp'}"
+        f"loss {first:.4f} -> {last:.4f}, checkpoint -> {checkpoint}"
     )
     return 0
 
@@ -365,12 +370,12 @@ def cmd_rank(settings: RunSettings, query: str, top: int) -> int:
         raise CliError("rank requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
+    if not records:
+        raise CliError("the given manifest lists no clips")
     audio = _raw_audio(records, settings)
-    ids = [rec.clip_id for rec in records if rec.clip_id in audio]
-    if not ids:
-        raise CliError("no audio embeddings for the given manifest")
+    ids = [rec.clip_id for rec in records]
     index = retrieval.RetrievalIndex.build(
-        ids, space.project(np.stack([audio[i] for i in ids]), ckpt.audio_head)
+        ids, space.project(np.stack([_embedding(audio, i, "audio") for i in ids]), ckpt.audio_head)
     )
     [(query_id, qvec)] = _embed_texts([("cli-query", query)], settings)
     result = retrieval.rank(space.project(qvec, ckpt.text_head), index, query_id=query_id)

@@ -169,8 +169,7 @@ def logmel(w: Waveform, cfg: LogmelConfig = DEFAULT_LOGMEL) -> Spectrogram:
     """
     if w.sample_rate != cfg.sample_rate:
         raise WrongSampleRate(f"expected {cfg.sample_rate} Hz input, got {w.sample_rate} Hz")
-    if len(w) < cfg.n_fft:
-        raise TooShort(f"need at least {cfg.n_fft} samples, got {len(w)}")
+    frame_count(len(w), cfg)  # raises TooShort
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, cfg.n_fft)[:: cfg.hop]
     window = np.hanning(cfg.n_fft)
     spectra = np.fft.rfft(frames * window, axis=1)

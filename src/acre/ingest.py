@@ -74,6 +74,10 @@ class DimMismatch(IngestError):
     pass
 
 
+class NonFiniteValue(IngestError):
+    pass
+
+
 class BadMagic(IngestError):
     pass
 
@@ -292,7 +296,7 @@ def write_embedding_dump(entries, path) -> None:
         if vec.size != dim:
             raise DimMismatch(f"entry {entry_id!r}: dim {vec.size} != {dim}")
         if not np.all(np.isfinite(vec)):
-            raise DimMismatch(f"entry {entry_id!r}: vector contains non-finite values")
+            raise NonFiniteValue(f"entry {entry_id!r}: vector contains non-finite values")
         if entry_id in seen:
             raise IngestError(f"duplicate entry id {entry_id!r}")
         seen.add(entry_id)
@@ -345,7 +349,7 @@ def read_embedding_dump(path) -> EmbeddingDump:
             raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
         vec = np.frombuffer(cur.take(dim * 4), dtype="<f4").copy()
         if not np.all(np.isfinite(vec)):
-            raise DimMismatch(f"{path}: entry {entry_id!r} contains non-finite values")
+            raise NonFiniteValue(f"{path}: entry {entry_id!r} contains non-finite values")
         if entry_id in seen:
             raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
         seen.add(entry_id)

@@ -25,20 +25,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import atomic_write
+from .ingest import DimMismatch, NonFiniteValue, atomic_write
 from .seeding import derive_seed
 
 SHARED_DIM = 1024
 
 CHECKPOINT_MAGIC = b"ACKP"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+# magic, version, d_out, audio d_in, text d_in, step, config digest
+_CHECKPOINT_HEADER = struct.Struct("<4sIIIIQ8s")
 
 
 class SpaceError(Exception):
-    pass
-
-
-class DimMismatch(SpaceError):
     pass
 
 
@@ -59,10 +57,6 @@ class EmptyDataset(SpaceError):
 
 
 class MissingAugmentation(SpaceError):
-    pass
-
-
-class NonFiniteValue(SpaceError):
     pass
 
 
@@ -182,6 +176,17 @@ class HeadGrads:
     bias: np.ndarray
 
 
+def _named_arrays(audio, text) -> dict[str, np.ndarray]:
+    """The four trainable arrays of an (audio, text) pair of heads or of head
+    gradients, keyed and ordered as in a checkpoint."""
+    return {
+        "audio.weight": audio.weight,
+        "audio.bias": audio.bias,
+        "text.weight": text.weight,
+        "text.bias": text.bias,
+    }
+
+
 def nt_xent_from_raw(
     audio_raw: np.ndarray,
     text_raw: np.ndarray,
@@ -260,18 +265,8 @@ def gradient_check(
     text_head = ProjectionHead.initialize(d_in, d_out, rng)
 
     _, ga, gt = loss_gradients(A, T, audio_head, text_head, temperature)
-    analytic = {
-        "audio.weight": ga.weight,
-        "audio.bias": ga.bias,
-        "text.weight": gt.weight,
-        "text.bias": gt.bias,
-    }
-    arrays = {
-        "audio.weight": audio_head.weight,
-        "audio.bias": audio_head.bias,
-        "text.weight": text_head.weight,
-        "text.bias": text_head.bias,
-    }
+    analytic = _named_arrays(ga, gt)
+    arrays = _named_arrays(audio_head, text_head)
 
     def forward() -> float:
         return nt_xent_from_raw(A, T, audio_head, text_head, temperature).value
@@ -431,7 +426,6 @@ class TrainResult:
     audio_head: ProjectionHead
     text_head: ProjectionHead
     curve: tuple[LossPoint, ...]
-    state: AdamState
     total_steps: int
 
 
@@ -507,12 +501,7 @@ def train(
         text_head = ProjectionHead.initialize(
             d_t, cfg.out_dim, np.random.default_rng(derive_seed(cfg.seed, "text-head"))
         )
-    params = {
-        "audio.weight": audio_head.weight,
-        "audio.bias": audio_head.bias,
-        "text.weight": text_head.weight,
-        "text.bias": text_head.bias,
-    }
+    params = _named_arrays(audio_head, text_head)
     state = AdamState.zeros_like(params)
 
     # one role for both phases: finetune with swap_prob 0 replays the pretrain stream
@@ -529,16 +518,10 @@ def train(
             loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
             if not math.isfinite(loss.value):
                 raise NonFiniteValue(f"{phase} step {step}: loss is {loss.value}")
-            grads = {
-                "audio.weight": ga.weight,
-                "audio.bias": ga.bias,
-                "text.weight": gt.weight,
-                "text.bias": gt.bias,
-            }
-            adam_step(params, grads, state, lr)
+            adam_step(params, _named_arrays(ga, gt), state, lr)
             curve.append(LossPoint(step=step, lr=lr, loss=loss.value))
             step += 1
-    return TrainResult(audio_head, text_head, tuple(curve), state, total_steps)
+    return TrainResult(audio_head, text_head, tuple(curve), total_steps)
 
 
 def config_digest(cfg: TrainConfig) -> bytes:
@@ -550,95 +533,63 @@ def config_digest(cfg: TrainConfig) -> bytes:
 class Checkpoint:
     audio_head: ProjectionHead
     text_head: ProjectionHead
-    state: AdamState
     step: int
     digest: bytes
 
 
-_PARAM_ORDER = ("audio.weight", "audio.bias", "text.weight", "text.bias")
+def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead, step: int, cfg: TrainConfig) -> None:
+    """Serialize both heads as little-endian float32, atomically.
 
-
-def save_checkpoint(
-    path,
-    audio_head: ProjectionHead,
-    text_head: ProjectionHead,
-    state: AdamState,
-    step: int,
-    cfg: TrainConfig,
-) -> None:
-    """Serialize heads and optimizer state as little-endian float32, atomically.
-
-    Values are quantized to float32 on save; save -> load -> save is
-    byte-identical. An array that is not finite in float32 (NaN, or beyond
+    The file is the trainable state and nothing else: a header, then the four
+    head arrays. Values are quantized to float32 on save; save -> load -> save
+    is byte-identical. An array that is not finite in float32 (NaN, or beyond
     float32 range) raises NonFiniteValue and nothing is written.
     """
-    arrays = {
-        "audio.weight": audio_head.weight,
-        "audio.bias": audio_head.bias,
-        "text.weight": text_head.weight,
-        "text.bias": text_head.bias,
-    }
-    header = struct.pack(
-        "<4sIIIIQQ8s",
-        CHECKPOINT_MAGIC,
-        _CHECKPOINT_VERSION,
-        audio_head.d_out,
-        audio_head.d_in,
-        text_head.d_in,
-        step,
-        state.t,
-        config_digest(cfg),
+    buf = bytearray(
+        _CHECKPOINT_HEADER.pack(
+            CHECKPOINT_MAGIC,
+            _CHECKPOINT_VERSION,
+            audio_head.d_out,
+            audio_head.d_in,
+            text_head.d_in,
+            step,
+            config_digest(cfg),
+        )
     )
-    buf = bytearray(header)
-    for prefix, group in (("", arrays), ("adam.m.", state.m), ("adam.v.", state.v)):
-        for key in _PARAM_ORDER:
-            with np.errstate(over="ignore"):
-                values = np.asarray(group[key], dtype="<f4")
-            if not np.all(np.isfinite(values)):
-                raise NonFiniteValue(f"{prefix}{key} is not finite as float32; checkpoint not written")
-            buf += values.tobytes()
+    for key, array in _named_arrays(audio_head, text_head).items():
+        with np.errstate(over="ignore"):
+            values = np.asarray(array, dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteValue(f"{key} is not finite as float32; checkpoint not written")
+        buf += values.tobytes()
     atomic_write(path, bytes(buf))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint; any other version is refused."""
     path = Path(path)
     raw = path.read_bytes()
-    head_fmt = "<4sIIIIQQ8s"
-    head_size = struct.calcsize(head_fmt)
-    if len(raw) < head_size:
+    if len(raw) < _CHECKPOINT_HEADER.size:
         raise SpaceError(f"{path}: truncated checkpoint header")
-    magic, version, d_out, d_in_a, d_in_t, step, adam_t, digest = struct.unpack_from(head_fmt, raw)
+    magic, version, d_out, d_in_a, d_in_t, step, digest = _CHECKPOINT_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise SpaceError(f"{path}: bad checkpoint magic {magic!r}")
     if version != _CHECKPOINT_VERSION:
-        raise SpaceError(f"{path}: unsupported checkpoint version {version}")
+        raise SpaceError(f"{path}: unsupported checkpoint version {version}, expected {_CHECKPOINT_VERSION}")
 
-    shapes = {
-        "audio.weight": (d_out, d_in_a),
-        "audio.bias": (d_out,),
-        "text.weight": (d_out, d_in_t),
-        "text.bias": (d_out,),
-    }
-    expected = head_size + 3 * sum(int(np.prod(s)) for s in shapes.values()) * 4
+    # size check before any allocation, so corrupt dims cannot ask for huge arrays
+    expected = _CHECKPOINT_HEADER.size + 4 * d_out * (d_in_a + d_in_t + 2)
     if len(raw) != expected:
         raise SpaceError(f"{path}: size {len(raw)} != expected {expected}")
-
-    pos = head_size
-
-    def take(shape) -> np.ndarray:
-        nonlocal pos
-        count = int(np.prod(shape))
-        out = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).astype(np.float64)
-        pos += count * 4
-        return out.reshape(shape)
-
-    params = {key: take(shapes[key]) for key in _PARAM_ORDER}
-    m = {key: take(shapes[key]) for key in _PARAM_ORDER}
-    v = {key: take(shapes[key]) for key in _PARAM_ORDER}
+    # plain (weight, bias) buffers filled in checkpoint order; ProjectionHead then checks finiteness
+    audio, text = (HeadGrads(np.empty((d_out, d_in)), np.empty(d_out)) for d_in in (d_in_a, d_in_t))
+    pos = _CHECKPOINT_HEADER.size
+    for array in _named_arrays(audio, text).values():
+        array[...] = np.frombuffer(raw, dtype="<f4", count=array.size, offset=pos).reshape(array.shape)
+        pos += 4 * array.size
     return Checkpoint(
-        audio_head=ProjectionHead(params["audio.weight"], params["audio.bias"]),
-        text_head=ProjectionHead(params["text.weight"], params["text.bias"]),
-        state=AdamState(m=m, v=v, t=adam_t),
+        audio_head=ProjectionHead(audio.weight, audio.bias),
+        text_head=ProjectionHead(text.weight, text.bias),
         step=step,
         digest=digest,
     )

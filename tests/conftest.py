@@ -32,6 +32,14 @@ def raw_wav_bytes(data_int16: np.ndarray, rate: int, channels: int, fmt_code: in
     return header + payload
 
 
+def write_v1_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:
+    """A zero-valued checkpoint in the version-1 layout: magic, version, dims,
+    step, Adam step, config digest, then the heads and both Adam moments."""
+    header = struct.pack("<4sIIIIQQ8s", b"ACKP", 1, d_out, d_in_audio, d_in_text, 3, 3, bytes(8))
+    head_params = d_out * (d_in_audio + d_in_text + 2)
+    Path(path).write_bytes(header + np.zeros(3 * head_params, dtype="<f4").tobytes())
+
+
 def make_latent_pairs(seed, n_train=200, n_eval=50, latent_dim=32, d_audio=48, d_text=40, noise=0.05):
     """Two random linear views of shared latents, plus Gaussian noise."""
     rng = np.random.default_rng(derive_seed(seed, "synthetic-latents"))

@@ -3,6 +3,7 @@ import pytest
 
 from acre import cli, encoder, ingest, space
 from acre.seeding import derive_seed
+from conftest import write_v1_checkpoint
 
 
 def run(args):
@@ -185,6 +186,16 @@ def test_evaluate_missing_checkpoint_exits_2(wav_dataset, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_version_1_checkpoint(wav_dataset, tmp_path, capsys):
+    old = tmp_path / "old.ackp"
+    write_v1_checkpoint(old)
+    code = run(["evaluate", *common(wav_dataset, tmp_path / "eval"), "--checkpoint", str(old)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: SpaceError: ") and "unsupported checkpoint version 1" in err
+
+
 def test_rank_prints_ordering(wav_dataset, tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["train", *common(wav_dataset, out), "--epochs", "6", "--batch-size", "3", "--lr-max", "1e-2"]) == 0
@@ -237,6 +248,27 @@ def test_rank_scores_are_projected_cosines(wav_dataset, tmp_path, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+def test_rank_rejects_clip_without_audio_embedding(wav_dataset, tmp_path, capsys):
+    emb, out = tmp_path / "emb", tmp_path / "run"
+    assert run(["embed", *common(wav_dataset, emb)]) == 0
+    dump = ["--encoder", f"dump:{emb}"]
+    assert run(["train", *common(wav_dataset, out, dump), "--epochs", "1", "--batch-size", "3"]) == 0
+    with open(wav_dataset["manifest"], "a", encoding="utf-8") as fh:
+        fh.write("ghost.wav,a,b,c,d,e\n")
+    capsys.readouterr()
+    code = run(
+        [
+            "rank", *common(wav_dataset, tmp_path / "rankout", dump),
+            "--checkpoint", str(out / "checkpoint.ackp"),
+            "--query", "a tone",
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: UsageError: no audio embedding for 'ghost.wav'\n"
+
+
 @pytest.mark.parametrize("top", ["0", "-3"])
 def test_rank_rejects_top_below_one(wav_dataset, tmp_path, capsys, top):
     code = run(
@@ -284,6 +316,35 @@ def test_config_file_with_flag_override(wav_dataset, tmp_path, capsys):
     # flags win over the config file
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "flag_out")]) == 0
     assert (tmp_path / "flag_out" / "checkpoint.ackp").exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("lr = 5.0", "line 2: unknown key 'lr'"),
+        ("top = 3", "line 2: unknown key 'top'"),
+        ("strict = ture", "line 2: strict must be one of 1/true/yes/on/0/false/no/off, got 'ture'"),
+    ],
+)
+def test_config_file_rejects_unknown_key_and_bad_switch(wav_dataset, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epochs = 1\n{line}\n")
+    code = run(
+        [
+            "rank", "--config", str(cfg), *common(wav_dataset, tmp_path / "x"),
+            "--checkpoint", str(tmp_path / "unused.ackp"),
+            "--query", "a tone",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: UsageError: {cfg}: {message}\n"
+
+
+def test_config_file_switch_words(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strict = Off\npatchout = YES\n")
+    settings = cli._build_settings(cli.build_parser().parse_args(["embed", "--config", str(cfg)]))
+    assert settings.strict is False and settings.patchout is True
 
 
 def test_unknown_preset_is_input_error(wav_dataset, tmp_path, capsys):

@@ -238,8 +238,13 @@ def test_dump_truncated(tmp_path):
 
 
 def test_dump_rejects_nan(tmp_path):
-    with pytest.raises(ingest.DimMismatch, match="non-finite"):
-        ingest.write_embedding_dump([("a", np.array([1.0, np.nan]))], tmp_path / "d.embd")
+    p = tmp_path / "d.embd"
+    with pytest.raises(ingest.NonFiniteValue, match="non-finite"):
+        ingest.write_embedding_dump([("a", np.array([1.0, np.nan]))], p)
+    ingest.write_embedding_dump([("a", np.array([1.0, 2.0]))], p)
+    p.write_bytes(p.read_bytes()[:-4] + np.array([np.inf], dtype="<f4").tobytes())
+    with pytest.raises(ingest.NonFiniteValue, match="'a' contains non-finite"):
+        ingest.read_embedding_dump(p)
 
 
 def test_dump_rejects_dim_mismatch(tmp_path):

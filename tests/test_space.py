@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from acre import space
 from acre.seeding import derive_seed
-from conftest import make_latent_pairs
+from conftest import make_latent_pairs, write_v1_checkpoint
 
 
 # ---------------------------------------------------------------- projection
@@ -438,12 +439,14 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     result = space.train(pairs, cfg)
     p1 = tmp_path / "a.ackp"
     p2 = tmp_path / "b.ackp"
-    space.save_checkpoint(p1, result.audio_head, result.text_head, result.state, result.total_steps, cfg)
+    space.save_checkpoint(p1, result.audio_head, result.text_head, result.total_steps, cfg)
     ckpt = space.load_checkpoint(p1)
-    space.save_checkpoint(p2, ckpt.audio_head, ckpt.text_head, ckpt.state, ckpt.step, cfg)
+    space.save_checkpoint(p2, ckpt.audio_head, ckpt.text_head, ckpt.step, cfg)
     assert p1.read_bytes() == p2.read_bytes()
+    # header (magic, version, three dims, step, digest) then the two heads, nothing else
+    head_params = sum(h.weight.size + h.bias.size for h in (result.audio_head, result.text_head))
+    assert p1.stat().st_size == struct.calcsize("<4sIIIIQ8s") + 4 * head_params
     assert ckpt.step == result.total_steps
-    assert ckpt.state.t == result.state.t
     assert np.array_equal(ckpt.audio_head.weight, result.audio_head.weight.astype(np.float32).astype(np.float64))
     assert ckpt.digest == space.config_digest(cfg)
 
@@ -455,19 +458,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
         space.load_checkpoint(p)
 
 
-@pytest.mark.parametrize("name", ["audio.weight", "text.bias", "adam.m.audio.bias", "adam.v.text.weight"])
+def test_checkpoint_rejects_version_1(tmp_path):
+    p = tmp_path / "old.ackp"
+    write_v1_checkpoint(p)
+    with pytest.raises(space.SpaceError, match="version 1"):
+        space.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("name", ["audio.weight", "text.bias"])
 def test_checkpoint_refuses_values_beyond_float32(tmp_path, name):
     cfg = small_cfg(batch_size=8, pretrain_epochs=1)
     result = space.train(tiny_pairs(9, n=16), cfg)
-    arrays = {
-        "audio.weight": result.audio_head.weight,
-        "text.bias": result.text_head.bias,
-        "adam.m.audio.bias": result.state.m["audio.bias"],
-        "adam.v.text.weight": result.state.v["text.weight"],
-    }
+    arrays = {"audio.weight": result.audio_head.weight, "text.bias": result.text_head.bias}
     arrays[name].flat[0] = 1e39  # finite in float64, inf in float32
     with pytest.raises(space.NonFiniteValue, match=name):
-        space.save_checkpoint(
-            tmp_path / "x.ackp", result.audio_head, result.text_head, result.state, result.total_steps, cfg
-        )
+        space.save_checkpoint(tmp_path / "x.ackp", result.audio_head, result.text_head, result.total_steps, cfg)
     assert list(tmp_path.iterdir()) == []
