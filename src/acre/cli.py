@@ -1,8 +1,10 @@
 """Command-line surface: embed, train, finetune, evaluate, rank, gradcheck.
 
-Runs are declared by a flat key=value config file plus flags; flags win. Every
-command is deterministic for a fixed seed: all module seeds derive from the
-global one, and output files are written atomically (temp + rename).
+Runs are declared by a flat key=value config file plus flags; flags win. Each
+setting is declared once, in ``SETTINGS``: its flag, its config key, its parser
+and its default. Every command is deterministic for a fixed seed: all module
+seeds derive from the global one, and output files are written atomically
+(temp + rename).
 
 Exit codes: 0 success, 1 check failure, 2 input error. Errors print one
 machine-parseable line: ``error: <Kind>: <message>``.
@@ -12,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from . import dsp, encoder, ingest, retrieval, space
 from .seeding import derive_seed
 
 DEFAULT_SHAPES = ((8, 16, 12), (4, 32, 8), (64, 24, 16))
-DEFAULT_SNIPPET_SECONDS = 30.0
 GRADCHECK_TOLERANCE = 1e-4
 
 _ERROR_KINDS = (
@@ -40,21 +42,92 @@ class CliError(Exception):
     pass
 
 
-# argparse entries a config file cannot set: the subcommand, the config path
-# itself, and rank's per-call query flags
-_NOT_CONFIG_KEYS = ("command", "config", "query", "top")
-_SWITCHES = ("strict", "patchout")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_config_file(path, keys) -> dict[str, str | bool]:
+def _switch(text: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise argparse.ArgumentTypeError(f"must be one of {'/'.join(_BOOLEANS)}, got {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
+def _path(text: str) -> Path | None:
+    """An empty value means unset; a bare Path('') would be the working directory."""
+    return Path(text) if text else None
+
+
+def _paths(text: str) -> list[Path]:
+    return [Path(part.strip()) for part in text.split(",") if part.strip()]
+
+
+def _preset(text: str) -> encoder.PatchGeometry:
+    if text not in encoder.PRESETS:
+        raise argparse.ArgumentTypeError(f"must be one of {'/'.join(sorted(encoder.PRESETS))}, got {text!r}")
+    return encoder.PRESETS[text]
+
+
+def _dump_dir(text: str) -> Path | None:
+    """'toy' -> None (the toy encoders); 'dump:<dir>' -> the embedding-dump directory."""
+    if text == "toy":
+        return None
+    if not text.startswith("dump:") or text == "dump:":
+        raise argparse.ArgumentTypeError(f"must be 'toy' or 'dump:<dir>', got {text!r}")
+    return Path(text[len("dump:") :])
+
+
+def _mean_std(text: str) -> dsp.WhiteningStats:
+    try:
+        mean, std = (float(part) for part in text.split(","))
+        return dsp.WhiteningStats(mean=mean, std=std)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be finite 'mean,std' with std > 0, got {text!r}") from None
+
+
+class Setting(NamedTuple):
+    """One run setting: flag ``--<key with dashes>`` and config key ``key``,
+    whose values both go through ``parse``. A ``_switch`` flag takes no value;
+    a list-valued setting extends its list on each repeated flag."""
+
+    key: str
+    parse: Callable[[str], Any]
+    default: Any
+    help: str | None = None
+
+
+SETTINGS = (
+    Setting("manifest", _paths, [], "manifest CSVs, comma-separated (repeatable)"),
+    Setting("audio_dir", _path, None, "base directory for audio paths"),
+    Setting("augmented_captions", _path, None, "JSONL variants file"),
+    Setting("encoder", _dump_dir, None, "toy | dump:<dir> (default toy)"),
+    Setting("preset", _preset, encoder.PRESETS["passt-n"], "patch geometry: " + " | ".join(sorted(encoder.PRESETS))),
+    Setting("epochs", int, None, "epoch count override"),
+    Setting("seed", int, 0, "global seed (default 0)"),
+    Setting("out", _path, None, "output directory"),
+    Setting("strict", _switch, False, "fail on missing augmentations"),
+    Setting("checkpoint", _path, None, "checkpoint path (evaluate/rank input, train init)"),
+    Setting("batch_size", int, None),
+    Setting("lr_max", float, None),
+    Setting("lr_min", float, None),
+    Setting("finetune_lr_max", float, None),
+    Setting("swap_prob", float, None),
+    Setting("temperature", float, None),
+    Setting("out_dim", int, None),
+    Setting("warmup_epochs", int, None),
+    Setting("snippet_seconds", float, 30.0),
+    Setting("whiten", _mean_std, None, "fixed whitening stats as 'mean,std'"),
+    Setting("patchout", _switch, False, "apply patchout when embedding"),
+)
+
+
+def parse_config_file(path) -> dict[str, Any]:
     """Flat key = value lines; '#' starts a comment; blank lines ignored.
 
-    Every key must be one of ``keys``, and a switch (strict, patchout) must be
-    one of 1/true/yes/on or 0/false/no/off; anything else is a usage error
-    naming the line, so no setting is ever silently dropped.
+    Every key must name a setting, and its value goes through the parser its
+    flag uses; an unknown key or a value that does not parse is a usage error
+    naming the line, so no setting is ever silently dropped or misread.
     """
-    out: dict[str, str | bool] = {}
+    parsers = {s.key: s.parse for s in SETTINGS}
+    out: dict[str, Any] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -62,23 +135,26 @@ def parse_config_file(path, keys) -> dict[str, str | bool]:
         if "=" not in stripped:
             raise CliError(f"{path}: line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in stripped.partition("="))
-        if key not in keys:
+        if key not in parsers:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
-        if key in _SWITCHES:
-            if value.lower() not in _BOOLEANS:
-                raise CliError(f"{path}: line {lineno}: {key} must be one of {'/'.join(_BOOLEANS)}, got {value!r}")
-            value = _BOOLEANS[value.lower()]
-        out[key] = value
+        try:
+            out[key] = parsers[key](value)
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"{path}: line {lineno}: {key} {exc}") from None
+        except ValueError:
+            raise CliError(f"{path}: line {lineno}: {key} must be {parsers[key].__name__}, got {value!r}") from None
     return out
 
 
 @dataclass
 class RunSettings:
-    manifests: list[Path]
+    """The settings of one command; each field is named after its ``SETTINGS`` key."""
+
+    manifest: list[Path]
     audio_dir: Path | None
     augmented_captions: Path | None
-    encoder_spec: str
-    preset: str
+    encoder: Path | None  # the embedding-dump directory; None for the toy encoders
+    preset: encoder.PatchGeometry
     seed: int
     out: Path | None
     strict: bool
@@ -88,97 +164,31 @@ class RunSettings:
     whiten: dsp.WhiteningStats | None
     train: space.TrainConfig
 
-    @property
-    def geometry(self) -> encoder.PatchGeometry:
-        return encoder.PRESETS[self.preset]
-
     def encoder_params(self, role: str) -> encoder.EncoderParams:
         return encoder.EncoderParams(seed=derive_seed(self.seed, role))
 
 
-def _setting(args: argparse.Namespace, cfg: dict[str, str | bool], key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
 def _build_settings(args: argparse.Namespace) -> RunSettings:
-    cfg: dict[str, str | bool] = {}
-    if getattr(args, "config", None):
-        cfg = parse_config_file(args.config, set(vars(args)) - set(_NOT_CONFIG_KEYS))
-
-    manifests_raw = _setting(args, cfg, "manifest", default=[])
-    if isinstance(manifests_raw, str):
-        manifests_raw = [m.strip() for m in manifests_raw.split(",") if m.strip()]
-    manifests = [Path(m) for m in manifests_raw]
-
-    preset = str(_setting(args, cfg, "preset", "passt-n"))
-    if preset not in encoder.PRESETS:
-        raise CliError(f"unknown preset {preset!r}; choose from {sorted(encoder.PRESETS)}")
-    encoder_spec = str(_setting(args, cfg, "encoder", "toy"))
-    if encoder_spec != "toy" and not encoder_spec.startswith("dump:"):
-        raise CliError(f"encoder must be 'toy' or 'dump:<dir>', got {encoder_spec!r}")
-
-    whiten = None
-    whiten_raw = _setting(args, cfg, "whiten")
-    if whiten_raw is not None:
-        try:
-            mean_s, std_s = str(whiten_raw).split(",")
-            whiten = dsp.WhiteningStats(mean=float(mean_s), std=float(std_s))
-        except ValueError as exc:
-            raise CliError(f"--whiten expects 'mean,std': {exc}") from None
-
-    audio_dir = _setting(args, cfg, "audio_dir")
-    augmented = _setting(args, cfg, "augmented_captions")
-    checkpoint = _setting(args, cfg, "checkpoint")
-    out = _setting(args, cfg, "out")
-    seed = int(_setting(args, cfg, "seed", 0))
-
-    train_kwargs = {"seed": seed}
-    for field_name, cast in (
-        ("batch_size", int),
-        ("lr_max", float),
-        ("lr_min", float),
-        ("finetune_lr_max", float),
-        ("swap_prob", float),
-        ("temperature", float),
-        ("out_dim", int),
-        ("warmup_epochs", int),
-    ):
-        value = _setting(args, cfg, field_name)
-        if value is not None:
-            train_kwargs[field_name] = cast(value)
-    epochs = _setting(args, cfg, "epochs")
-    if epochs is not None:
-        train_kwargs["pretrain_epochs"] = int(epochs)
-        train_kwargs["finetune_epochs"] = int(epochs)
-
-    return RunSettings(
-        manifests=manifests,
-        audio_dir=Path(audio_dir) if audio_dir else None,
-        augmented_captions=Path(augmented) if augmented else None,
-        encoder_spec=encoder_spec,
-        preset=preset,
-        seed=seed,
-        out=Path(out) if out else None,
-        strict=_setting(args, cfg, "strict", False),
-        patchout=_setting(args, cfg, "patchout", False),
-        snippet_seconds=float(_setting(args, cfg, "snippet_seconds", DEFAULT_SNIPPET_SECONDS)),
-        checkpoint=Path(checkpoint) if checkpoint else None,
-        whiten=whiten,
-        train=space.TrainConfig(**train_kwargs),
-    )
+    """Table defaults, then the config file, then the flags given; the training
+    keys go to TrainConfig, whose own defaults fill the ones left unset."""
+    values = {s.key: s.default for s in SETTINGS}
+    if args.config:
+        values.update(parse_config_file(args.config))
+    values.update((key, value) for key, value in vars(args).items() if key in values)
+    train_keys = {f.name for f in fields(space.TrainConfig)}
+    train = {key: value for key, value in values.items() if key in train_keys and value is not None}
+    if values["epochs"] is not None:
+        train["pretrain_epochs"] = train["finetune_epochs"] = values["epochs"]
+    values["train"] = space.TrainConfig(**train)
+    return RunSettings(**{field.name: values[field.name] for field in fields(RunSettings)})
 
 
 def _load_records(settings: RunSettings) -> list[ingest.ClipRecord]:
-    if not settings.manifests:
+    if not settings.manifest:
         raise CliError("no manifest given (use --manifest or the config file)")
     records: list[ingest.ClipRecord] = []
     seen: set[str] = set()
-    for path in settings.manifests:
+    for path in settings.manifest:
         for rec in ingest.load_manifest(path, settings.audio_dir):
             if rec.clip_id in seen:
                 raise ingest.DuplicateClipId(f"clip id {rec.clip_id!r} appears in multiple manifests")
@@ -191,7 +201,6 @@ def _embed_audio(
     records: list[ingest.ClipRecord], settings: RunSettings
 ) -> tuple[list[tuple[str, np.ndarray]], dsp.WhiteningStats]:
     params = settings.encoder_params("audio-encoder")
-    geom = settings.geometry
     specs: list[tuple[str, dsp.Spectrogram]] = []
     for rec in records:
         w = ingest.read_wav(rec.audio_path)
@@ -199,14 +208,14 @@ def _embed_audio(
         w = dsp.snippet_or_pad(w, settings.snippet_seconds, rng)
         specs.append((rec.clip_id, dsp.logmel(w)))
     stats = settings.whiten or dsp.compute_whitening_stats(s for _, s in specs)
-    seg_frames = dsp.seconds_to_frames(geom.max_input_seconds)
+    seg_frames = dsp.seconds_to_frames(settings.preset.max_input_seconds)
     entries = []
     for clip_id, spec in specs:
         segments = dsp.segment(dsp.whiten(spec, stats), seg_frames)
-        grids = [encoder.extract_patches(s, geom) for s in segments]
+        grids = [encoder.extract_patches(s, settings.preset) for s in segments]
         if settings.patchout:
             rng = np.random.default_rng(derive_seed(settings.seed, f"patchout:{clip_id}"))
-            grids = [encoder.structured_patchout(g, geom.drop_f, geom.drop_t, rng) for g in grids]
+            grids = [encoder.structured_patchout(g, settings.preset.drop_f, settings.preset.drop_t, rng) for g in grids]
         entries.append((clip_id, encoder.embed_long_audio(grids, params)))
     return entries, stats
 
@@ -234,9 +243,9 @@ def _embed_texts(texts: list[tuple[str, str]], settings: RunSettings) -> list[tu
 def _raw_vectors(settings: RunSettings, dump_name: str, embed) -> dict[str, np.ndarray]:
     """Raw (pre-projection) vectors by id: embed() under the toy encoder, else
     the named file of the dump directory."""
-    if settings.encoder_spec == "toy":
+    if settings.encoder is None:
         return dict(embed())
-    return ingest.read_embedding_dump(Path(settings.encoder_spec[len("dump:") :]) / dump_name).as_dict()
+    return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
 
 
 def _raw_audio(records: list[ingest.ClipRecord], settings: RunSettings) -> dict[str, np.ndarray]:
@@ -292,7 +301,7 @@ def _loss_csv(curve) -> str:
 
 
 def cmd_embed(settings: RunSettings) -> int:
-    if settings.encoder_spec != "toy":
+    if settings.encoder is not None:
         raise CliError("embed requires the toy encoder; dump files already hold embeddings")
     out = _require_out(settings)
     records = _load_records(settings)
@@ -339,14 +348,6 @@ def _run_training(settings: RunSettings, phase: str) -> int:
     return 0
 
 
-def cmd_train(settings: RunSettings) -> int:
-    return _run_training(settings, "pretrain")
-
-
-def cmd_finetune(settings: RunSettings) -> int:
-    return _run_training(settings, "finetune")
-
-
 def cmd_evaluate(settings: RunSettings) -> int:
     out = _require_out(settings)
     if settings.checkpoint is None:
@@ -370,8 +371,6 @@ def cmd_rank(settings: RunSettings, query: str, top: int) -> int:
         raise CliError("rank requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    if not records:
-        raise CliError("the given manifest lists no clips")
     audio = _raw_audio(records, settings)
     ids = [rec.clip_id for rec in records]
     index = retrieval.RetrievalIndex.build(
@@ -397,12 +396,12 @@ def cmd_gradcheck(seed: int, shapes) -> int:
     return 1
 
 
-def _parse_shapes(text: str):
+def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
     shapes = []
     for part in text.split(","):
         dims = part.strip().lower().split("x")
-        if len(dims) != 3:
-            raise CliError(f"bad shape {part!r}; expected NxD_inxD_out")
+        if len(dims) != 3 or not all(d.strip().isdigit() for d in dims):
+            raise argparse.ArgumentTypeError(f"bad shape {part!r}; expected NxD_inxD_out")
         shapes.append(tuple(int(d) for d in dims))
     return tuple(shapes)
 
@@ -413,27 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--manifest", action="append", help="manifest CSV (repeatable)")
-        p.add_argument("--audio-dir", dest="audio_dir", help="base directory for audio paths")
-        p.add_argument("--augmented-captions", dest="augmented_captions", help="JSONL variants file")
-        p.add_argument("--encoder", help="toy | dump:<dir>")
-        p.add_argument("--preset", choices=sorted(encoder.PRESETS), help="patch geometry preset")
-        p.add_argument("--epochs", type=int, help="epoch count override")
-        p.add_argument("--seed", type=int, help="global seed (default 0)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--strict", action="store_const", const=True, help="fail on missing augmentations")
-        p.add_argument("--checkpoint", help="checkpoint path (evaluate/rank input, train init)")
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr-max", dest="lr_max", type=float)
-        p.add_argument("--lr-min", dest="lr_min", type=float)
-        p.add_argument("--finetune-lr-max", dest="finetune_lr_max", type=float)
-        p.add_argument("--swap-prob", dest="swap_prob", type=float)
-        p.add_argument("--temperature", type=float)
-        p.add_argument("--out-dim", dest="out_dim", type=int)
-        p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-        p.add_argument("--snippet-seconds", dest="snippet_seconds", type=float)
-        p.add_argument("--whiten", help="fixed whitening stats as 'mean,std'")
-        p.add_argument("--patchout", action="store_const", const=True, help="apply patchout when embedding")
+        for s in SETTINGS:
+            if s.parse is _switch:
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {"type": s.parse, "action": "extend" if isinstance(s.default, list) else "store"}
+            # an absent flag sets nothing, so it cannot mask a config value
+            p.add_argument("--" + s.key.replace("_", "-"), dest=s.key, default=argparse.SUPPRESS, help=s.help, **kind)
 
     for name in ("embed", "train", "finetune", "evaluate"):
         add_common(sub.add_parser(name))
@@ -445,11 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad_p = sub.add_parser("gradcheck")
     grad_p.add_argument("--seed", type=int, default=0)
-    grad_p.add_argument(
-        "--shapes",
-        default=",".join("x".join(str(d) for d in s) for s in DEFAULT_SHAPES),
-        help="comma-separated NxD_inxD_out triples",
-    )
+    grad_p.add_argument("--shapes", type=_shapes, default=DEFAULT_SHAPES, help="comma-separated NxD_inxD_out triples")
     return parser
 
 
@@ -457,19 +438,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            return cmd_gradcheck(args.seed, _parse_shapes(args.shapes))
+            return cmd_gradcheck(args.seed, args.shapes)
         settings = _build_settings(args)
         if args.command == "embed":
             return cmd_embed(settings)
-        if args.command == "train":
-            return cmd_train(settings)
-        if args.command == "finetune":
-            return cmd_finetune(settings)
         if args.command == "evaluate":
             return cmd_evaluate(settings)
         if args.command == "rank":
             return cmd_rank(settings, args.query, args.top)
-        raise CliError(f"unknown command {args.command!r}")
+        return _run_training(settings, "pretrain" if args.command == "train" else "finetune")
     except CliError as exc:
         print(f"error: UsageError: {exc}", file=sys.stderr)
         return 2

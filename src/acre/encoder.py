@@ -97,7 +97,7 @@ class PatchGrid:
             raise ValueError("patches must be (n, d), tags must be (n, 2)")
         if patches.shape[0] != tags.shape[0]:
             raise ValueError("patches and tags disagree on patch count")
-        if len({(int(r), int(c)) for r, c in tags}) != tags.shape[0]:
+        if len(np.unique(tags, axis=0)) != tags.shape[0]:
             raise ValueError("position tags must be unique")
 
     def __len__(self) -> int:
@@ -137,12 +137,9 @@ def structured_patchout(grid: PatchGrid, drop_f: int, drop_t: int, rng: np.rando
         raise DropExceedsGrid(f"drop_t {drop_t} >= cols {grid.cols}")
     if drop_f == 0 and drop_t == 0:
         return grid
-    dropped_rows = set(int(r) for r in rng.choice(grid.rows, size=drop_f, replace=False))
-    dropped_cols = set(int(c) for c in rng.choice(grid.cols, size=drop_t, replace=False))
-    keep = np.array(
-        [int(r) not in dropped_rows and int(c) not in dropped_cols for r, c in grid.tags],
-        dtype=bool,
-    )
+    dropped_rows = rng.choice(grid.rows, size=drop_f, replace=False)
+    dropped_cols = rng.choice(grid.cols, size=drop_t, replace=False)
+    keep = ~(np.isin(grid.tags[:, 0], dropped_rows) | np.isin(grid.tags[:, 1], dropped_cols))
     return PatchGrid(rows=grid.rows, cols=grid.cols, patches=grid.patches[keep], tags=grid.tags[keep])
 
 

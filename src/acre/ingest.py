@@ -115,7 +115,7 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
 
     Audio paths resolve against audio_dir when given, else against the
     manifest's own directory. Every malformed row raises with its line number;
-    nothing is dropped silently.
+    nothing is dropped silently, and a manifest without clip rows raises.
     """
     path = Path(path)
     base = Path(audio_dir) if audio_dir is not None else path.parent
@@ -158,6 +158,8 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
                 keywords = tuple(k.strip() for k in row[kw_idx].split(";") if k.strip())
 
             records.append(ClipRecord(clip_id, base / clip_id, tuple(captions), keywords))
+    if not records:
+        raise IngestError(f"{path}: no clip rows after the header")
     return records
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,10 @@ def test_config_file_with_flag_override(wav_dataset, tmp_path, capsys):
         ("lr = 5.0", "line 2: unknown key 'lr'"),
         ("top = 3", "line 2: unknown key 'top'"),
         ("strict = ture", "line 2: strict must be one of 1/true/yes/on/0/false/no/off, got 'ture'"),
+        ("lr_max = abc", "line 2: lr_max must be float, got 'abc'"),
+        ("seed = 1.5", "line 2: seed must be int, got '1.5'"),
+        ("whiten = 1", "line 2: whiten must be finite 'mean,std' with std > 0, got '1'"),
+        ("encoder = gpu", "line 2: encoder must be 'toy' or 'dump:<dir>', got 'gpu'"),
     ],
 )
 def test_config_file_rejects_unknown_key_and_bad_switch(wav_dataset, tmp_path, capsys, line, message):
@@ -345,6 +351,76 @@ def test_config_file_switch_words(tmp_path):
     cfg.write_text("strict = Off\npatchout = YES\n")
     settings = cli._build_settings(cli.build_parser().parse_args(["embed", "--config", str(cfg)]))
     assert settings.strict is False and settings.patchout is True
+
+
+def settings_for(argv):
+    return cli._build_settings(cli.build_parser().parse_args(argv))
+
+
+# one value per setting, none of them the default; a switch is "yes"
+SETTING_VALUES = {
+    "manifest": "a.csv,b.csv",
+    "audio_dir": "audio",
+    "augmented_captions": "variants.jsonl",
+    "encoder": "dump:emb",
+    "preset": "passt-s",
+    "epochs": "3",
+    "seed": "7",
+    "out": "runs/x",
+    "strict": "yes",
+    "checkpoint": "runs/c.ackp",
+    "batch_size": "8",
+    "lr_max": "1e-3",
+    "lr_min": "1e-6",
+    "finetune_lr_max": "5e-4",
+    "swap_prob": "0.5",
+    "temperature": "0.5",
+    "out_dim": "32",
+    "warmup_epochs": "2",
+    "snippet_seconds": "10",
+    "whiten": "0.5,2",
+    "patchout": "yes",
+}
+
+
+def test_config_line_parses_like_its_flag(tmp_path):
+    assert set(SETTING_VALUES) == {s.key for s in cli.SETTINGS}
+    default = settings_for(["train"])
+    cfg = tmp_path / "run.cfg"
+    for key, value in SETTING_VALUES.items():
+        cfg.write_text(f"{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        from_flag = settings_for(["train", flag] if value == "yes" else ["train", flag, value])
+        from_config = settings_for(["train", "--config", str(cfg)])
+        assert from_config == from_flag != default, key
+
+
+def test_flags_replace_config_values(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("manifest = a.csv, b.csv\nout = runs/x\n")
+    from_config = settings_for(["train", "--config", str(cfg)])
+    assert from_config.manifest == [Path("a.csv"), Path("b.csv")] and from_config.out == Path("runs/x")
+    flags = settings_for(["train", "--config", str(cfg), "--manifest", "c.csv", "--manifest", "d.csv", "--out", ""])
+    assert flags.manifest == [Path("c.csv"), Path("d.csv")]
+    assert flags.out is None  # an empty value means unset, not the working directory
+
+
+@pytest.mark.parametrize("command", ["train", "train-dump", "evaluate", "rank"])
+def test_header_only_manifest_is_input_error(wav_dataset, tmp_path, capsys, command):
+    ckpt = tmp_path / "run" / "checkpoint.ackp"
+    assert run(["train", *common(wav_dataset, ckpt.parent), "--epochs", "0", "--batch-size", "3"]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n\n")
+    extra = {
+        "train": [],
+        "train-dump": ["--encoder", f"dump:{tmp_path / 'no-dumps'}"],
+        "evaluate": ["--checkpoint", str(ckpt)],
+        "rank": ["--checkpoint", str(ckpt), "--query", "a tone"],
+    }[command]
+    capsys.readouterr()
+    code = run([command.split("-")[0], "--manifest", str(empty), "--out", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: IngestError: {empty}: no clip rows after the header\n"
 
 
 def test_unknown_preset_is_input_error(wav_dataset, tmp_path, capsys):

@@ -86,6 +86,25 @@ def test_patchout_survivors_form_cartesian_product():
     assert {(int(r), int(c)) for r, c in out.tags} == {(r, c) for r in kept_rows for c in kept_cols}
 
 
+@pytest.mark.parametrize("preset", ["passt-n", "passt-s"])
+def test_patchout_matches_per_tag_loop(preset):
+    g = encoder.PRESETS[preset]
+    grid = encoder.extract_patches(spec_of_frames(997), g)
+    out = encoder.structured_patchout(grid, g.drop_f, g.drop_t, np.random.default_rng(7))
+    # reference: the same two draws, then a per-tag membership loop
+    rng = np.random.default_rng(7)
+    rows = set(rng.choice(grid.rows, size=g.drop_f, replace=False).tolist())
+    cols = set(rng.choice(grid.cols, size=g.drop_t, replace=False).tolist())
+    keep = [r not in rows and c not in cols for r, c in grid.tags.tolist()]
+    assert np.array_equal(out.tags, grid.tags[keep])
+    assert np.array_equal(out.patches, grid.patches[keep])
+
+
+def test_patch_grid_rejects_duplicate_tags():
+    with pytest.raises(ValueError, match="position tags must be unique"):
+        encoder.PatchGrid(1, 3, np.zeros((3, 4)), np.array([[0, 0], [0, 2], [0, 0]]))
+
+
 def test_patchout_zero_is_identity():
     grid = encoder.extract_patches(spec_of_frames(100), encoder.PRESETS["passt-n"])
     assert encoder.structured_patchout(grid, 0, 0, np.random.default_rng(0)) is grid

@@ -58,6 +58,15 @@ def test_load_manifest_wrong_caption_count(tmp_path):
         ingest.load_manifest(m)
 
 
+@pytest.mark.parametrize("rows", [[], ["", ""]])
+def test_load_manifest_rejects_header_only(tmp_path, rows):
+    m = tmp_path / "m.csv"
+    write_manifest(m, rows)
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.load_manifest(m)
+    assert str(excinfo.value) == f"{m}: no clip rows after the header"
+
+
 def test_load_manifest_duplicate_clip(tmp_path):
     m = tmp_path / "m.csv"
     write_manifest(m, ["a.wav,1,2,3,4,5", "a.wav,1,2,3,4,5"])
