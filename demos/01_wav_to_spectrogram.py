@@ -9,8 +9,6 @@ import numpy as np
 
 from acre import dsp, ingest
 
-workdir = Path(tempfile.mkdtemp(prefix="acre-demo-"))
-
 # Synthesize a 45-second two-tone recording and write it as 16-bit PCM.
 # (Normally the WAV comes from a dataset; the parser accepts PCM16 and
 # float32, mono or multichannel.)
@@ -23,10 +21,10 @@ payload = pcm.tobytes()
 header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
 header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
 header += b"data" + struct.pack("<I", len(payload))
-wav_path = workdir / "two_tones.wav"
-wav_path.write_bytes(header + payload)
-
-w = ingest.read_wav(wav_path)
+with tempfile.TemporaryDirectory(prefix="acre-demo-") as workdir:
+    wav_path = Path(workdir) / "two_tones.wav"
+    wav_path.write_bytes(header + payload)
+    w = ingest.read_wav(wav_path)
 print(f"decoded {wav_path.name}: {len(w)} samples at {w.sample_rate} Hz ({w.duration:.1f} s)")
 
 # Long recordings are cut to a random 30-second snippet before analysis.

@@ -40,6 +40,7 @@ _REQUIRED_COLUMNS = ("file_name", "caption_1", "caption_2", "caption_3", "captio
 DUMP_MAGIC = b"ACRE"
 _DUMP_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
+_ID_LEN = struct.Struct("<H")
 
 
 class IngestError(Exception):
@@ -305,57 +306,81 @@ def write_embedding_dump(entries, path) -> None:
         id_bytes = entry_id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise IngestError(f"entry id too long ({len(id_bytes)} bytes)")
-        buf += struct.pack("<H", len(id_bytes))
+        buf += _ID_LEN.pack(len(id_bytes))
         buf += id_bytes
         buf += vec.tobytes()
     atomic_write(path, bytes(buf))
 
 
-class _Cursor:
-    """Sequential reader with truncation checks."""
+def _parse_dump(path: Path) -> tuple[list[str], np.ndarray]:
+    """The ids and the (count, dim) float32 vector matrix of a dump file.
 
-    def __init__(self, raw: bytes, path: Path):
-        self.raw = raw
-        self.pos = 0
-        self.path = path
+    One pass walks the id headers, checking before each read that the bytes
+    reach that far, so an untrusted header count sizes nothing; the matrix is
+    allocated only after it, and each vector is copied into its row once. The
+    file bytes are released on return.
+    """
+    raw = memoryview(path.read_bytes())
+    end = len(raw)
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise TruncatedFile(f"{self.path}: expected {n} more bytes at offset {self.pos}")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
+    def truncated(n: int, pos: int) -> TruncatedFile:
+        return TruncatedFile(f"{path}: expected {n} more bytes at offset {pos}")
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-
-def read_embedding_dump(path) -> EmbeddingDump:
-    """Read a dump written by write_embedding_dump; bit-exact round trip."""
-    path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
-    magic, version, dim, count = _HEADER.unpack(cur.take(_HEADER.size))
+    if end < _HEADER.size:
+        raise truncated(_HEADER.size, 0)
+    magic, version, dim, count = _HEADER.unpack_from(raw)
     if magic != DUMP_MAGIC:
         raise BadMagic(f"{path}: bad magic {magic!r}")
     if version != _DUMP_VERSION:
         raise CorruptHeader(f"{path}: version {version}, expected {_DUMP_VERSION}")
     if dim == 0:
         raise CorruptHeader(f"{path}: zero dimension")
-    entries = []
+    width = dim * 4
+    pos = _HEADER.size
+    ids: list[str] = []
+    offsets: list[int] = []
     seen: set[str] = set()
     for _ in range(count):
-        id_len = cur.u16()
+        if pos + 2 > end:
+            raise truncated(2, pos)
+        (id_len,) = _ID_LEN.unpack_from(raw, pos)
+        pos += 2
+        if pos + id_len > end:
+            raise truncated(id_len, pos)
         try:
-            entry_id = cur.take(id_len).decode("utf-8")
+            entry_id = str(raw[pos : pos + id_len], "utf-8")
         except UnicodeDecodeError:
             raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
-        vec = np.frombuffer(cur.take(dim * 4), dtype="<f4").copy()
-        if not np.all(np.isfinite(vec)):
-            raise NonFiniteValue(f"{path}: entry {entry_id!r} contains non-finite values")
+        pos += id_len
+        if pos + width > end:
+            raise truncated(width, pos)
+        offsets.append(pos)
+        pos += width
         if entry_id in seen:
             raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
         seen.add(entry_id)
-        entries.append((entry_id, vec))
-    if cur.pos != len(cur.raw):
-        raise CorruptHeader(f"{path}: {len(cur.raw) - cur.pos} trailing bytes")
-    return EmbeddingDump(dim=dim, entries=tuple(entries))
+        ids.append(entry_id)
+    if pos != end:
+        raise CorruptHeader(f"{path}: {end - pos} trailing bytes")
+    matrix = np.empty((len(ids), dim), dtype="<f4")
+    rows = memoryview(matrix).cast("B")
+    for row, offset in enumerate(offsets):
+        rows[row * width : (row + 1) * width] = raw[offset : offset + width]
+    return ids, matrix
+
+
+def read_embedding_dump(path) -> EmbeddingDump:
+    """Read a dump written by write_embedding_dump; bit-exact round trip.
+
+    The vectors land in one read-only (count, dim) float32 matrix, and each
+    entry's vector is a read-only view of its row.
+    """
+    path = Path(path)
+    ids, matrix = _parse_dump(path)
+    matrix.flags.writeable = False
+    # a float64 sum of finite float32 values cannot overflow, and NaN or inf
+    # carries through it: one value per row instead of a full-size bool mask
+    bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        raise NonFiniteValue(f"{path}: entry {ids[bad[0]]!r} contains non-finite values")
+    return EmbeddingDump(dim=matrix.shape[1], entries=tuple(zip(ids, matrix)))

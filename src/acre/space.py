@@ -30,6 +30,12 @@ from .seeding import derive_seed
 
 SHARED_DIM = 1024
 
+# 32768 float64 elements = 256 KiB per array: one block of a parameter, its two
+# moments, its gradient and both scratch buffers (1.5 MiB) stay in L2 through
+# all passes. On the 768->1024 heads (2 vCPUs, 2 MiB L2 each) 8192 and 262144
+# were slower: about 19 and 23 ms per step against 17.
+_ADAM_BLOCK = 32768
+
 CHECKPOINT_MAGIC = b"ACKP"
 _CHECKPOINT_VERSION = 2
 # magic, version, d_out, audio d_in, text d_in, step, config digest
@@ -104,7 +110,9 @@ def project(e: np.ndarray, h: ProjectionHead) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     if e.shape[-1] != h.d_in:
         raise DimMismatch(f"input dim {e.shape[-1]} != head d_in {h.d_in}")
-    return e @ h.weight.T + h.bias
+    out = e @ h.weight.T
+    out += h.bias  # in place: one full-size result, not two
+    return out
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
@@ -318,6 +326,14 @@ class AdamState:
         )
 
 
+def _flat_view(a: np.ndarray, what: str) -> np.ndarray:
+    """a as one flat view; the flat form of a non-contiguous array would be a
+    copy, and an update written into it would be lost."""
+    if not a.flags.c_contiguous:
+        raise ShapeMismatch(f"{what} is not C-contiguous; Adam updates it in place")
+    return a.reshape(-1)
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
@@ -327,23 +343,53 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    Each array is walked in blocks of _ADAM_BLOCK elements through two
+    block-sized scratch buffers, so every pass over a block stays in cache. The
+    floating-point operations and their order are fixed, and equal the
+    unblocked form elementwise: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps). Parameters and moments must be
+    C-contiguous; any other layout is a ShapeMismatch.
+    """
     if set(params) != set(grads):
         raise ShapeMismatch(f"param/grad keys disagree: {sorted(params)} vs {sorted(grads)}")
-    state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    flats = []
     for key, p in params.items():
         g = np.asarray(grads[key], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeMismatch(f"{key}: grad shape {g.shape} != param shape {p.shape}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        flats.append(
+            (
+                _flat_view(p, key),
+                _flat_view(state.m[key], f"{key} first moment"),
+                _flat_view(state.v[key], f"{key} second moment"),
+                g.reshape(-1),
+            )
+        )
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    scratch1, scratch2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+    for p, m, v, g in flats:
+        for start in range(0, p.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            pb, mb, vb, gb = p[block], m[block], v[block], g[block]
+            s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
+            mb *= beta1
+            np.multiply(gb, 1.0 - beta1, out=s1)
+            mb += s1
+            vb *= beta2
+            np.multiply(gb, 1.0 - beta2, out=s1)
+            s1 *= gb
+            vb += s1
+            np.divide(vb, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            np.divide(mb, bc1, out=s1)
+            s1 *= lr
+            s1 /= s2
+            pb -= s1
 
 
 @dataclass(frozen=True)
@@ -362,17 +408,18 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.pretrain_epochs < 0 or self.finetune_epochs < 0 or self.warmup_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("pretrain_epochs", "finetune_epochs", "warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.swap_prob <= 1.0:
             raise ValueError(f"swap_prob must lie in [0, 1], got {self.swap_prob}")
         if self.lr_min >= self.lr_max:
-            raise ValueError("lr_min must be below lr_max")
+            raise ValueError(f"lr_min ({self.lr_min}) must be below lr_max ({self.lr_max})")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.out_dim < 1:
-            raise ValueError("out_dim must be >= 1")
+            raise ValueError(f"out_dim must be >= 1, got {self.out_dim}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +432,32 @@ def test_unknown_preset_is_input_error(wav_dataset, tmp_path, capsys):
     code = run(["embed", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "preset" in capsys.readouterr().err
+
+
+def test_train_config_error_names_both_values(tmp_path, capsys):
+    # lr_min is never given: its default must show, next to the lr_max that was
+    code = run(["train", "--lr-max", "1e-8", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ValueError: lr_min (1e-07) must be below lr_max (1e-08)\n"
+
+
+@pytest.mark.parametrize(
+    "lr_max, last_line",
+    [
+        ("abc", "acre train: error: argument --lr-max: invalid float value: 'abc'"),
+        ("1e-8", "error: ValueError: lr_min (1e-07) must be below lr_max (1e-08)"),
+    ],
+    ids=["unparseable", "out-of-range"],
+)
+def test_python_m_acre_cli_prints_no_runtime_warning(tmp_path, lr_max, last_line):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "acre.cli", "train", "--lr-max", lr_max],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.splitlines()[-1] == last_line
 
 
 def test_embed_rejects_dump_encoder(wav_dataset, tmp_path, capsys):

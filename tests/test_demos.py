@@ -24,3 +24,4 @@ def test_demo_exits_0(demo, tmp_path):
         [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert sorted(p.name for p in tmp_path.glob("acre-*")) == []  # scratch directories are removed

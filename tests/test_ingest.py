@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -278,6 +279,42 @@ def test_dump_rejects_other_version(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(ingest.CorruptHeader, match="version"):
         ingest.read_embedding_dump(p)
+
+
+def hand_dump(entries, dim=2, count=None):
+    """Dump bytes built by hand, for files the writer refuses to produce."""
+    raw = struct.pack("<4sIIQ", b"ACRE", 1, dim, len(entries) if count is None else count)
+    for id_bytes, vec in entries:
+        raw += struct.pack("<H", len(id_bytes)) + id_bytes + np.asarray(vec, dtype="<f4").tobytes()
+    return raw
+
+
+THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]
+THREE_BYTES = len(hand_dump(THREE))
+
+
+@pytest.mark.parametrize(
+    "raw, error, message",
+    [
+        (hand_dump([(b"a", [1.0, 2.0]), (b"a", [3.0, 4.0])]), ingest.IngestError, "duplicate entry id 'a'"),
+        (hand_dump([(b"\xff\xfe", [1.0, 2.0])]), ingest.CorruptHeader, "entry id is not valid UTF-8"),
+        (hand_dump(THREE) + b"\x00", ingest.CorruptHeader, "1 trailing bytes"),
+        (hand_dump(THREE, count=4), ingest.TruncatedFile, f"expected 2 more bytes at offset {THREE_BYTES}$"),
+        (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"expected 2 more bytes at offset {THREE_BYTES}$"),
+        (hand_dump(THREE)[:-3], ingest.TruncatedFile, f"expected 8 more bytes at offset {THREE_BYTES - 8}$"),
+        (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
+    ],
+    ids=["duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector", "nan-middle"],
+)
+def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
+    p = tmp_path / "d.embd"
+    p.write_bytes(raw)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match=message) as caught:
+        ingest.read_embedding_dump(p)
+    assert caught.type is error
+    # a count the bytes cannot hold fails at the first missing entry, never by sizing from it
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_atomic_write_replaces_target_without_leftovers(tmp_path):

@@ -289,6 +289,48 @@ def test_adam_shape_mismatch():
         space.adam_step(params, {"q": np.zeros(3)}, state, lr=0.1)
 
 
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The unblocked update: one full-size temporary per operation."""
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for key, p in params.items():
+        g, m, v = grads[key], state.m[key], state.v[key]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_adam_blocked_update_is_bitwise_the_reference():
+    # many blocks, a size that is no multiple of the block, and 1- and 3-element biases
+    shapes = {"audio.weight": (1024, 768), "audio.bias": (1,), "text.weight": (37, 1001), "text.bias": (3,)}
+    rng = np.random.default_rng(11)
+    params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+    expected = {key: p.copy() for key, p in params.items()}
+    state, expected_state = space.AdamState.zeros_like(params), space.AdamState.zeros_like(expected)
+    for _ in range(40):
+        grads = {key: rng.normal(scale=10.0 ** rng.uniform(-4, 1), size=shape) for key, shape in shapes.items()}
+        lr = 10.0 ** rng.uniform(-5, -1)
+        space.adam_step(params, grads, state, lr)
+        reference_adam_step(expected, grads, expected_state, lr)
+    for key in shapes:
+        assert np.array_equal(params[key], expected[key]), key
+        assert np.array_equal(state.m[key], expected_state.m[key]), key
+        assert np.array_equal(state.v[key], expected_state.v[key]), key
+    assert state.t == expected_state.t == 40
+
+
+def test_adam_refuses_non_contiguous_param():
+    # a flat view of a transposed array is a copy: its update would be lost
+    params = {"w": np.ones((4, 3)).T}
+    state = space.AdamState.zeros_like(params)
+    with pytest.raises(space.ShapeMismatch, match="contiguous"):
+        space.adam_step(params, {"w": np.ones((3, 4))}, state, lr=0.1)
+    assert np.array_equal(params["w"], np.ones((3, 4)))
+
+
 # ---------------------------------------------------------------- training
 
 def small_cfg(**overrides):
