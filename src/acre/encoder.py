@@ -205,21 +205,39 @@ def _text_weights(p: EncoderParams, vocab_size: int):
     return table, _draw_blocks(rng, p)
 
 
+# These elementwise helpers dominate the encoder's cost, so each works in place
+# in one buffer. _layer_norm and _gelu never write to their input. All three
+# keep the textbook formulas' order of operations, so they agree with them
+# bitwise, except that _gelu cubes by multiplication.
+
+
 def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)  # what x.var computes, without a second centring
+    d /= np.sqrt(var + eps)
+    return d
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+    """tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+    t = x * x
+    t *= x  # the cube by multiplication; x**3 goes through pow, several times slower
+    t *= 0.044715
+    t += x
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: x is overwritten and returned."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _attention(x: np.ndarray, blk: _Block, heads: int) -> np.ndarray:
@@ -228,7 +246,8 @@ def _attention(x: np.ndarray, blk: _Block, heads: int) -> np.ndarray:
     q = (x @ blk.wq.T).reshape(n, heads, hd).transpose(1, 0, 2)
     k = (x @ blk.wk.T).reshape(n, heads, hd).transpose(1, 0, 2)
     v = (x @ blk.wv.T).reshape(n, heads, hd).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd)
+    scores = q @ k.transpose(0, 2, 1)
+    scores /= math.sqrt(hd)
     out = _softmax(scores) @ v
     return out.transpose(1, 0, 2).reshape(n, w) @ blk.wo.T
 

@@ -5,10 +5,10 @@ External formats
 ----------------
 Manifest CSV (UTF-8, quoted fields allowed)::
 
-    file_name,caption_1,caption_2,caption_3,caption_4,caption_5[,keywords]
+    file_name,caption_1,caption_2,caption_3,caption_4,caption_5
 
-One row per clip; the file name doubles as the clip id; ``keywords`` is
-optional and semicolon-separated.
+One row per clip; the file name doubles as the clip id; other columns are
+ignored.
 
 Augmented captions: UTF-8 JSON lines, one record per line::
 
@@ -92,7 +92,6 @@ class ClipRecord:
     clip_id: str
     audio_path: Path
     captions: tuple[str, ...]
-    keywords: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,6 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
         for name in _REQUIRED_COLUMNS:
             if name not in col:
                 raise MissingColumn(f"{path}: missing column {name!r}")
-        kw_idx = col.get("keywords")
 
         records: list[ClipRecord] = []
         seen: set[str] = set()
@@ -154,11 +152,7 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
                     )
                 captions.append(row[idx])
 
-            keywords: tuple[str, ...] = ()
-            if kw_idx is not None and kw_idx < len(row):
-                keywords = tuple(k.strip() for k in row[kw_idx].split(";") if k.strip())
-
-            records.append(ClipRecord(clip_id, base / clip_id, tuple(captions), keywords))
+            records.append(ClipRecord(clip_id, base / clip_id, tuple(captions)))
     if not records:
         raise IngestError(f"{path}: no clip rows after the header")
     return records

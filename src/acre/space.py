@@ -414,6 +414,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.swap_prob <= 1.0:
             raise ValueError(f"swap_prob must lie in [0, 1], got {self.swap_prob}")
+        if self.lr_min < 0:
+            raise ValueError(f"lr_min must be >= 0, got {self.lr_min}")
         if self.lr_min >= self.lr_max:
             raise ValueError(f"lr_min ({self.lr_min}) must be below lr_max ({self.lr_max})")
         if self.temperature <= 0:
@@ -519,6 +521,9 @@ def train(
     finetune = phase == "finetune"
     swap_prob = cfg.swap_prob if finetune else 0.0
     if finetune:
+        # checked here, not in TrainConfig: a pretrain-only config may set lr_min above finetune_lr_max
+        if cfg.lr_min >= cfg.finetune_lr_max:
+            raise ValueError(f"lr_min ({cfg.lr_min}) must be below finetune_lr_max ({cfg.finetune_lr_max})")
         if strict:
             _check_augmentation_coverage(pairs, augmented)
         elif augmented is None and cfg.swap_prob > 0.0:

@@ -441,6 +441,18 @@ def test_train_config_error_names_both_values(tmp_path, capsys):
     assert capsys.readouterr().err == "error: ValueError: lr_min (1e-07) must be below lr_max (1e-08)\n"
 
 
+def test_finetune_rejects_inverted_schedule(wav_dataset, tmp_path, capsys):
+    code = run(
+        [
+            "finetune", *common(wav_dataset, tmp_path / "ft"),
+            "--finetune-lr-max", "1e-8", "--epochs", "1", "--batch-size", "3",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: ValueError: lr_min (1e-07) must be below finetune_lr_max (1e-08)\n"
+    assert not (tmp_path / "ft" / "checkpoint.ackp").exists()
+
+
 @pytest.mark.parametrize(
     "lr_max, last_line",
     [

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -267,3 +270,62 @@ def test_geometry_presets_cover_expected_settings():
     assert encoder.PRESETS["passt-s"].drop_t == 50
     assert encoder.PRESETS["passt-s20"].drop_t == 80
     assert encoder.PRESETS["passt-s20"].max_input_seconds == 20.0
+
+
+# ---------------------------------------------------------------- numerics
+# The textbook formulas the encoder's in-place helpers must reproduce.
+
+
+def reference_layer_norm(x, eps=1e-5):
+    return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+
+
+def reference_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_gelu(x, cube):
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * cube(x))))
+
+
+# a token-major activation and a (heads, n, n) score tensor
+NUMERIC_SHAPES = pytest.mark.parametrize("shape", [(37, 64), (4, 61, 61)], ids=["tokens", "scores"])
+
+
+@NUMERIC_SHAPES
+def test_layer_norm_is_bitwise_the_textbook_formula(shape):
+    x = np.random.default_rng(1).normal(0.5, 3.0, shape)
+    before = x.copy()
+    assert np.array_equal(encoder._layer_norm(x), reference_layer_norm(x))
+    assert np.array_equal(x, before)
+
+
+@NUMERIC_SHAPES
+def test_softmax_is_bitwise_the_textbook_formula(shape):
+    x = np.random.default_rng(2).normal(0.0, 3.0, shape)
+    assert np.array_equal(encoder._softmax(x.copy()), reference_softmax(x))
+
+
+@NUMERIC_SHAPES
+def test_gelu_is_the_tanh_formula_with_the_cube_by_multiplication(shape):
+    x = np.random.default_rng(3).normal(size=shape)
+    before = x.copy()
+    out = encoder._gelu(x)
+    assert np.array_equal(x, before)
+    assert np.array_equal(out, reference_gelu(x, lambda v: v * v * v))
+    # x**3 rounds differently from x*x*x in about 0.3% of elements
+    assert np.abs(out - reference_gelu(x, lambda v: v**3)).max() <= 4.5e-16
+
+
+def test_encoder_outputs_are_pinned_to_the_byte(vocab):
+    # sha256 of the float32 bytes a dump would hold; a change to the encoder's
+    # arithmetic that moves any dump by one bit moves these digests
+    p = encoder.EncoderParams(seed=3)
+    grid = encoder.extract_patches(spec_of_frames(997, seed=5), encoder.PRESETS["passt-n"])
+    audio = encoder.audio_encode(grid, p)
+    text = encoder.text_encode(encoder.tokenize("a dog barks while rain falls on a tin roof", vocab), p)
+    assert [hashlib.sha256(v.astype(np.float32).tobytes()).hexdigest() for v in (audio, text)] == [
+        "df62297b8f392b610d5acb2ece5555adada78dd779d17b7f74a92dcc3e7eb8dd",
+        "00badab204071943c3f0a5f3fadaaab06124545251a615f9896476d7c38d2c79",
+    ]

@@ -30,10 +30,10 @@ def test_load_manifest_two_rows(tmp_path):
     assert records[0].clip_id == "a.wav"
     assert records[0].audio_path == tmp_path / "a.wav"
     assert records[1].captions[0] == "one, with comma"
-    assert records[0].keywords == ()
 
 
 def test_load_manifest_keywords_and_audio_dir(tmp_path):
+    # a keywords column, like any unknown column, is ignored
     m = tmp_path / "m.csv"
     write_manifest(
         m,
@@ -41,8 +41,7 @@ def test_load_manifest_keywords_and_audio_dir(tmp_path):
         header="file_name,caption_1,caption_2,caption_3,caption_4,caption_5,keywords",
     )
     records = ingest.load_manifest(m, audio_dir=tmp_path / "elsewhere")
-    assert records[0].keywords == ("dog", "water", "wind")
-    assert records[0].audio_path == tmp_path / "elsewhere" / "a.wav"
+    assert records == [ingest.ClipRecord("a.wav", tmp_path / "elsewhere" / "a.wav", ("c1", "c2", "c3", "c4", "c5"))]
 
 
 def test_load_manifest_missing_column(tmp_path):

@@ -387,6 +387,19 @@ def test_finetune_without_swaps_replays_pretrain_stream():
     assert [p.loss for p in pre.curve] == [p.loss for p in fine.curve]
 
 
+def test_finetune_refuses_lr_min_at_or_above_finetune_lr_max():
+    pairs = tiny_pairs(5)
+    cfg = small_cfg(lr_min=1e-5, finetune_lr_max=1e-5)
+    space.train(pairs, cfg, phase="pretrain")  # pretrain never reads finetune_lr_max
+    with pytest.raises(ValueError, match=r"^lr_min \(1e-05\) must be below finetune_lr_max \(1e-05\)$"):
+        space.train(pairs, cfg, phase="finetune")
+
+
+def test_train_config_rejects_negative_lr_min():
+    with pytest.raises(ValueError, match=r"^lr_min must be >= 0, got -1e-07$"):
+        small_cfg(lr_min=-1e-7)
+
+
 def test_finetune_swaps_alter_stream():
     pairs = tiny_pairs(5)
     augmap = {
