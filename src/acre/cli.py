@@ -323,16 +323,17 @@ def cmd_embed(settings: RunSettings) -> int:
 
 
 def _run_training(settings: RunSettings, phase: str) -> int:
-    out = _require_out(settings)
-    records = _load_records(settings)
-    pairs = _train_pairs(records, settings)
-    augmap = _augmap(records, settings) if phase == "finetune" else None
-    if phase == "finetune" and settings.strict and augmap is None:
+    space.check_phase(settings.train, phase)
+    if phase == "finetune" and settings.strict and settings.augmented_captions is None:
         raise space.MissingAugmentation("finetune --strict requires --augmented-captions")
     init = None
     if settings.checkpoint is not None:
         ckpt = space.load_checkpoint(settings.checkpoint)
         init = (ckpt.audio_head, ckpt.text_head)
+    out = _require_out(settings)
+    records = _load_records(settings)
+    pairs = _train_pairs(records, settings)
+    augmap = _augmap(records, settings) if phase == "finetune" else None
     result = space.train(
         pairs, settings.train, phase=phase, augmented=augmap, strict=settings.strict, init=init
     )

@@ -309,65 +309,60 @@ def write_embedding_dump(entries, path) -> None:
 def _parse_dump(path: Path) -> tuple[list[str], np.ndarray]:
     """The ids and the (count, dim) float32 vector matrix of a dump file.
 
-    One pass walks the id headers, checking before each read that the bytes
-    reach that far, so an untrusted header count sizes nothing; the matrix is
-    allocated only after it, and each vector is copied into its row once. The
-    file bytes are released on return.
+    One pass over the open file reads each id, and each vector straight into
+    its row: the memory held is the matrix, not the file plus the matrix. Each
+    read is checked first against the file size, and the matrix has no more
+    rows than the file can hold, so an untrusted header count sizes nothing.
     """
-    raw = memoryview(path.read_bytes())
-    end = len(raw)
 
     def truncated(n: int, pos: int) -> TruncatedFile:
         return TruncatedFile(f"{path}: expected {n} more bytes at offset {pos}")
 
-    if end < _HEADER.size:
-        raise truncated(_HEADER.size, 0)
-    magic, version, dim, count = _HEADER.unpack_from(raw)
-    if magic != DUMP_MAGIC:
-        raise BadMagic(f"{path}: bad magic {magic!r}")
-    if version != _DUMP_VERSION:
-        raise CorruptHeader(f"{path}: version {version}, expected {_DUMP_VERSION}")
-    if dim == 0:
-        raise CorruptHeader(f"{path}: zero dimension")
-    width = dim * 4
-    pos = _HEADER.size
-    ids: list[str] = []
-    offsets: list[int] = []
-    seen: set[str] = set()
-    for _ in range(count):
-        if pos + 2 > end:
-            raise truncated(2, pos)
-        (id_len,) = _ID_LEN.unpack_from(raw, pos)
-        pos += 2
-        if pos + id_len > end:
-            raise truncated(id_len, pos)
-        try:
-            entry_id = str(raw[pos : pos + id_len], "utf-8")
-        except UnicodeDecodeError:
-            raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
-        pos += id_len
-        if pos + width > end:
-            raise truncated(width, pos)
-        offsets.append(pos)
-        pos += width
-        if entry_id in seen:
-            raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
-        seen.add(entry_id)
-        ids.append(entry_id)
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        if end < _HEADER.size:
+            raise truncated(_HEADER.size, 0)
+        magic, version, dim, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != DUMP_MAGIC:
+            raise BadMagic(f"{path}: bad magic {magic!r}")
+        if version != _DUMP_VERSION:
+            raise CorruptHeader(f"{path}: version {version}, expected {_DUMP_VERSION}")
+        if dim == 0:
+            raise CorruptHeader(f"{path}: zero dimension")
+        width = dim * 4
+        # every entry takes at least 2 + width bytes
+        matrix = np.empty((min(count, (end - _HEADER.size) // (2 + width)), dim), dtype="<f4")
+        pos = _HEADER.size
+        ids: dict[str, None] = {}  # insertion-ordered, and a duplicate costs one lookup
+        for row in range(count):
+            if pos + 2 > end:
+                raise truncated(2, pos)
+            (id_len,) = _ID_LEN.unpack(fh.read(2))
+            pos += 2
+            if pos + id_len > end:
+                raise truncated(id_len, pos)
+            try:
+                entry_id = str(fh.read(id_len), "utf-8")
+            except UnicodeDecodeError:
+                raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
+            pos += id_len
+            if pos + width > end:
+                raise truncated(width, pos)
+            fh.readinto(matrix[row])
+            pos += width
+            if entry_id in ids:
+                raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
+            ids[entry_id] = None
     if pos != end:
         raise CorruptHeader(f"{path}: {end - pos} trailing bytes")
-    matrix = np.empty((len(ids), dim), dtype="<f4")
-    rows = memoryview(matrix).cast("B")
-    for row, offset in enumerate(offsets):
-        rows[row * width : (row + 1) * width] = raw[offset : offset + width]
-    return ids, matrix
+    return list(ids), matrix
 
 
 def read_embedding_dump(path) -> EmbeddingDump:
     """Read a dump written by write_embedding_dump; bit-exact round trip.
 
-    The vectors land in one read-only (count, dim) float32 matrix, and each
-    entry's vector is a read-only view of its row.
+    The vectors land in one read-only (count, dim) float32 matrix, read in one
+    pass, and each entry's vector is a read-only view of its row.
     """
     path = Path(path)
     ids, matrix = _parse_dump(path)

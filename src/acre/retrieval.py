@@ -53,7 +53,7 @@ class RetrievalIndex:
     def build(cls, ids: Sequence[str], vectors: np.ndarray) -> "RetrievalIndex":
         if len(ids) == 0:
             raise EmptyIndex("cannot build an empty index")
-        return cls(ids=tuple(ids), vectors=l2_normalize(np.asarray(vectors, dtype=np.float64)))
+        return cls(ids=tuple(ids), vectors=l2_normalize(vectors))
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,9 @@ def rank(
     """
     if len(index) == 0:
         raise EmptyIndex("cannot rank against an empty index")
-    q = np.asarray(query_vec, dtype=np.float64)
-    if q.shape != (index.vectors.shape[1],):
-        raise DimMismatch(f"query dim {q.shape} != index dim {index.vectors.shape[1]}")
-    sims = index.vectors @ l2_normalize(q)
+    if np.shape(query_vec) != (index.vectors.shape[1],):
+        raise DimMismatch(f"query dim {np.shape(query_vec)} != index dim {index.vectors.shape[1]}")
+    sims = index.vectors @ l2_normalize(query_vec)
     order = np.lexsort((np.asarray(index.ids), -sims))
     ranked = tuple(index.ids[i] for i in order)
     rank_of_target = None

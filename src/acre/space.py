@@ -126,10 +126,8 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
 
 def similarity_matrix(audio: np.ndarray, text: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities: C[i, j] compares audio i with caption j."""
-    audio = np.asarray(audio, dtype=np.float64)
-    text = np.asarray(text, dtype=np.float64)
-    if audio.shape[1] != text.shape[1]:
-        raise DimMismatch(f"audio dim {audio.shape[1]} != text dim {text.shape[1]}")
+    if np.shape(audio)[1] != np.shape(text)[1]:
+        raise DimMismatch(f"audio dim {np.shape(audio)[1]} != text dim {np.shape(text)[1]}")
     return l2_normalize(audio) @ l2_normalize(text).T
 
 
@@ -424,17 +422,28 @@ class TrainConfig:
             raise ValueError(f"out_dim must be >= 1, got {self.out_dim}")
 
 
+def check_phase(cfg: TrainConfig, phase: str) -> None:
+    """Refuse a phase this config cannot train, before any data is read. Each
+    check holds for one phase only, so none is in TrainConfig: a pretrain-only
+    config may set lr_min above finetune_lr_max, and finetune has no warmup."""
+    if phase not in ("pretrain", "finetune"):
+        raise ValueError(f"unknown phase {phase!r}")
+    if phase == "finetune" and cfg.lr_min >= cfg.finetune_lr_max:
+        raise ValueError(f"lr_min ({cfg.lr_min}) must be below finetune_lr_max ({cfg.finetune_lr_max})")
+    if phase == "pretrain" and 0 < cfg.pretrain_epochs < cfg.warmup_epochs:
+        raise ValueError(f"warmup_epochs ({cfg.warmup_epochs}) must not exceed pretrain_epochs ({cfg.pretrain_epochs})")
+
+
 @dataclass(frozen=True)
 class TrainPair:
-    """One clip's frozen encoder outputs: an audio vector and its caption vectors."""
+    """One clip's frozen encoder outputs: an audio vector and its caption vectors,
+    kept as given; a batch of them becomes float64 in project and loss_gradients."""
 
     clip_id: str
     audio: np.ndarray
     captions: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "audio", np.asarray(self.audio, dtype=np.float64))
-        object.__setattr__(self, "captions", tuple(np.asarray(c, dtype=np.float64) for c in self.captions))
         if not self.captions:
             raise ValueError(f"clip {self.clip_id!r}: needs at least one caption vector")
 
@@ -455,12 +464,11 @@ def sample_caption(
     without variants are used as-is.
     """
     idx = int(rng.integers(len(pair.captions)))
-    vec = pair.captions[idx]
     if swap_prob > 0.0 and rng.random() < swap_prob:
         variants = augmented.get((pair.clip_id, idx)) if augmented else None
         if variants:
-            vec = np.asarray(variants[int(rng.integers(len(variants)))], dtype=np.float64)
-    return vec
+            return variants[int(rng.integers(len(variants)))]
+    return pair.captions[idx]
 
 
 @dataclass(frozen=True)
@@ -506,11 +514,10 @@ def train(
     augmented variants with probability cfg.swap_prob and uses the finetune
     learning rate with no warmup.
     """
+    check_phase(cfg, phase)
     pairs = list(pairs)
     if not pairs:
         raise EmptyDataset("no training pairs")
-    if phase not in ("pretrain", "finetune"):
-        raise ValueError(f"unknown phase {phase!r}")
 
     d_a = pairs[0].audio.size
     d_t = pairs[0].captions[0].size
@@ -521,9 +528,6 @@ def train(
     finetune = phase == "finetune"
     swap_prob = cfg.swap_prob if finetune else 0.0
     if finetune:
-        # checked here, not in TrainConfig: a pretrain-only config may set lr_min above finetune_lr_max
-        if cfg.lr_min >= cfg.finetune_lr_max:
-            raise ValueError(f"lr_min ({cfg.lr_min}) must be below finetune_lr_max ({cfg.finetune_lr_max})")
         if strict:
             _check_augmentation_coverage(pairs, augmented)
         elif augmented is None and cfg.swap_prob > 0.0:

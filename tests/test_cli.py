@@ -454,6 +454,29 @@ def test_finetune_rejects_inverted_schedule(wav_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("finetune", ["--finetune-lr-max", "1e-8"], "lr_min (1e-07) must be below finetune_lr_max (1e-08)"),
+        ("train", ["--epochs", "1", "--warmup-epochs", "5"], "warmup_epochs (5) must not exceed pretrain_epochs (1)"),
+        ("finetune", ["--strict"], "MissingAugmentation: finetune --strict requires --augmented-captions"),
+        ("train", ["--checkpoint", "{tmp}/nope.ackp"], "{tmp}/nope.ackp"),
+        ("finetune", ["--checkpoint", "{tmp}/v1.ackp"], "SpaceError: {tmp}/v1.ackp: unsupported checkpoint version 1"),
+    ],
+    ids=["inverted-schedule", "warmup-beyond-epochs", "strict-without-variants", "missing-checkpoint", "v1-checkpoint"],
+)
+def test_training_config_errors_come_before_any_audio_is_read(tmp_path, capsys, command, extra, message):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\nabsent.wav,a,b,c,d,e\n")
+    write_v1_checkpoint(tmp_path / "v1.ackp")
+    args = ["--manifest", str(manifest), "--out", str(tmp_path / "out"), *(a.format(tmp=tmp_path) for a in extra)]
+    assert run([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message.format(tmp=tmp_path) in err and "absent.wav" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "lr_max, last_line",
     [
         ("abc", "acre train: error: argument --lr-max: invalid float value: 'abc'"),

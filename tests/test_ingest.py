@@ -1,5 +1,6 @@
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,22 @@ def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
     assert caught.type is error
     # a count the bytes cannot hold fails at the first missing entry, never by sizing from it
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_dump_read_holds_the_matrix_not_the_file(tmp_path):
+    n, dim = 2731, 768  # 8.4 MB of float32 vectors
+    p = tmp_path / "big.embd"
+    vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+    ingest.write_embedding_dump(((f"clip{i:05d}", v) for i, v in enumerate(vectors)), p)
+    tracemalloc.start()
+    try:
+        dump = ingest.read_embedding_dump(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.stack([v for _, v in dump.entries]), vectors)
+    # the matrix plus one view, id and tuple per entry; the file's bytes on top of it would be 2x
+    assert peak < 1.5 * vectors.nbytes
 
 
 def test_atomic_write_replaces_target_without_leftovers(tmp_path):

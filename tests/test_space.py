@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acre import space
+from acre import retrieval, space
 from acre.seeding import derive_seed
 from conftest import make_latent_pairs, write_v1_checkpoint
 
@@ -398,6 +398,48 @@ def test_finetune_refuses_lr_min_at_or_above_finetune_lr_max():
 def test_train_config_rejects_negative_lr_min():
     with pytest.raises(ValueError, match=r"^lr_min must be >= 0, got -1e-07$"):
         small_cfg(lr_min=-1e-7)
+
+
+def test_train_checks_each_phase_before_any_pair():
+    pairs = tiny_pairs(5)
+    with pytest.raises(ValueError, match=r"^unknown phase 'warmup'$"):
+        space.train([], small_cfg(), phase="warmup")
+    cfg = small_cfg(pretrain_epochs=2, warmup_epochs=3, swap_prob=0.0)
+    with pytest.raises(ValueError, match=r"^warmup_epochs \(3\) must not exceed pretrain_epochs \(2\)$"):
+        space.train([], cfg, phase="pretrain")
+    space.train(pairs, cfg, phase="finetune")  # finetune has no warmup
+    space.train(pairs, small_cfg(pretrain_epochs=0, warmup_epochs=3))  # no epochs, no warmup to overrun
+
+
+def test_train_pair_keeps_the_vectors_it_is_given():
+    row, cap = np.ones(4, dtype=np.float32), np.zeros(3, dtype=np.float32)
+    pair = space.TrainPair("clip", row, (cap,))
+    assert pair.audio is row and pair.captions[0] is cap
+
+
+def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
+    # float32 -> float64 is exact, so rows held as float32 until the math starts change no bit
+    def as_dtype(pairs, dtype):
+        return [
+            space.TrainPair(p.clip_id, p.audio.astype(dtype), tuple(c.astype(dtype) for c in p.captions)) for p in pairs
+        ]
+
+    sources = make_latent_pairs(13, n_train=48, n_eval=20, d_audio=12, d_text=10)
+    train32, eval32 = (as_dtype(pairs, np.float32) for pairs in sources)
+    variants32 = {(p.clip_id, 0): (p.captions[0] + np.float32(1.0), -p.captions[0]) for p in train32}
+    cfg = small_cfg(seed=3, swap_prob=0.5)
+    outcomes = []
+    for dtype in (np.float32, np.float64):
+        pairs = as_dtype(train32, dtype)
+        augmap = {key: tuple(v.astype(dtype) for v in vs) for key, vs in variants32.items()}
+        pre = space.train(pairs, cfg, phase="pretrain")
+        fine = space.train(pairs, cfg, phase="finetune", augmented=augmap, init=(pre.audio_head, pre.text_head))
+        queries, index = retrieval.build_eval(as_dtype(eval32, dtype), fine.audio_head, fine.text_head)
+        arrays = [a for r in (pre, fine) for h in (r.audio_head, r.text_head) for a in (h.weight, h.bias)]
+        arrays += [index.vectors] + [q.vector for q in queries]
+        outcomes.append(([a.tobytes() for a in arrays], pre.curve, fine.curve, retrieval.evaluate(queries, index)))
+    assert pairs[0].audio.dtype == np.float64 and train32[0].audio.dtype == np.float32
+    assert outcomes[0] == outcomes[1]
 
 
 def test_finetune_swaps_alter_stream():
