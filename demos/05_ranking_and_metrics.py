@@ -13,7 +13,7 @@ index = retrieval.RetrievalIndex.build(ids, rng.normal(size=(20, 16)))
 # rank() orders all clips by cosine similarity; ties break on the clip id so
 # results never depend on storage order.
 query = index.vectors[7] + 0.05 * rng.normal(size=16)
-result = retrieval.rank(query, index, query_id="q0", target_id="clip07")
+result = retrieval.rank(query, index, target_id="clip07")
 print("top five:", result.ranked_ids[:5])
 print("target rank:", result.rank_of_target)
 

@@ -288,9 +288,10 @@ def _augmap(records: list[ingest.ClipRecord], settings: RunSettings) -> space.Au
 
 
 def _require_out(settings: RunSettings) -> Path:
+    """The --out directory; it is created by the first write into it, so a
+    command that fails before writing leaves none behind."""
     if settings.out is None:
         raise CliError("no output directory given (use --out)")
-    settings.out.mkdir(parents=True, exist_ok=True)
     return settings.out
 
 
@@ -377,8 +378,8 @@ def cmd_rank(settings: RunSettings, query: str, top: int) -> int:
     index = retrieval.RetrievalIndex.build(
         ids, space.project(np.stack([_embedding(audio, i, "audio") for i in ids]), ckpt.audio_head)
     )
-    [(query_id, qvec)] = _embed_texts([("cli-query", query)], settings)
-    result = retrieval.rank(space.project(qvec, ckpt.text_head), index, query_id=query_id)
+    [(_, qvec)] = _embed_texts([("query", query)], settings)
+    result = retrieval.rank(space.project(qvec, ckpt.text_head), index)
     for position, (clip_id, score) in enumerate(zip(result.ranked_ids[:top], result.scores), start=1):
         print(f"{position:>3}  {score:+.4f}  {clip_id}")
     return 0

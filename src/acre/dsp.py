@@ -2,12 +2,13 @@
 
 Everything here is a pure function over immutable value types; the one random
 operation (snippet extraction) takes a caller-supplied generator. The analysis
-contract is fixed so that frame counts have an exact closed form:
+contract is fixed, like a pre-trained encoder's front end, so that frame
+counts have an exact closed form:
 
-* 32 kHz input only (no resampler; a wrong rate is an error),
-* 1024-point FFT, hop 320, Hann window, no centering or reflection padding,
-* 128 triangular mel filters from 0 Hz to Nyquist (2595*log10(1+f/700) scale),
-* natural log with floor 1e-10.
+* SAMPLE_RATE = 32000 Hz input only (no resampler; a wrong rate is an error),
+* N_FFT = 1024-point FFT, HOP = 320, Hann window, no centering or padding,
+* N_MELS = 128 triangular mel filters from 0 Hz to Nyquist (2595*log10(1+f/700)),
+* natural log with floor LOG_FLOOR = 1e-10.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import numpy as np
 
 SAMPLE_RATE = 32000
 N_MELS = 128
+N_FFT = 1024
+HOP = 320
+LOG_FLOOR = 1e-10
 
 
 class DspError(Exception):
@@ -101,18 +105,6 @@ class WhiteningStats:
             raise ValueError(f"std must be positive, got {self.std}")
 
 
-@dataclass(frozen=True)
-class LogmelConfig:
-    n_fft: int = 1024
-    hop: int = 320
-    n_mels: int = N_MELS
-    sample_rate: int = SAMPLE_RATE
-    log_floor: float = 1e-10
-
-
-DEFAULT_LOGMEL = LogmelConfig()
-
-
 def hz_to_mel(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
 
@@ -121,22 +113,27 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(cfg: LogmelConfig = DEFAULT_LOGMEL) -> np.ndarray:
-    """Center frequency in Hz of each of the n_mels filters."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.sample_rate / 2), cfg.n_mels + 2))
-    return edges[1:-1]
+def _mel_edges() -> np.ndarray:
+    """N_MELS + 2 frequencies in Hz, evenly spaced in mel from 0 Hz to Nyquist:
+    each filter's left foot, center and right foot are three consecutive ones."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2))
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(cfg: LogmelConfig = DEFAULT_LOGMEL) -> np.ndarray:
-    """Triangular filter matrix of shape (n_mels, n_fft//2 + 1).
+def mel_center_frequencies() -> np.ndarray:
+    """Center frequency in Hz of each of the N_MELS filters."""
+    return _mel_edges()[1:-1]
+
+
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """Triangular filter matrix of shape (N_MELS, N_FFT//2 + 1).
 
     Filters are unnormalized triangles with feet on the neighboring centers,
     so rows are nonnegative and adjacent filters overlap: every FFT bin
     strictly between the first and last center gets positive total weight.
     """
-    freqs = np.arange(cfg.n_fft // 2 + 1, dtype=np.float64) * cfg.sample_rate / cfg.n_fft
-    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.sample_rate / 2), cfg.n_mels + 2))
+    freqs = np.arange(N_FFT // 2 + 1, dtype=np.float64) * SAMPLE_RATE / N_FFT
+    points = _mel_edges()
     left = points[:-2, None]
     center = points[1:-1, None]
     right = points[2:, None]
@@ -145,37 +142,37 @@ def mel_filterbank(cfg: LogmelConfig = DEFAULT_LOGMEL) -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def frame_count(n_samples: int, cfg: LogmelConfig = DEFAULT_LOGMEL) -> int:
-    """Number of analysis frames for a signal of n_samples: 1 + (n - n_fft) // hop."""
-    if n_samples < cfg.n_fft:
-        raise TooShort(f"need at least {cfg.n_fft} samples, got {n_samples}")
-    return 1 + (n_samples - cfg.n_fft) // cfg.hop
+def frame_count(n_samples: int) -> int:
+    """Number of analysis frames for a signal of n_samples: 1 + (n - N_FFT) // HOP."""
+    if n_samples < N_FFT:
+        raise TooShort(f"need at least {N_FFT} samples, got {n_samples}")
+    return 1 + (n_samples - N_FFT) // HOP
 
 
-def seconds_to_frames(seconds: float, cfg: LogmelConfig = DEFAULT_LOGMEL) -> int:
+def seconds_to_frames(seconds: float) -> int:
     """Segment length in frames for a duration in seconds, at the hop rate.
 
     The hop of 320 samples at 32 kHz gives 100 frames per second, so ten
     seconds maps to 1000 frames.
     """
-    return int(round(seconds * cfg.sample_rate / cfg.hop))
+    return int(round(seconds * SAMPLE_RATE / HOP))
 
 
-def logmel(w: Waveform, cfg: LogmelConfig = DEFAULT_LOGMEL) -> Spectrogram:
+def logmel(w: Waveform) -> Spectrogram:
     """Log-mel spectrogram of a 32 kHz waveform.
 
     Raises WrongSampleRate for any other rate (resampling is out of scope)
     and TooShort for signals shorter than one FFT window.
     """
-    if w.sample_rate != cfg.sample_rate:
-        raise WrongSampleRate(f"expected {cfg.sample_rate} Hz input, got {w.sample_rate} Hz")
-    frame_count(len(w), cfg)  # raises TooShort
-    frames = np.lib.stride_tricks.sliding_window_view(w.samples, cfg.n_fft)[:: cfg.hop]
-    window = np.hanning(cfg.n_fft)
+    if w.sample_rate != SAMPLE_RATE:
+        raise WrongSampleRate(f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate} Hz")
+    frame_count(len(w))  # raises TooShort
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, N_FFT)[::HOP]
+    window = np.hanning(N_FFT)
     spectra = np.fft.rfft(frames * window, axis=1)
     power = spectra.real**2 + spectra.imag**2
-    mel = power @ mel_filterbank(cfg).T
-    return Spectrogram(np.log(np.maximum(mel, cfg.log_floor)))
+    mel = power @ mel_filterbank().T
+    return Spectrogram(np.log(np.maximum(mel, LOG_FLOOR)))
 
 
 def whiten(s: Spectrogram, stats: WhiteningStats) -> Spectrogram:

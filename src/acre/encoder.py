@@ -3,7 +3,9 @@
 The audio side turns a spectrogram into a grid of patches (optionally thinned
 by structured patchout) and runs a small frozen self-attention stack over the
 patch tokens; the text side runs the same stack over WordPiece tokens and
-returns the class-token output. All weights are drawn once from a seed and
+returns the class-token output. Both stacks have a fixed shape, DEPTH = 2
+blocks of WIDTH = 64 with HEADS = 4 attention heads, as a pre-trained encoder's
+shape is fixed by its weights. All weights are drawn once from a seed and
 never trained: learning happens entirely in the projection heads, and real
 pre-trained encoders can be swapped in through embedding dumps.
 """
@@ -22,6 +24,9 @@ from .dsp import N_MELS, Spectrogram
 from .seeding import derive_seed
 
 MAX_CONTENT_TOKENS = 32
+DEPTH = 2
+WIDTH = 64
+HEADS = 4
 UNK_TOKEN = "[UNK]"
 CLS_TOKEN = "[CLS]"
 
@@ -145,18 +150,9 @@ def structured_patchout(grid: PatchGrid, drop_f: int, drop_t: int, rng: np.rando
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Seed and size of a frozen toy encoder."""
+    """Seed of a frozen toy encoder."""
 
     seed: int = 0
-    depth: int = 2
-    width: int = 64
-    heads: int = 4
-
-    def __post_init__(self):
-        if self.depth < 1 or self.width < 1 or self.heads < 1:
-            raise ValueError("depth, width and heads must be >= 1")
-        if self.width % self.heads != 0:
-            raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,10 @@ class _Block:
     b2: np.ndarray
 
 
-def _draw_blocks(rng: np.random.Generator, p: EncoderParams) -> tuple[_Block, ...]:
-    w, hidden = p.width, 4 * p.width
+def _draw_blocks(rng: np.random.Generator) -> tuple[_Block, ...]:
+    w, hidden = WIDTH, 4 * WIDTH
     blocks = []
-    for _ in range(p.depth):
+    for _ in range(DEPTH):
         blocks.append(
             _Block(
                 wq=rng.normal(0.0, w**-0.5, (w, w)),
@@ -193,16 +189,16 @@ def _draw_blocks(rng: np.random.Generator, p: EncoderParams) -> tuple[_Block, ..
 @lru_cache(maxsize=32)
 def _audio_weights(p: EncoderParams, patch_dim: int):
     rng = np.random.default_rng(derive_seed(p.seed, "toy-audio-encoder"))
-    w_in = rng.normal(0.0, patch_dim**-0.5, (p.width, patch_dim))
-    b_in = rng.normal(0.0, 0.02, p.width)
-    return w_in, b_in, _draw_blocks(rng, p)
+    w_in = rng.normal(0.0, patch_dim**-0.5, (WIDTH, patch_dim))
+    b_in = rng.normal(0.0, 0.02, WIDTH)
+    return w_in, b_in, _draw_blocks(rng)
 
 
 @lru_cache(maxsize=32)
 def _text_weights(p: EncoderParams, vocab_size: int):
     rng = np.random.default_rng(derive_seed(p.seed, "toy-text-encoder"))
-    table = rng.normal(0.0, 1.0, (vocab_size, p.width))
-    return table, _draw_blocks(rng, p)
+    table = rng.normal(0.0, 1.0, (vocab_size, WIDTH))
+    return table, _draw_blocks(rng)
 
 
 # These elementwise helpers dominate the encoder's cost, so each works in place
@@ -240,22 +236,22 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attention(x: np.ndarray, blk: _Block, heads: int) -> np.ndarray:
+def _attention(x: np.ndarray, blk: _Block) -> np.ndarray:
     n, w = x.shape
-    hd = w // heads
-    q = (x @ blk.wq.T).reshape(n, heads, hd).transpose(1, 0, 2)
-    k = (x @ blk.wk.T).reshape(n, heads, hd).transpose(1, 0, 2)
-    v = (x @ blk.wv.T).reshape(n, heads, hd).transpose(1, 0, 2)
+    hd = w // HEADS
+    q = (x @ blk.wq.T).reshape(n, HEADS, hd).transpose(1, 0, 2)
+    k = (x @ blk.wk.T).reshape(n, HEADS, hd).transpose(1, 0, 2)
+    v = (x @ blk.wv.T).reshape(n, HEADS, hd).transpose(1, 0, 2)
     scores = q @ k.transpose(0, 2, 1)
     scores /= math.sqrt(hd)
     out = _softmax(scores) @ v
     return out.transpose(1, 0, 2).reshape(n, w) @ blk.wo.T
 
 
-def _encode_tokens(tokens: np.ndarray, blocks: tuple[_Block, ...], heads: int) -> np.ndarray:
+def _encode_tokens(tokens: np.ndarray, blocks: tuple[_Block, ...]) -> np.ndarray:
     x = tokens
     for blk in blocks:
-        x = x + _attention(_layer_norm(x), blk, heads)
+        x = x + _attention(_layer_norm(x), blk)
         y = _layer_norm(x)
         x = x + _gelu(y @ blk.w1.T + blk.b1) @ blk.w2.T + blk.b2
     return _layer_norm(x)
@@ -269,7 +265,7 @@ def _sinusoid(positions: np.ndarray, dim: int) -> np.ndarray:
 
 
 def audio_encode(grid: PatchGrid, p: EncoderParams = EncoderParams()) -> np.ndarray:
-    """Encode a patch grid to a width-dim vector with the frozen audio stack.
+    """Encode a patch grid to a WIDTH-dim vector with the frozen audio stack.
 
     Patches are linearly projected, given a sinusoidal 2-D positional code
     built from their (row, col) tags, run through the attention blocks, and
@@ -279,12 +275,12 @@ def audio_encode(grid: PatchGrid, p: EncoderParams = EncoderParams()) -> np.ndar
     if len(grid) == 0:
         raise EmptyGrid("cannot encode an empty patch grid")
     w_in, b_in, blocks = _audio_weights(p, grid.patches.shape[1])
-    half = p.width // 2
+    half = WIDTH // 2
     pos = np.concatenate(
-        [_sinusoid(grid.tags[:, 0], half), _sinusoid(grid.tags[:, 1], p.width - half)], axis=1
+        [_sinusoid(grid.tags[:, 0], half), _sinusoid(grid.tags[:, 1], WIDTH - half)], axis=1
     )
     tokens = grid.patches @ w_in.T + b_in + pos
-    return _encode_tokens(tokens, blocks, p.heads).mean(axis=0)
+    return _encode_tokens(tokens, blocks).mean(axis=0)
 
 
 def embed_long_audio(segments: list[PatchGrid], p: EncoderParams = EncoderParams()) -> np.ndarray:
@@ -396,5 +392,5 @@ def text_encode(t: TokenSeq, p: EncoderParams = EncoderParams(), vocab_size: int
     idx = np.asarray(t.ids, dtype=np.int64)
     if idx.min() < 0 or idx.max() >= vocab_size:
         raise EncoderError(f"token id outside vocabulary of size {vocab_size}")
-    tokens = table[idx] + _sinusoid(np.arange(idx.size), p.width)
-    return _encode_tokens(tokens, blocks, p.heads)[0]
+    tokens = table[idx] + _sinusoid(np.arange(idx.size), WIDTH)
+    return _encode_tokens(tokens, blocks)[0]

@@ -269,12 +269,14 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def atomic_write(path, payload: bytes) -> None:
-    """Write payload to path through a per-process temp file and a rename.
+def atomic_write(path, payload: bytes | bytearray) -> None:
+    """Write payload to path through a per-process temp file and a rename,
+    creating the parent directory first.
 
     Readers see either the old file or the new one, never a partial write.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (path.name + f".tmp.{os.getpid()}")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
@@ -303,7 +305,7 @@ def write_embedding_dump(entries, path) -> None:
         buf += _ID_LEN.pack(len(id_bytes))
         buf += id_bytes
         buf += vec.tobytes()
-    atomic_write(path, bytes(buf))
+    atomic_write(path, buf)
 
 
 def _parse_dump(path: Path) -> tuple[list[str], np.ndarray]:

@@ -58,18 +58,12 @@ class RetrievalIndex:
 
 @dataclass(frozen=True)
 class QueryResult:
-    query_id: str
     ranked_ids: tuple[str, ...]
     scores: np.ndarray  # cosine similarity of each ranked clip, in ranked order
     rank_of_target: int | None
 
 
-def rank(
-    query_vec: np.ndarray,
-    index: RetrievalIndex,
-    query_id: str = "",
-    target_id: str | None = None,
-) -> QueryResult:
+def rank(query_vec: np.ndarray, index: RetrievalIndex, target_id: str | None = None) -> QueryResult:
     """Order all indexed clips by descending cosine similarity to the query.
 
     Ties break on ascending clip id so results are reproducible. The result
@@ -87,7 +81,7 @@ def rank(
         if target_id not in index.ids:
             raise UnknownTargetId(f"target {target_id!r} not in index")
         rank_of_target = ranked.index(target_id) + 1
-    return QueryResult(query_id=query_id, ranked_ids=ranked, scores=sims[order], rank_of_target=rank_of_target)
+    return QueryResult(ranked_ids=ranked, scores=sims[order], rank_of_target=rank_of_target)
 
 
 def average_precision_at_10(rank_of_target: int) -> float:
@@ -279,7 +273,6 @@ def segment_length_sweep(
     enc_params: encoder.EncoderParams,
     geometry: encoder.PatchGeometry,
     whitening: dsp.WhiteningStats,
-    logmel_cfg: dsp.LogmelConfig = dsp.DEFAULT_LOGMEL,
 ) -> list[SweepRow]:
     """Evaluate retrieval when audio is chopped into fixed-length segments.
 
@@ -289,10 +282,10 @@ def segment_length_sweep(
     """
     if not lengths_seconds:
         raise ValueError("no segment lengths supplied")
-    specs = [dsp.whiten(dsp.logmel(clip.waveform, logmel_cfg), whitening) for clip in clips]
+    specs = [dsp.whiten(dsp.logmel(clip.waveform), whitening) for clip in clips]
     rows = []
     for length in lengths_seconds:
-        seg_frames = dsp.seconds_to_frames(length, logmel_cfg)
+        seg_frames = dsp.seconds_to_frames(length)
         counts = []
         audio_vecs = []
         for spec in specs:

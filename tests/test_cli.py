@@ -201,6 +201,25 @@ def test_evaluate_rejects_version_1_checkpoint(wav_dataset, tmp_path, capsys):
     assert err.startswith("error: SpaceError: ") and "unsupported checkpoint version 1" in err
 
 
+@pytest.mark.parametrize(
+    "case", ["evaluate without checkpoint", "evaluate truncated checkpoint", "embed missing wav"]
+)
+def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, case):
+    out = tmp_path / "never"
+    if case == "evaluate without checkpoint":
+        argv = ["evaluate", *common(wav_dataset, out)]
+    elif case == "evaluate truncated checkpoint":
+        truncated = tmp_path / "short.ackp"
+        truncated.write_bytes(space.CHECKPOINT_MAGIC + b"\x02")
+        argv = ["evaluate", *common(wav_dataset, out), "--checkpoint", str(truncated)]
+    else:
+        (wav_dataset["audio_dir"] / "clip0.wav").unlink()
+        argv = ["embed", *common(wav_dataset, out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_rank_prints_ordering(wav_dataset, tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["train", *common(wav_dataset, out), "--epochs", "6", "--batch-size", "3", "--lr-max", "1e-2"]) == 0

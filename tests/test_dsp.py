@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -161,3 +162,18 @@ def test_waveform_validation():
         dsp.Waveform(np.array([np.nan]), 32000)
     with pytest.raises(ValueError):
         dsp.Waveform(np.zeros(4), 0)
+
+
+def test_logmel_is_pinned_to_the_byte():
+    # sha256 of the float32 bytes of a log-mel and of the filterbank; a change
+    # to the front end's arithmetic that moves any cell by one bit moves these
+    rng = np.random.default_rng(9)
+    t = np.arange(3 * 32000) / 32000
+    w = dsp.Waveform(0.4 * np.sin(2 * np.pi * 440.0 * t) + rng.uniform(-0.5, 0.5, t.size), 32000)
+    spec = dsp.logmel(w)
+    assert spec.frames == 297
+    arrays = (spec.values, dsp.mel_filterbank())
+    assert [hashlib.sha256(a.astype(np.float32).tobytes()).hexdigest() for a in arrays] == [
+        "baf05427ca6fe2b562c7f3d6fec59c1f986e2cee4701e95692d39e77e910fd36",
+        "222e1d8b0613cc529da5357837722e1af805e55dbc86a9492cb85fe60e42f3cf",
+    ]

@@ -260,11 +260,6 @@ def test_text_encode_rejects_out_of_vocab_ids(vocab):
         encoder.text_encode(ts, encoder.EncoderParams(seed=0), len(vocab))
 
 
-def test_encoder_params_validation():
-    with pytest.raises(ValueError):
-        encoder.EncoderParams(width=30, heads=4)
-
-
 def test_geometry_presets_cover_expected_settings():
     assert encoder.PRESETS["passt-n"].drop_t == 15
     assert encoder.PRESETS["passt-s"].drop_t == 50

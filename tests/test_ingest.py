@@ -333,6 +333,21 @@ def test_dump_read_holds_the_matrix_not_the_file(tmp_path):
     assert peak < 1.5 * vectors.nbytes
 
 
+def test_dump_write_holds_the_file_once(tmp_path):
+    n, dim = 2731, 768
+    p = tmp_path / "big.embd"
+    vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+    entries = [(f"clip{i:05d}", v) for i, v in enumerate(vectors)]
+    tracemalloc.start()
+    try:
+        ingest.write_embedding_dump(entries, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the buffer being built, plus a small per-entry list; a copy of it on write would be 2x
+    assert peak < 1.5 * p.stat().st_size
+
+
 def test_atomic_write_replaces_target_without_leftovers(tmp_path):
     p = tmp_path / "out.txt"
     p.write_bytes(b"old contents")

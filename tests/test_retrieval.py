@@ -156,7 +156,7 @@ def assert_evaluate_agrees_with_rank(queries, index):
     # one-query mAP@10 of 1/r recovers the rank r exactly
     assert len(index) <= 10
     for q in queries:
-        r = retrieval.rank(q.vector, index, q.query_id, q.target_id).rank_of_target
+        r = retrieval.rank(q.vector, index, target_id=q.target_id).rank_of_target
         assert retrieval.evaluate([q], index).map_at_10 == 1.0 / r
 
 
