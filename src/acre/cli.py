@@ -241,10 +241,10 @@ def _embed_texts(texts: list[tuple[str, str]], settings: RunSettings) -> list[tu
 
 
 def _raw_vectors(settings: RunSettings, dump_name: str, embed) -> dict[str, np.ndarray]:
-    """Raw (pre-projection) vectors by id: embed() under the toy encoder, else
-    the named file of the dump directory."""
+    """Raw (pre-projection) vectors by id: the named file of the dump directory,
+    or embed() under the toy encoder, rounded to float32 as a dump holds them."""
     if settings.encoder is None:
-        return dict(embed())
+        return {key: np.asarray(vector, dtype="<f4") for key, vector in embed()}
     return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
 
 
@@ -259,32 +259,32 @@ def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarra
     return vectors[key]
 
 
-def _train_pairs(records: list[ingest.ClipRecord], settings: RunSettings) -> list[space.TrainPair]:
+def _train_pairs(
+    records: list[ingest.ClipRecord], settings: RunSettings, with_variants: bool = False
+) -> list[space.TrainPair]:
+    """A pair per record; with_variants attaches the --augmented-captions
+    variants of each caption, parsed before any dump is read."""
+    aug_sets = None
+    if with_variants and settings.augmented_captions is not None:
+        known = {rec.clip_id for rec in records}
+        aug_sets = [a for a in ingest.load_augmented_captions(settings.augmented_captions) if a.clip_id in known]
     audio = _raw_audio(records, settings)
     captions = _raw_vectors(settings, "captions.embd", lambda: _embed_texts(_caption_texts(records), settings))
+    variants: dict[str, tuple[np.ndarray, ...]] = {}
+    if aug_sets is not None:
+        entries = _raw_vectors(settings, "variants.embd", lambda: _embed_texts(_variant_texts(aug_sets), settings))
+        for aug in aug_sets:
+            key = f"{aug.clip_id}#{aug.caption_index}"
+            variants[key] = tuple(_embedding(entries, f"{key}@{j}", "variant") for j in range(len(aug.variants)))
     return [
         space.TrainPair(
             rec.clip_id,
             _embedding(audio, rec.clip_id, "audio"),
             tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
+            tuple(variants.get(f"{rec.clip_id}#{k}", ()) for k in range(len(rec.captions))),
         )
         for rec in records
     ]
-
-
-def _augmap(records: list[ingest.ClipRecord], settings: RunSettings) -> space.AugMap | None:
-    if settings.augmented_captions is None:
-        return None
-    aug_sets = ingest.load_augmented_captions(settings.augmented_captions)
-    known = {rec.clip_id for rec in records}
-    aug_sets = [a for a in aug_sets if a.clip_id in known]
-    entries = _raw_vectors(settings, "variants.embd", lambda: _embed_texts(_variant_texts(aug_sets), settings))
-    augmap: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
-    for aug in aug_sets:
-        augmap[(aug.clip_id, aug.caption_index)] = tuple(
-            _embedding(entries, f"{aug.clip_id}#{aug.caption_index}@{j}", "variant") for j in range(len(aug.variants))
-        )
-    return augmap
 
 
 def _require_out(settings: RunSettings) -> Path:
@@ -306,13 +306,15 @@ def cmd_embed(settings: RunSettings) -> int:
         raise CliError("embed requires the toy encoder; dump files already hold embeddings")
     out = _require_out(settings)
     records = _load_records(settings)
+    aug_sets = None
+    if settings.augmented_captions is not None:
+        aug_sets = ingest.load_augmented_captions(settings.augmented_captions)
     audio_entries, stats = _embed_audio(records, settings)
     caption_entries = _embed_texts(_caption_texts(records), settings)
     ingest.write_embedding_dump(audio_entries, out / "audio.embd")
     ingest.write_embedding_dump(caption_entries, out / "captions.embd")
     n_variants = 0
-    if settings.augmented_captions is not None:
-        aug_sets = ingest.load_augmented_captions(settings.augmented_captions)
+    if aug_sets is not None:
         variant_entries = _embed_texts(_variant_texts(aug_sets), settings)
         ingest.write_embedding_dump(variant_entries, out / "variants.embd")
         n_variants = len(variant_entries)
@@ -333,11 +335,8 @@ def _run_training(settings: RunSettings, phase: str) -> int:
         init = (ckpt.audio_head, ckpt.text_head)
     out = _require_out(settings)
     records = _load_records(settings)
-    pairs = _train_pairs(records, settings)
-    augmap = _augmap(records, settings) if phase == "finetune" else None
-    result = space.train(
-        pairs, settings.train, phase=phase, augmented=augmap, strict=settings.strict, init=init
-    )
+    pairs = _train_pairs(records, settings, with_variants=phase == "finetune")
+    result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
     checkpoint = out / "checkpoint.ackp"
     space.save_checkpoint(checkpoint, result.audio_head, result.text_head, result.total_steps, settings.train)
     ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))
@@ -402,8 +401,8 @@ def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
     shapes = []
     for part in text.split(","):
         dims = part.strip().lower().split("x")
-        if len(dims) != 3 or not all(d.strip().isdigit() for d in dims):
-            raise argparse.ArgumentTypeError(f"bad shape {part!r}; expected NxD_inxD_out")
+        if len(dims) != 3 or not all(d.strip().isdigit() and int(d) >= 1 for d in dims):
+            raise argparse.ArgumentTypeError(f"bad shape {part!r}; expected NxD_inxD_out, each at least 1")
         shapes.append(tuple(int(d) for d in dims))
     return tuple(shapes)
 

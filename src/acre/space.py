@@ -430,38 +430,35 @@ def check_phase(cfg: TrainConfig, phase: str) -> None:
 
 @dataclass(frozen=True)
 class TrainPair:
-    """One clip's frozen encoder outputs: an audio vector and its caption vectors,
-    kept as given; a batch of them becomes float64 in project and loss_gradients."""
+    """One clip's frozen encoder outputs: an audio vector, its caption vectors
+    and, for finetuning, variants[k], the augmented variants of captions[k]
+    (empty when it has none). Vectors are kept as given; a batch of them
+    becomes float64 in project and loss_gradients."""
 
     clip_id: str
     audio: np.ndarray
     captions: tuple[np.ndarray, ...]
+    variants: tuple[tuple[np.ndarray, ...], ...] = ()
 
     def __post_init__(self):
         if not self.captions:
             raise ValueError(f"clip {self.clip_id!r}: needs at least one caption vector")
+        if self.variants and len(self.variants) != len(self.captions):
+            raise ValueError(
+                f"clip {self.clip_id!r}: {len(self.variants)} variant sets for {len(self.captions)} captions"
+            )
 
 
-AugMap = Mapping[tuple[str, int], Sequence[np.ndarray]]
-
-
-def sample_caption(
-    pair: TrainPair,
-    rng: np.random.Generator,
-    swap_prob: float = 0.0,
-    augmented: AugMap | None = None,
-) -> np.ndarray:
+def sample_caption(pair: TrainPair, rng: np.random.Generator, swap_prob: float = 0.0) -> np.ndarray:
     """Draw one caption vector for a batch appearance of this clip.
 
     A caption index is drawn uniformly; with probability swap_prob the caption
-    is replaced by one of its augmented variants (uniform among them). Captions
-    without variants are used as-is.
+    is replaced by one of its variants (uniform among them). Captions without
+    variants are used as-is.
     """
     idx = int(rng.integers(len(pair.captions)))
-    if swap_prob > 0.0 and rng.random() < swap_prob:
-        variants = augmented.get((pair.clip_id, idx)) if augmented else None
-        if variants:
-            return variants[int(rng.integers(len(variants)))]
+    if swap_prob > 0.0 and rng.random() < swap_prob and pair.variants and pair.variants[idx]:
+        return pair.variants[idx][int(rng.integers(len(pair.variants[idx])))]
     return pair.captions[idx]
 
 
@@ -480,23 +477,10 @@ class TrainResult:
     total_steps: int
 
 
-def _check_augmentation_coverage(pairs: Sequence[TrainPair], augmented: AugMap | None) -> None:
-    missing = []
-    for pair in pairs:
-        for idx in range(len(pair.captions)):
-            if augmented is None or (pair.clip_id, idx) not in augmented:
-                missing.append((pair.clip_id, idx))
-    if missing:
-        raise MissingAugmentation(
-            f"{len(missing)} caption(s) lack augmented variants, first: {missing[0]!r}"
-        )
-
-
 def train(
     pairs: Sequence[TrainPair],
     cfg: TrainConfig,
     phase: str = "pretrain",
-    augmented: AugMap | None = None,
     strict: bool = False,
     init: tuple[ProjectionHead, ProjectionHead] | None = None,
 ) -> TrainResult:
@@ -505,8 +489,8 @@ def train(
     Each epoch shuffles the clips and walks complete batches (the final
     incomplete batch is dropped); each clip appearance samples one of its
     captions uniformly. The finetune phase additionally swaps captions for
-    augmented variants with probability cfg.swap_prob and uses the finetune
-    learning rate with no warmup.
+    their variants with probability cfg.swap_prob and uses the finetune
+    learning rate with no warmup; strict requires a variant for every caption.
     """
     check_phase(cfg, phase)
     pairs = list(pairs)
@@ -522,9 +506,12 @@ def train(
     finetune = phase == "finetune"
     swap_prob = cfg.swap_prob if finetune else 0.0
     if finetune:
-        if strict:
-            _check_augmentation_coverage(pairs, augmented)
-        elif augmented is None and cfg.swap_prob > 0.0:
+        missing = [
+            (p.clip_id, k) for p in pairs for k in range(len(p.captions)) if not (p.variants and p.variants[k])
+        ]
+        if strict and missing:
+            raise MissingAugmentation(f"{len(missing)} caption(s) lack augmented variants, first: {missing[0]!r}")
+        if cfg.swap_prob > 0.0 and not any(any(p.variants) for p in pairs):
             warnings.warn("finetune without augmented captions: swaps will never fire", stacklevel=2)
 
     epochs = cfg.finetune_epochs if finetune else cfg.pretrain_epochs
@@ -563,7 +550,7 @@ def train(
         for b in range(steps_per_epoch):
             batch = [pairs[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
             A = np.stack([pair.audio for pair in batch])
-            T = np.stack([sample_caption(pair, rng, swap_prob, augmented) for pair in batch])
+            T = np.stack([sample_caption(pair, rng, swap_prob) for pair in batch])
             lr = lr_at(step, total_steps, warmup_steps, lr_max, cfg.lr_min)
             loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
             if not math.isfinite(loss.value):

@@ -117,6 +117,14 @@ def test_finetune_strict_without_augmentations_fails(wav_dataset, tmp_path, caps
     assert "MissingAugmentation" in capsys.readouterr().err
 
 
+def test_finetune_warns_when_variants_cover_no_clip(wav_dataset, tmp_path):
+    elsewhere = tmp_path / "elsewhere.jsonl"
+    elsewhere.write_text('{"clip_id": "other.wav", "caption_index": 0, "variants": ["a", "b", "c", "d", "e"]}\n')
+    args = ["--augmented-captions", str(elsewhere), "--epochs", "1", "--batch-size", "3"]
+    with pytest.warns(UserWarning, match="swaps will never fire"):
+        assert run(["finetune", *common(wav_dataset, tmp_path / "ft"), *args]) == 0
+
+
 def test_finetune_with_augmentations(wav_dataset, tmp_path):
     out = tmp_path / "run"
     assert run(["train", *common(wav_dataset, out), "--epochs", "2", "--batch-size", "3"]) == 0
@@ -132,21 +140,36 @@ def test_finetune_with_augmentations(wav_dataset, tmp_path):
     assert (tmp_path / "ft" / "checkpoint.ackp").exists()
 
 
-def test_dump_encoder_roundtrip(wav_dataset, tmp_path):
+def test_dump_encoder_roundtrip(wav_dataset, tmp_path, capsys):
+    # the toy encoder rounds its vectors to float32 as embed writes them, so a
+    # toy run and a run on embed's dumps see the same vectors and write the same bytes
     emb = tmp_path / "emb"
-    assert run(["embed", *common(wav_dataset, emb)]) == 0
-    out = tmp_path / "trained"
-    args = [
-        "train", *common(wav_dataset, out),
-        "--encoder", f"dump:{emb}", "--epochs", "3", "--batch-size", "3",
+    assert run(["embed", *common(wav_dataset, emb), "--augmented-captions", str(wav_dataset["augmented"])]) == 0
+    capsys.readouterr()
+    runs = {}
+    for name, extra in (("toy", []), ("dump", ["--encoder", f"dump:{emb}"])):
+        base = tmp_path / name
+        pretrained, finetuned = (str(base / phase / "checkpoint.ackp") for phase in ("train", "finetune"))
+        steps = [
+            ["train", "--epochs", "3", "--batch-size", "3"],
+            [
+                "finetune", "--epochs", "2", "--batch-size", "3", "--checkpoint", pretrained,
+                "--augmented-captions", str(wav_dataset["augmented"]), "--strict",
+            ],
+            ["evaluate", "--checkpoint", finetuned],
+        ]
+        for command, *args in steps:
+            assert run([command, *common(wav_dataset, base / command, extra), *args]) == 0
+        capsys.readouterr()
+        rank = ["--checkpoint", finetuned, "--query", "a tone of kind 2 sounds loud"]
+        assert run(["rank", *common(wav_dataset, base / "rank", extra), *rank]) == 0
+        files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
+        runs[name] = ({str(f): (base / f).read_bytes() for f in files}, capsys.readouterr().out)
+    assert sorted(runs["toy"][0]) == [
+        "evaluate/metrics.csv", "evaluate/report.txt", "finetune/checkpoint.ackp", "finetune/loss.csv",
+        "train/checkpoint.ackp", "train/loss.csv",
     ]
-    assert run(args) == 0
-    # dump-backed and toy-backed training agree because embed is deterministic
-    toy_out = tmp_path / "toy"
-    assert run(["train", *common(wav_dataset, toy_out), "--epochs", "3", "--batch-size", "3"]) == 0
-    a = space.load_checkpoint(out / "checkpoint.ackp")
-    b = space.load_checkpoint(toy_out / "checkpoint.ackp")
-    assert np.allclose(a.audio_head.weight, b.audio_head.weight, atol=1e-5)
+    assert runs["toy"] == runs["dump"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -202,7 +225,8 @@ def test_evaluate_rejects_version_1_checkpoint(wav_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["evaluate without checkpoint", "evaluate truncated checkpoint", "embed missing wav"]
+    "case",
+    ["evaluate without checkpoint", "evaluate truncated checkpoint", "embed missing wav", "embed missing variants"],
 )
 def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, case):
     out = tmp_path / "never"
@@ -212,9 +236,11 @@ def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, c
         truncated = tmp_path / "short.ackp"
         truncated.write_bytes(space.CHECKPOINT_MAGIC + b"\x02")
         argv = ["evaluate", *common(wav_dataset, out), "--checkpoint", str(truncated)]
-    else:
+    elif case == "embed missing wav":
         (wav_dataset["audio_dir"] / "clip0.wav").unlink()
         argv = ["embed", *common(wav_dataset, out)]
+    else:
+        argv = ["embed", *common(wav_dataset, out), "--augmented-captions", str(tmp_path / "missing.jsonl")]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -312,6 +338,17 @@ def test_rank_rejects_top_below_one(wav_dataset, tmp_path, capsys, top):
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", ["4x0x4", "0x4x4"])
+def test_gradcheck_refuses_zero_dimension(capsys, shape):
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--shapes", f"8x16x12,{shape}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"acre gradcheck: error: argument --shapes: bad shape '{shape}'; expected NxD_inxD_out, each at least 1"
+    )
 
 
 def test_gradcheck_perturbed_fails(monkeypatch, capsys):

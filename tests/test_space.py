@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -421,19 +422,27 @@ def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
     # float32 -> float64 is exact, so rows held as float32 until the math starts change no bit
     def as_dtype(pairs, dtype):
         return [
-            space.TrainPair(p.clip_id, p.audio.astype(dtype), tuple(c.astype(dtype) for c in p.captions)) for p in pairs
+            space.TrainPair(
+                p.clip_id,
+                p.audio.astype(dtype),
+                tuple(c.astype(dtype) for c in p.captions),
+                tuple(tuple(v.astype(dtype) for v in vs) for vs in p.variants),
+            )
+            for p in pairs
         ]
 
     sources = make_latent_pairs(13, n_train=48, n_eval=20, d_audio=12, d_text=10)
     train32, eval32 = (as_dtype(pairs, np.float32) for pairs in sources)
-    variants32 = {(p.clip_id, 0): (p.captions[0] + np.float32(1.0), -p.captions[0]) for p in train32}
+    train32 = [
+        space.TrainPair(p.clip_id, p.audio, p.captions, ((p.captions[0] + np.float32(1.0), -p.captions[0]),))
+        for p in train32
+    ]
     cfg = small_cfg(seed=3, swap_prob=0.5)
     outcomes = []
     for dtype in (np.float32, np.float64):
         pairs = as_dtype(train32, dtype)
-        augmap = {key: tuple(v.astype(dtype) for v in vs) for key, vs in variants32.items()}
         pre = space.train(pairs, cfg, phase="pretrain")
-        fine = space.train(pairs, cfg, phase="finetune", augmented=augmap, init=(pre.audio_head, pre.text_head))
+        fine = space.train(pairs, cfg, phase="finetune", init=(pre.audio_head, pre.text_head))
         queries, index = retrieval.build_eval(as_dtype(eval32, dtype), fine.audio_head, fine.text_head)
         arrays = [a for r in (pre, fine) for h in (r.audio_head, r.text_head) for a in (h.weight, h.bias)]
         arrays += [index.vectors] + [q.vector for q in queries]
@@ -444,37 +453,77 @@ def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
 
 def test_finetune_swaps_alter_stream():
     pairs = tiny_pairs(5)
-    augmap = {
-        (p.clip_id, i): tuple(c + 1.0 for c in p.captions) for p in pairs for i in range(len(p.captions))
-    }
+    with_variants = [
+        space.TrainPair(p.clip_id, p.audio, p.captions, tuple((c + 1.0,) for c in p.captions)) for p in pairs
+    ]
     cfg = small_cfg(seed=7, warmup_epochs=0)
     plain = space.train(pairs, cfg, phase="pretrain")
-    swapped = space.train(pairs, cfg, phase="finetune", augmented=augmap)
+    swapped = space.train(with_variants, cfg, phase="finetune")
     assert [p.loss for p in plain.curve] != [p.loss for p in swapped.curve]
 
 
 def test_swap_always_uses_single_variant():
-    pairs = tiny_pairs(2, n=16)
     marker = np.full(10, 123.0)
-    augmap = {(p.clip_id, 0): (marker,) for p in pairs}
+    pairs = [space.TrainPair(p.clip_id, p.audio, p.captions, ((marker,),)) for p in tiny_pairs(2, n=16)]
     rng = np.random.default_rng(0)
     for p in pairs:
-        vec = space.sample_caption(p, rng, swap_prob=1.0, augmented=augmap)
+        vec = space.sample_caption(p, rng, swap_prob=1.0)
         assert np.array_equal(vec, marker)
 
 
 def test_swap_rate_concentrates_around_p():
-    pairs = tiny_pairs(9, n=20)
     marker = np.full(10, 777.0)
-    augmap = {(p.clip_id, 0): (marker,) for p in pairs}
+    pairs = [space.TrainPair(p.clip_id, p.audio, p.captions, ((marker,),)) for p in tiny_pairs(9, n=20)]
     rng = np.random.default_rng(derive_seed(0, "swap-rate"))
     draws = 10_000
     swapped = 0
     for k in range(draws):
         pair = pairs[k % len(pairs)]
-        vec = space.sample_caption(pair, rng, swap_prob=0.3, augmented=augmap)
+        vec = space.sample_caption(pair, rng, swap_prob=0.3)
         swapped += vec[0] == 777.0
     assert 0.28 <= swapped / draws <= 0.32
+
+
+def swap_stream_pairs(partial: bool) -> list[space.TrainPair]:
+    """Twelve clips of three captions; caption k of clip i has 1 + (i + k) % 3
+    variants, and with partial a quarter of the captions have none."""
+    rng = np.random.default_rng(derive_seed(17, "swap-stream"))
+    pairs = []
+    for i in range(12):
+        audio = rng.normal(size=12)
+        captions = tuple(rng.normal(size=10) for _ in range(3))
+        variants = tuple(tuple(rng.normal(size=10) for _ in range(1 + (i + k) % 3)) for k in range(3))
+        if partial:
+            variants = tuple(() if (i + 2 * k) % 4 == 0 else vs for k, vs in enumerate(variants))
+        pairs.append(space.TrainPair(f"clip{i:02d}", audio, captions, variants))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "partial, heads_sha, curve_sha",
+    [(False, "5007cf6cb1a774ba", "9e42a561c226a10e"), (True, "ae1940de1c8e595f", "779ac4d189ee63c4")],
+    ids=["every-caption", "three-quarters"],
+)
+def test_finetune_swap_stream_is_pinned(partial, heads_sha, curve_sha):
+    # the caption index, the swap coin (only when swap_prob > 0) and the variant
+    # index (only when that caption has variants) are drawn in this order; the
+    # digests fix the float32 heads and the (lr, loss) curve that order yields
+    cfg = small_cfg(batch_size=4, finetune_epochs=3, swap_prob=0.5, seed=4)
+    result = space.train(swap_stream_pairs(partial), cfg, phase="finetune", strict=not partial)
+    heads = b"".join(
+        np.asarray(a, dtype="<f4").tobytes() for h in (result.audio_head, result.text_head) for a in (h.weight, h.bias)
+    )
+    curve = np.array([(p.lr, p.loss) for p in result.curve]).tobytes()
+    assert len(result.curve) == 9
+    assert hashlib.sha256(heads).hexdigest()[:16] == heads_sha
+    assert hashlib.sha256(curve).hexdigest()[:16] == curve_sha
+
+
+def test_train_pair_needs_one_variant_set_per_caption():
+    vec = np.zeros(3)
+    space.TrainPair("clip", vec, (vec, vec), ((vec,), ()))
+    with pytest.raises(ValueError, match=r"^clip 'clip': 1 variant sets for 2 captions$"):
+        space.TrainPair("clip", vec, (vec, vec), ((vec,),))
 
 
 def test_train_errors():
@@ -484,7 +533,7 @@ def test_train_errors():
     with pytest.raises(space.EmptyDataset):
         space.train(pairs, small_cfg(batch_size=64))
     with pytest.raises(space.MissingAugmentation):
-        space.train(pairs, small_cfg(batch_size=2), phase="finetune", strict=True, augmented=None)
+        space.train(pairs, small_cfg(batch_size=2), phase="finetune", strict=True)
 
 
 def test_train_stops_on_first_non_finite_loss(monkeypatch):
@@ -506,8 +555,13 @@ def test_train_stops_on_first_non_finite_loss(monkeypatch):
 
 def test_train_warns_without_augmentations():
     pairs = tiny_pairs(1, n=8)
+    cfg = small_cfg(batch_size=4, finetune_epochs=1)
     with pytest.warns(UserWarning, match="without augmented captions"):
-        space.train(pairs, small_cfg(batch_size=4, finetune_epochs=1), phase="finetune")
+        space.train(pairs, cfg, phase="finetune")
+    # variant sets that are all empty never swap either
+    uncovered = [space.TrainPair(p.clip_id, p.audio, p.captions, ((),)) for p in pairs]
+    with pytest.warns(UserWarning, match="without augmented captions"):
+        space.train(uncovered, cfg, phase="finetune")
 
 
 def test_train_zero_epochs_returns_initialization():
