@@ -296,8 +296,8 @@ def _require_out(settings: RunSettings) -> Path:
 
 
 def _loss_csv(curve) -> str:
-    lines = ["step,lr,loss"]
-    lines += [f"{p.step},{p.lr!r},{p.loss!r}" for p in curve]
+    lines = ["step,lr,loss,text_to_audio,audio_to_text"]
+    lines += [f"{p.step},{p.lr!r},{p.loss!r},{p.text_to_audio!r},{p.audio_to_text!r}" for p in curve]
     return "\n".join(lines)
 
 

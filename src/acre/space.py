@@ -30,10 +30,10 @@ from .seeding import derive_seed
 
 SHARED_DIM = 1024
 
-# 32768 float64 elements = 256 KiB per array: one block of a parameter, its two
-# moments, its gradient and both scratch buffers (1.5 MiB) stay in L2 through
-# all passes. On the 768->1024 heads (2 vCPUs, 2 MiB L2 each) 8192 and 262144
-# were slower: about 19 and 23 ms per step against 17.
+# 32768 float32 elements = 128 KiB per array: one block of a parameter, its two
+# moments, its gradient and both scratch buffers (768 KiB) stay in L2 through
+# all passes. On the float32 768->1024 heads (2 vCPUs, 2 MiB L2 each) one step
+# took 7.5 ms; 65536 tied, and 16384 and 131072 took 8.7 and 8.0 ms.
 _ADAM_BLOCK = 32768
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -80,8 +80,10 @@ class ProjectionHead:
     bias: np.ndarray  # (d_out,)
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        weight, bias = np.asarray(self.weight), np.asarray(self.bias)
+        # float32 heads train; any other dtype becomes the float64 that evaluation runs in
+        dtype = np.float32 if weight.dtype == bias.dtype == np.float32 else np.float64
+        self.weight, self.bias = weight.astype(dtype, copy=False), bias.astype(dtype, copy=False)
         if self.weight.ndim != 2 or self.bias.ndim != 1:
             raise ValueError("weight must be 2-D and bias 1-D")
         if self.weight.shape[0] != self.bias.shape[0]:
@@ -107,13 +109,10 @@ class ProjectionHead:
             bias=rng.uniform(-bound, bound, d_out),
         )
 
-    def copy(self) -> "ProjectionHead":
-        return ProjectionHead(self.weight.copy(), self.bias.copy())
-
 
 def project(e: np.ndarray, h: ProjectionHead) -> np.ndarray:
-    """Apply the head to one vector or to a batch of row vectors."""
-    e = np.asarray(e, dtype=np.float64)
+    """Apply the head to one vector or to a batch of row vectors, in the head's dtype."""
+    e = np.asarray(e, dtype=h.weight.dtype)
     if e.shape[-1] != h.d_in:
         raise DimMismatch(f"input dim {e.shape[-1]} != head d_in {h.d_in}")
     out = e @ h.weight.T
@@ -228,8 +227,8 @@ def loss_gradients(
         through x_hat = p/|p|:  g_p = (g - (g . x_hat) x_hat) / |p|
         dL/dW = g_P^T X,  dL/db = sum_i g_P_i
     """
-    A = np.asarray(audio_raw, dtype=np.float64)
-    T = np.asarray(text_raw, dtype=np.float64)
+    A = np.asarray(audio_raw, dtype=audio_head.weight.dtype)
+    T = np.asarray(text_raw, dtype=text_head.weight.dtype)
     if A.ndim != 2 or T.ndim != 2 or A.shape[0] != T.shape[0]:
         raise ShapeMismatch(f"batch shapes disagree: {A.shape} vs {T.shape}")
     n = A.shape[0]
@@ -247,7 +246,7 @@ def loss_gradients(
     loss, log_rows, log_cols = _nt_xent(C, temperature)
     eye = np.eye(n)
     g_logits = ((np.exp(log_rows) - eye) + (np.exp(log_cols) - eye)) / (2.0 * n)
-    g_C = g_logits / temperature
+    g_C = (g_logits / temperature).astype(C.dtype)  # the N x N logits are float64; the rest is the heads' dtype
 
     g_Ah = g_C @ Th
     g_Th = g_C.T @ Ah
@@ -348,7 +347,7 @@ def adam_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray], st
         raise ShapeMismatch(f"param/grad keys disagree: {sorted(params)} vs {sorted(grads)}")
     flats = []
     for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
+        g = np.asarray(grads[key], dtype=p.dtype)
         if g.shape != p.shape:
             raise ShapeMismatch(f"{key}: grad shape {g.shape} != param shape {p.shape}")
         flats.append(
@@ -362,8 +361,8 @@ def adam_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray], st
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    scratch1, scratch2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for p, m, v, g in flats:
+        scratch1, scratch2 = np.empty(_ADAM_BLOCK, p.dtype), np.empty(_ADAM_BLOCK, p.dtype)
         for start in range(0, p.size, _ADAM_BLOCK):
             block = slice(start, start + _ADAM_BLOCK)
             pb, mb, vb, gb = p[block], m[block], v[block], g[block]
@@ -433,7 +432,7 @@ class TrainPair:
     """One clip's frozen encoder outputs: an audio vector, its caption vectors
     and, for finetuning, variants[k], the augmented variants of captions[k]
     (empty when it has none). Vectors are kept as given; a batch of them
-    becomes float64 in project and loss_gradients."""
+    takes the head's dtype in project and loss_gradients: float32 in train."""
 
     clip_id: str
     audio: np.ndarray
@@ -467,6 +466,8 @@ class LossPoint:
     step: int
     lr: float
     loss: float
+    text_to_audio: float
+    audio_to_text: float
 
 
 @dataclass
@@ -524,20 +525,15 @@ def train(
     total_steps = steps_per_epoch * epochs
     warmup_steps = 0 if finetune else steps_per_epoch * cfg.warmup_epochs
 
-    if init is not None:
-        audio_head, text_head = init[0].copy(), init[1].copy()
-        if audio_head.d_in != d_a or text_head.d_in != d_t:
-            raise DimMismatch(
-                f"init heads expect dims ({audio_head.d_in}, {text_head.d_in}), "
-                f"dataset has ({d_a}, {d_t})"
-            )
-    else:
-        audio_head = ProjectionHead.initialize(
-            d_a, cfg.out_dim, np.random.default_rng(derive_seed(cfg.seed, "audio-head"))
+    if init is None:
+        init = tuple(
+            ProjectionHead.initialize(d, cfg.out_dim, np.random.default_rng(derive_seed(cfg.seed, role)))
+            for d, role in ((d_a, "audio-head"), (d_t, "text-head"))
         )
-        text_head = ProjectionHead.initialize(
-            d_t, cfg.out_dim, np.random.default_rng(derive_seed(cfg.seed, "text-head"))
-        )
+    elif (init[0].d_in, init[1].d_in) != (d_a, d_t):
+        raise DimMismatch(f"init heads expect dims ({init[0].d_in}, {init[1].d_in}), dataset has ({d_a}, {d_t})")
+    # training runs in float32: one copy of each head, and Adam's moments follow it
+    audio_head, text_head = (ProjectionHead(h.weight.astype(np.float32), h.bias.astype(np.float32)) for h in init)
     params = _named_arrays(audio_head, text_head)
     state = AdamState.zeros_like(params)
 
@@ -545,19 +541,21 @@ def train(
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     curve: list[LossPoint] = []
     step = 0
-    for _ in range(epochs):
-        order = rng.permutation(len(pairs))
-        for b in range(steps_per_epoch):
-            batch = [pairs[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-            A = np.stack([pair.audio for pair in batch])
-            T = np.stack([sample_caption(pair, rng, swap_prob) for pair in batch])
-            lr = lr_at(step, total_steps, warmup_steps, lr_max, cfg.lr_min)
-            loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
-            if not math.isfinite(loss.value):
-                raise NonFiniteValue(f"{phase} step {step}: loss is {loss.value}")
-            adam_step(params, _named_arrays(ga, gt), state, lr)
-            curve.append(LossPoint(step=step, lr=lr, loss=loss.value))
-            step += 1
+    # a value that overflows float32 is reported once, by the loss check or by save_checkpoint
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(len(pairs))
+            for b in range(steps_per_epoch):
+                batch = [pairs[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+                A = np.stack([pair.audio for pair in batch])
+                T = np.stack([sample_caption(pair, rng, swap_prob) for pair in batch])
+                lr = lr_at(step, total_steps, warmup_steps, lr_max, cfg.lr_min)
+                loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
+                if not math.isfinite(loss.value):
+                    raise NonFiniteValue(f"{phase} step {step}: loss is {loss.value}")
+                adam_step(params, _named_arrays(ga, gt), state, lr)
+                curve.append(LossPoint(step, lr, loss.value, loss.text_to_audio, loss.audio_to_text))
+                step += 1
     return TrainResult(audio_head, text_head, tuple(curve), total_steps)
 
 

@@ -68,7 +68,7 @@ def test_train_then_evaluate(wav_dataset, tmp_path, capsys):
     assert run(train_args) == 0
     assert (out / "checkpoint.ackp").exists()
     loss_lines = (out / "loss.csv").read_text().strip().splitlines()
-    assert loss_lines[0] == "step,lr,loss"
+    assert loss_lines[0] == "step,lr,loss,text_to_audio,audio_to_text"
     assert len(loss_lines) == 1 + 12  # 6 epochs x 2 steps
 
     eval_args = [
@@ -188,7 +188,7 @@ def test_train_refuses_checkpoint_beyond_float32(tmp_path, capsys):
         [(f"{c}#{k}", rng.normal(size=12)) for c in ids for k in range(5)], dumps / "captions.embd"
     )
     out = tmp_path / "run"
-    # one Adam step moves each weight by about lr: finite in float64, inf in float32
+    # training runs in float32, so lr 1e200 overflows inside Adam and the next loss is nan
     code = run(
         [
             "train", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(out),
@@ -196,10 +196,7 @@ def test_train_refuses_checkpoint_beyond_float32(tmp_path, capsys):
         ]
     )
     assert code == 2
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: NonFiniteValue: audio.weight is not finite as float32; checkpoint not written"
-    ]
+    assert capsys.readouterr().err.splitlines() == ["error: NonFiniteValue: pretrain step 2: loss is nan"]
     assert list(out.glob("checkpoint.ackp*")) == []
 
 

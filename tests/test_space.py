@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,7 +184,7 @@ def test_gradients_vanish_at_saturated_optimum():
     eye = np.eye(n)
     head = space.ProjectionHead(np.eye(n), np.zeros(n))
     # C is exactly I; temperature 0.02 turns the logits into 50 * I
-    _, ga, gt = space.loss_gradients(eye, eye, head, head.copy(), temperature=0.02)
+    _, ga, gt = space.loss_gradients(eye, eye, head, head, temperature=0.02)
     for g in (ga.weight, ga.bias, gt.weight, gt.bias):
         assert np.linalg.norm(g) < 1e-4
 
@@ -219,6 +223,28 @@ def test_gradient_check_perturb_hook_fails(monkeypatch):
 def test_gradient_check_single_pair_near_zero():
     # N=1: loss is constant zero, so every gradient is zero
     assert space.gradient_check(0, (1, 8, 6)) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(64, 768, 1024), (6, 12, 16)], ids=["train-step", "small"])
+def test_float32_gradients_stay_within_1e4_of_float64(shape):
+    # the same float32 inputs and head values, once through float32 heads and once through float64 copies
+    n, d_in, d_out = shape
+    rng = np.random.default_rng(derive_seed(2, "float32-gate"))
+    A, T = (rng.normal(size=(n, d_in)).astype(np.float32) for _ in range(2))
+    heads64 = [space.ProjectionHead.initialize(d_in, d_out, rng) for _ in range(2)]
+    heads32 = [space.ProjectionHead(h.weight.astype(np.float32), h.bias.astype(np.float32)) for h in heads64]
+    heads64 = [space.ProjectionHead(h.weight.astype(np.float64), h.bias.astype(np.float64)) for h in heads32]
+    _, *g32 = space.loss_gradients(A, T, *heads32)
+    _, *g64 = space.loss_gradients(A.astype(np.float64), T.astype(np.float64), *heads64)
+    grads32, grads64 = space._named_arrays(*g32), space._named_arrays(*g64)
+    for key, g in grads64.items():
+        assert grads32[key].dtype == np.float32 and g.dtype == np.float64, key
+        assert np.linalg.norm(grads32[key] - g) / np.linalg.norm(g) < 1e-4, key
+    params = space._named_arrays(*heads32)
+    state = space.AdamState.zeros_like(params)
+    space.adam_step(params, grads32, state, lr=1e-3)
+    for key, p in params.items():
+        assert p.dtype == state.m[key].dtype == state.v[key].dtype == np.float32, key
 
 
 # ---------------------------------------------------------------- schedule
@@ -380,6 +406,37 @@ def test_train_deterministic_replay_bitwise():
     assert np.array_equal(a.text_head.bias, b.text_head.bias)
 
 
+# one short train on 128 pairs of 768-d vectors; prints a digest of the heads and of the (lr, loss) curve
+_TRAIN_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from acre import space
+rng = np.random.default_rng(5)
+pairs = [
+    space.TrainPair(f"c{i}", rng.normal(size=768).astype(np.float32), (rng.normal(size=768).astype(np.float32),))
+    for i in range(128)
+]
+cfg = space.TrainConfig(batch_size=64, pretrain_epochs=1, warmup_epochs=0, lr_max=1e-3, lr_min=1e-5)
+result = space.train(pairs, cfg)
+heads = b"".join(a.tobytes() for h in (result.audio_head, result.text_head) for a in (h.weight, h.bias))
+curve = np.array([(p.lr, p.loss) for p in result.curve]).tobytes()
+print(hashlib.sha256(heads).hexdigest(), hashlib.sha256(curve).hexdigest(), len(result.curve))
+"""
+
+
+def test_train_is_bitwise_the_same_at_one_and_two_blas_threads():
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(space.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", _TRAIN_DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split())
+    assert digests[0][2] == "2"
+    assert digests[0] == digests[1]
+
+
 def test_finetune_without_swaps_replays_pretrain_stream():
     pairs = tiny_pairs(5)
     cfg = small_cfg(seed=7, swap_prob=0.0, warmup_epochs=0)
@@ -419,7 +476,7 @@ def test_train_pair_keeps_the_vectors_it_is_given():
 
 
 def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
-    # float32 -> float64 is exact, so rows held as float32 until the math starts change no bit
+    # float32 -> float64 is exact, and so is the way back, so the dtype rows are held in changes no bit
     def as_dtype(pairs, dtype):
         return [
             space.TrainPair(
@@ -501,7 +558,7 @@ def swap_stream_pairs(partial: bool) -> list[space.TrainPair]:
 
 @pytest.mark.parametrize(
     "partial, heads_sha, curve_sha",
-    [(False, "5007cf6cb1a774ba", "9e42a561c226a10e"), (True, "ae1940de1c8e595f", "779ac4d189ee63c4")],
+    [(False, "ef5e641ab4fce552", "8efaf7a3e6dc33b2"), (True, "3ed72b9738fe4eb4", "5131f9f337c3d95b")],
     ids=["every-caption", "three-quarters"],
 )
 def test_finetune_swap_stream_is_pinned(partial, heads_sha, curve_sha):
@@ -569,7 +626,9 @@ def test_train_zero_epochs_returns_initialization():
     cfg = small_cfg(batch_size=4, pretrain_epochs=0, seed=21)
     result = space.train(pairs, cfg)
     expect_audio = space.ProjectionHead.initialize(12, 24, np.random.default_rng(derive_seed(21, "audio-head")))
-    assert np.array_equal(result.audio_head.weight, expect_audio.weight)
+    # train holds its heads in float32: with no step they are the float32 rounding of the initialization
+    assert result.audio_head.weight.dtype == np.float32
+    assert np.array_equal(result.audio_head.weight, expect_audio.weight.astype(np.float32))
     assert result.curve == ()
 
 
@@ -620,8 +679,10 @@ def test_checkpoint_rejects_version_1(tmp_path):
 def test_checkpoint_refuses_values_beyond_float32(tmp_path, name):
     cfg = small_cfg(batch_size=8, pretrain_epochs=1)
     result = space.train(tiny_pairs(9, n=16), cfg)
-    arrays = {"audio.weight": result.audio_head.weight, "text.bias": result.text_head.bias}
+    # float64 heads, as load_checkpoint and gradient_check build them
+    audio, text = (space.ProjectionHead(h.weight.astype(np.float64), h.bias) for h in (result.audio_head, result.text_head))
+    arrays = {"audio.weight": audio.weight, "text.bias": text.bias}
     arrays[name].flat[0] = 1e39  # finite in float64, inf in float32
     with pytest.raises(space.NonFiniteValue, match=name):
-        space.save_checkpoint(tmp_path / "x.ackp", result.audio_head, result.text_head, result.total_steps, cfg)
+        space.save_checkpoint(tmp_path / "x.ackp", audio, text, result.total_steps, cfg)
     assert list(tmp_path.iterdir()) == []
