@@ -205,8 +205,8 @@ def snippet_or_pad(w: Waveform, max_seconds: float, rng: np.random.Generator) ->
     The snippet is exactly round(max_seconds * sample_rate) samples long and
     its start offset is drawn from the supplied generator.
     """
-    if max_seconds <= 0:
-        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
+    if not (math.isfinite(max_seconds) and max_seconds > 0):
+        raise ValueError(f"max_seconds must be positive and finite, got {max_seconds}")
     max_len = int(round(max_seconds * w.sample_rate))
     if len(w) <= max_len:
         return w

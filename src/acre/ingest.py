@@ -12,11 +12,12 @@ ignored.
 
 Augmented captions: UTF-8 JSON lines, one record per line::
 
-    {"clip_id": "...", "caption_index": 0, "variants": ["...", ...5 strings]}
+    {"clip_id": "...", "caption_index": 0, "variants": ["...", ...5 non-blank strings]}
 
-Embedding dump (binary, little-endian): magic ``ACRE``, version u32=1,
-dim u32, count u64, then per entry a u16 id length, the UTF-8 id, and dim
-32-bit floats. Round-trips bit-exactly.
+Embedding dump (binary, little-endian): magic ``ACRE``, version u32=2,
+dim u32, count u64, then one count x dim block of 32-bit floats from byte 20,
+then the id table to the end of the file: per entry a u16 byte length and the
+UTF-8 id. Round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ VARIANTS_PER_CAPTION = 5
 _REQUIRED_COLUMNS = ("file_name", "caption_1", "caption_2", "caption_3", "caption_4", "caption_5")
 
 DUMP_MAGIC = b"ACRE"
-_DUMP_VERSION = 1
+_DUMP_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
-_ID_LEN = struct.Struct("<H")
 
 
 class IngestError(Exception):
@@ -177,28 +177,31 @@ def load_augmented_captions(path) -> list[AugmentedCaptionSet]:
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{path}: line {lineno}: invalid JSON record: {exc}") from None
             try:
-                clip_id = str(rec["clip_id"])
-                caption_index = int(rec["caption_index"])
-                variants = rec["variants"]
-            except (KeyError, TypeError, ValueError) as exc:
+                clip_id, caption_index, variants = rec["clip_id"], rec["caption_index"], rec["variants"]
+            except (KeyError, TypeError) as exc:
                 raise IngestError(f"{path}: line {lineno}: malformed record: {exc}") from None
+            if not isinstance(clip_id, str):
+                raise IngestError(f"{path}: line {lineno}: clip_id must be a string, got {clip_id!r}")
+            if type(caption_index) is not int:  # a JSON integer: not 1.7, "1" or true
+                raise IngestError(f"{path}: line {lineno}: caption_index must be an integer, got {caption_index!r}")
             if not isinstance(variants, list) or len(variants) != VARIANTS_PER_CAPTION:
                 got = len(variants) if isinstance(variants, list) else type(variants).__name__
                 raise VariantCountMismatch(
-                    f"{path}: line {lineno} (clip {clip_id!r}): expected "
-                    f"{VARIANTS_PER_CAPTION} variants, got {got}"
+                    f"{path}: line {lineno} (clip {clip_id!r}): expected {VARIANTS_PER_CAPTION} variants, got {got}"
                 )
             if not 0 <= caption_index < CAPTIONS_PER_CLIP:
-                raise IngestError(
-                    f"{path}: line {lineno}: caption_index {caption_index} outside 0..4"
-                )
+                raise IngestError(f"{path}: line {lineno}: caption_index {caption_index} outside 0..4")
+            for j, variant in enumerate(variants):
+                if not isinstance(variant, str) or not variant.strip():
+                    raise IngestError(
+                        f"{path}: line {lineno} (clip {clip_id!r}): variant {j} must be a non-blank string, "
+                        f"got {variant!r}"
+                    )
             key = (clip_id, caption_index)
             if key in seen:
-                raise IngestError(
-                    f"{path}: line {lineno}: duplicate (clip_id, caption_index) {key!r}"
-                )
+                raise IngestError(f"{path}: line {lineno}: duplicate (clip_id, caption_index) {key!r}")
             seen.add(key)
-            sets.append(AugmentedCaptionSet(clip_id, caption_index, tuple(str(v) for v in variants)))
+            sets.append(AugmentedCaptionSet(clip_id, caption_index, tuple(variants)))
     return sets
 
 
@@ -283,12 +286,16 @@ def atomic_write(path, payload: bytes | bytearray) -> None:
 
 
 def write_embedding_dump(entries, path) -> None:
-    """Write (id, vector) pairs in the binary dump format, atomically."""
+    """Write (id, vector) pairs in the binary dump format, atomically: the
+    vectors, then the id table, into one buffer, so the file is held once."""
     items = [(str(i), np.asarray(v)) for i, v in entries]
     if not items:
         raise IngestError("cannot write an empty embedding dump")
     dim = items[0][1].size
+    if dim == 0:
+        raise IngestError(f"entry {items[0][0]!r}: cannot write a zero-length vector")
     buf = bytearray(_HEADER.pack(DUMP_MAGIC, _DUMP_VERSION, dim, len(items)))
+    table = bytearray()
     seen: set[str] = set()
     for entry_id, vec in items:
         vec = np.asarray(vec, dtype="<f4").reshape(-1)
@@ -302,76 +309,63 @@ def write_embedding_dump(entries, path) -> None:
         id_bytes = entry_id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise IngestError(f"entry id too long ({len(id_bytes)} bytes)")
-        buf += _ID_LEN.pack(len(id_bytes))
-        buf += id_bytes
         buf += vec.tobytes()
+        table += len(id_bytes).to_bytes(2, "little") + id_bytes
+    buf += table
     atomic_write(path, buf)
-
-
-def _parse_dump(path: Path) -> tuple[list[str], np.ndarray]:
-    """The ids and the (count, dim) float32 vector matrix of a dump file.
-
-    One pass over the open file reads each id, and each vector straight into
-    its row: the memory held is the matrix, not the file plus the matrix. Each
-    read is checked first against the file size, and the matrix has no more
-    rows than the file can hold, so an untrusted header count sizes nothing.
-    """
-
-    def truncated(n: int, pos: int) -> TruncatedFile:
-        return TruncatedFile(f"{path}: expected {n} more bytes at offset {pos}")
-
-    with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        if end < _HEADER.size:
-            raise truncated(_HEADER.size, 0)
-        magic, version, dim, count = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != DUMP_MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        if version != _DUMP_VERSION:
-            raise CorruptHeader(f"{path}: version {version}, expected {_DUMP_VERSION}")
-        if dim == 0:
-            raise CorruptHeader(f"{path}: zero dimension")
-        width = dim * 4
-        # every entry takes at least 2 + width bytes
-        matrix = np.empty((min(count, (end - _HEADER.size) // (2 + width)), dim), dtype="<f4")
-        pos = _HEADER.size
-        ids: dict[str, None] = {}  # insertion-ordered, and a duplicate costs one lookup
-        for row in range(count):
-            if pos + 2 > end:
-                raise truncated(2, pos)
-            (id_len,) = _ID_LEN.unpack(fh.read(2))
-            pos += 2
-            if pos + id_len > end:
-                raise truncated(id_len, pos)
-            try:
-                entry_id = str(fh.read(id_len), "utf-8")
-            except UnicodeDecodeError:
-                raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
-            pos += id_len
-            if pos + width > end:
-                raise truncated(width, pos)
-            fh.readinto(matrix[row])
-            pos += width
-            if entry_id in ids:
-                raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
-            ids[entry_id] = None
-    if pos != end:
-        raise CorruptHeader(f"{path}: {end - pos} trailing bytes")
-    return list(ids), matrix
 
 
 def read_embedding_dump(path) -> EmbeddingDump:
     """Read a dump written by write_embedding_dump; bit-exact round trip.
 
-    The vectors land in one read-only (count, dim) float32 matrix, read in one
-    pass, and each entry's vector is a read-only view of its row.
+    The vector block is checked against the file size before anything is
+    allocated, so an untrusted header count sizes nothing. One readinto fills
+    a read-only (count, dim) float32 matrix, and each entry's vector is a
+    read-only view of its row.
     """
     path = Path(path)
-    ids, matrix = _parse_dump(path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise TruncatedFile(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
+        magic, version, dim, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != DUMP_MAGIC:
+            raise BadMagic(f"{path}: bad magic {magic!r}")
+        if version != _DUMP_VERSION:
+            raise CorruptHeader(
+                f"{path}: dump version {version}, expected {_DUMP_VERSION}; re-export it with acre embed"
+            )
+        if dim == 0:
+            raise CorruptHeader(f"{path}: zero dimension")
+        block_end = _HEADER.size + count * dim * 4
+        if block_end > size:
+            raise TruncatedFile(f"{path}: {count} x {dim} vectors end at byte {block_end}, past the end at {size}")
+        matrix = np.empty((count, dim), dtype="<f4")
+        fh.readinto(matrix)
+        table = fh.read()
     matrix.flags.writeable = False
+
+    ids: dict[str, None] = {}  # insertion-ordered, and a duplicate costs one lookup
+    pos = 0
+    for row in range(count):
+        # a cut length prefix reads short, so this one check also catches it
+        start = pos + 2
+        pos = start + int.from_bytes(table[pos:start], "little")
+        if pos > len(table):
+            raise TruncatedFile(f"{path}: id table cut short at entry {row}")
+        try:
+            entry_id = str(table[start:pos], "utf-8")
+        except UnicodeDecodeError:
+            raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
+        if entry_id in ids:
+            raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
+        ids[entry_id] = None
+    if pos != len(table):
+        raise CorruptHeader(f"{path}: {len(table) - pos} trailing bytes")
+
     # a float64 sum of finite float32 values cannot overflow, and NaN or inf
     # carries through it: one value per row instead of a full-size bool mask
     bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
     if bad.size:
-        raise NonFiniteValue(f"{path}: entry {ids[bad[0]]!r} contains non-finite values")
-    return EmbeddingDump(dim=matrix.shape[1], entries=tuple(zip(ids, matrix)))
+        raise NonFiniteValue(f"{path}: entry {list(ids)[bad[0]]!r} contains non-finite values")
+    return EmbeddingDump(dim=dim, entries=tuple(zip(ids, matrix)))

@@ -405,6 +405,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.swap_prob <= 1.0:
             raise ValueError(f"swap_prob must lie in [0, 1], got {self.swap_prob}")
+        for name in ("lr_max", "lr_min", "finetune_lr_max", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr_min < 0:
             raise ValueError(f"lr_min must be >= 0, got {self.lr_min}")
         if self.lr_min >= self.lr_max:

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -223,7 +224,10 @@ def test_evaluate_rejects_version_1_checkpoint(wav_dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["evaluate without checkpoint", "evaluate truncated checkpoint", "embed missing wav", "embed missing variants"],
+    [
+        "evaluate without checkpoint", "evaluate truncated checkpoint", "embed missing wav", "embed missing variants",
+        "embed infinite snippet",
+    ],
 )
 def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, case):
     out = tmp_path / "never"
@@ -236,10 +240,29 @@ def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, c
     elif case == "embed missing wav":
         (wav_dataset["audio_dir"] / "clip0.wav").unlink()
         argv = ["embed", *common(wav_dataset, out)]
-    else:
+    elif case == "embed missing variants":
         argv = ["embed", *common(wav_dataset, out), "--augmented-captions", str(tmp_path / "missing.jsonl")]
+    else:
+        argv = ["embed", *common(wav_dataset, out), "--snippet-seconds", "inf"]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_dump_encoder_refuses_version_1_dump(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\na.wav,a,b,c,d,e\n")
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    # version 1 interleaved each id (u16 length, UTF-8) with its vector
+    header = struct.pack("<4sIIQ", b"ACRE", 1, 2, 1)
+    (dumps / "audio.embd").write_bytes(header + struct.pack("<H", 5) + b"a.wav" + np.ones(2, "<f4").tobytes())
+    out = tmp_path / "out"
+    assert run(["train", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: CorruptHeader: {dumps / 'audio.embd'}: dump version 1, expected 2; re-export it with acre embed"
+    ]
     assert not out.exists()
 
 
@@ -514,8 +537,13 @@ def test_finetune_rejects_inverted_schedule(wav_dataset, tmp_path, capsys):
         ("finetune", ["--strict"], "MissingAugmentation: finetune --strict requires --augmented-captions"),
         ("train", ["--checkpoint", "{tmp}/nope.ackp"], "{tmp}/nope.ackp"),
         ("finetune", ["--checkpoint", "{tmp}/v1.ackp"], "SpaceError: {tmp}/v1.ackp: unsupported checkpoint version 1"),
+        ("train", ["--temperature", "nan"], "ValueError: temperature must be finite, got nan"),
+        ("train", ["--lr-max", "inf"], "ValueError: lr_max must be finite, got inf"),
     ],
-    ids=["inverted-schedule", "warmup-beyond-epochs", "strict-without-variants", "missing-checkpoint", "v1-checkpoint"],
+    ids=[
+        "inverted-schedule", "warmup-beyond-epochs", "strict-without-variants", "missing-checkpoint", "v1-checkpoint",
+        "nan-temperature", "inf-lr-max",
+    ],
 )
 def test_training_config_errors_come_before_any_audio_is_read(tmp_path, capsys, command, extra, message):
     manifest = tmp_path / "manifest.csv"

@@ -119,6 +119,12 @@ def test_snippet_short_input_unchanged():
     assert out is w
 
 
+@pytest.mark.parametrize("max_seconds", [0.0, -1.0, math.nan, math.inf])
+def test_snippet_rejects_non_positive_or_non_finite_length(max_seconds):
+    with pytest.raises(ValueError, match=rf"^max_seconds must be positive and finite, got {max_seconds}$"):
+        dsp.snippet_or_pad(sine(440, 1.0), max_seconds, np.random.default_rng(0))
+
+
 def spec_of_frames(frames, seed=0):
     return dsp.Spectrogram(np.random.default_rng(seed).normal(size=(frames, 128)))
 

@@ -117,6 +117,40 @@ def test_augmented_duplicate_key(tmp_path):
         ingest.load_augmented_captions(f)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ('"clip_id": 7, "caption_index": 1', "clip_id must be a string, got 7"),
+        ('"clip_id": null, "caption_index": 1', "clip_id must be a string, got None"),
+        ('"clip_id": "a", "caption_index": 1.7', "caption_index must be an integer, got 1.7"),
+        ('"clip_id": "a", "caption_index": 1.0', "caption_index must be an integer, got 1.0"),
+        ('"clip_id": "a", "caption_index": "1"', "caption_index must be an integer, got '1'"),
+        ('"clip_id": "a", "caption_index": true', "caption_index must be an integer, got True"),
+    ],
+    ids=["int-clip-id", "null-clip-id", "fractional-index", "float-index", "string-index", "bool-index"],
+)
+def test_augmented_rejects_mistyped_keys(tmp_path, fields, message):
+    f = tmp_path / "aug.jsonl"
+    good = '{"clip_id": "b", "caption_index": 0, "variants": ["1", "2", "3", "4", "5"]}'
+    f.write_text(good + "\n{" + fields + ', "variants": ["1", "2", "3", "4", "5"]}\n')
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.load_augmented_captions(f)
+    assert str(excinfo.value) == f"{f}: line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "variant, shown",
+    [("null", "None"), ("1", "1"), ('""', "''"), ('"  "', "'  '"), ("true", "True"), ('["x"]', "['x']")],
+    ids=["null", "number", "empty", "blank", "bool", "list"],
+)
+def test_augmented_rejects_non_string_or_blank_variants(tmp_path, variant, shown):
+    f = tmp_path / "aug.jsonl"
+    f.write_text('{"clip_id": "a", "caption_index": 1, "variants": ["v0", "v1", ' + variant + ', "v3", "v4"]}\n')
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.load_augmented_captions(f)
+    assert str(excinfo.value) == f"{f}: line 1 (clip 'a'): variant 2 must be a non-blank string, got {shown}"
+
+
 def test_augmented_unknown_clip_is_fine(tmp_path):
     f = tmp_path / "aug.jsonl"
     f.write_text('{"clip_id": "never-seen", "caption_index": 0, "variants": ["1","2","3","4","5"]}\n')
@@ -252,7 +286,9 @@ def test_dump_rejects_nan(tmp_path):
     with pytest.raises(ingest.NonFiniteValue, match="non-finite"):
         ingest.write_embedding_dump([("a", np.array([1.0, np.nan]))], p)
     ingest.write_embedding_dump([("a", np.array([1.0, 2.0]))], p)
-    p.write_bytes(p.read_bytes()[:-4] + np.array([np.inf], dtype="<f4").tobytes())
+    raw = bytearray(p.read_bytes())
+    raw[24:28] = np.array([np.inf], dtype="<f4").tobytes()  # the second value of the block at byte 20
+    p.write_bytes(bytes(raw))
     with pytest.raises(ingest.NonFiniteValue, match="'a' contains non-finite"):
         ingest.read_embedding_dump(p)
 
@@ -263,6 +299,13 @@ def test_dump_rejects_dim_mismatch(tmp_path):
         ingest.write_embedding_dump(entries, tmp_path / "d.embd")
 
 
+def test_dump_rejects_zero_length_vectors(tmp_path):
+    p = tmp_path / "d.embd"
+    with pytest.raises(ingest.IngestError, match="^entry 'a': cannot write a zero-length vector$"):
+        ingest.write_embedding_dump([("a", np.array([], np.float32))], p)
+    assert not p.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_dump_rejects_empty_and_duplicates(tmp_path):
     with pytest.raises(ingest.IngestError):
         ingest.write_embedding_dump([], tmp_path / "d.embd")
@@ -271,26 +314,40 @@ def test_dump_rejects_empty_and_duplicates(tmp_path):
         ingest.write_embedding_dump(entries, tmp_path / "d.embd")
 
 
+def hand_dump(entries, dim=2, count=None, version=2):
+    """Dump bytes built by hand, for files the writer refuses to produce: the
+    header, the vectors from byte 20, then each id with its u16 length. Version
+    1 interleaves each id with its vector."""
+    raw = struct.pack("<4sIIQ", b"ACRE", version, dim, len(entries) if count is None else count)
+    ids = [struct.pack("<H", len(id_bytes)) + id_bytes for id_bytes, _ in entries]
+    vecs = [np.asarray(vec, dtype="<f4").tobytes() for _, vec in entries]
+    if version == 1:
+        return raw + b"".join(i + v for i, v in zip(ids, vecs))
+    return raw + b"".join(vecs) + b"".join(ids)
+
+
 def test_dump_rejects_other_version(tmp_path):
     p = tmp_path / "d.embd"
-    ingest.write_embedding_dump([("a", np.ones(3, dtype=np.float32))], p)
-    raw = bytearray(p.read_bytes())
-    raw[4:8] = struct.pack("<I", 2)
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ingest.CorruptHeader, match="version"):
+    p.write_bytes(hand_dump([(b"a", [1.0, 2.0])], version=1))
+    message = f"{p}: dump version 1, expected 2; re-export it with acre embed"
+    with pytest.raises(ingest.CorruptHeader) as excinfo:
         ingest.read_embedding_dump(p)
+    assert str(excinfo.value) == message
 
 
-def hand_dump(entries, dim=2, count=None):
-    """Dump bytes built by hand, for files the writer refuses to produce."""
-    raw = struct.pack("<4sIIQ", b"ACRE", 1, dim, len(entries) if count is None else count)
-    for id_bytes, vec in entries:
-        raw += struct.pack("<H", len(id_bytes)) + id_bytes + np.asarray(vec, dtype="<f4").tobytes()
-    return raw
+def test_dump_golden_bytes(tmp_path):
+    p = tmp_path / "d.embd"
+    ingest.write_embedding_dump([("a", np.array([1.0, -2.0])), ("bé", np.array([0.5, 3.0]))], p)
+    header = b"ACRE" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little") + (2).to_bytes(8, "little")
+    block = bytes.fromhex("0000803f" "000000c0" "0000003f" "00004040")  # 1.0, -2.0, 0.5, 3.0
+    table = b"\x01\x00a" + b"\x03\x00b\xc3\xa9"
+    assert p.read_bytes() == header + block + table
+    dump = ingest.read_embedding_dump(p)
+    ingest.write_embedding_dump(dump.entries, tmp_path / "again.embd")
+    assert (tmp_path / "again.embd").read_bytes() == p.read_bytes()
 
 
-THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]
-THREE_BYTES = len(hand_dump(THREE))
+THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]  # 53 bytes: 20 header, 24 vectors, 9 ids
 
 
 @pytest.mark.parametrize(
@@ -299,12 +356,17 @@ THREE_BYTES = len(hand_dump(THREE))
         (hand_dump([(b"a", [1.0, 2.0]), (b"a", [3.0, 4.0])]), ingest.IngestError, "duplicate entry id 'a'"),
         (hand_dump([(b"\xff\xfe", [1.0, 2.0])]), ingest.CorruptHeader, "entry id is not valid UTF-8"),
         (hand_dump(THREE) + b"\x00", ingest.CorruptHeader, "1 trailing bytes"),
-        (hand_dump(THREE, count=4), ingest.TruncatedFile, f"expected 2 more bytes at offset {THREE_BYTES}$"),
-        (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"expected 2 more bytes at offset {THREE_BYTES}$"),
-        (hand_dump(THREE)[:-3], ingest.TruncatedFile, f"expected 8 more bytes at offset {THREE_BYTES - 8}$"),
+        # the fourth row takes the first 8 bytes of the id table, which then lacks a length
+        (hand_dump(THREE, count=4), ingest.TruncatedFile, "id table cut short at entry 0$"),
+        (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"{2**62} x 2 vectors end at byte {20 + 2**65}, past the end at 53$"),
+        (hand_dump(THREE)[:40], ingest.TruncatedFile, "3 x 2 vectors end at byte 44, past the end at 40$"),
+        (hand_dump(THREE)[:-1], ingest.TruncatedFile, "id table cut short at entry 2$"),
         (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
     ],
-    ids=["duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector", "nan-middle"],
+    ids=[
+        "duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector",
+        "cut-id", "nan-middle",
+    ],
 )
 def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
     p = tmp_path / "d.embd"
@@ -313,7 +375,7 @@ def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
     with pytest.raises(error, match=message) as caught:
         ingest.read_embedding_dump(p)
     assert caught.type is error
-    # a count the bytes cannot hold fails at the first missing entry, never by sizing from it
+    # a count the bytes cannot hold fails the size check, never by sizing from it
     assert time.perf_counter() - t0 < 5.0
 
 

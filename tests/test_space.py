@@ -458,6 +458,13 @@ def test_train_config_rejects_negative_lr_min():
         small_cfg(lr_min=-1e-7)
 
 
+@pytest.mark.parametrize("name", ["lr_max", "lr_min", "finetune_lr_max", "temperature"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+        small_cfg(**{name: value})
+
+
 def test_train_checks_each_phase_before_any_pair():
     pairs = tiny_pairs(5)
     with pytest.raises(ValueError, match=r"^unknown phase 'warmup'$"):
