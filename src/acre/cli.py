@@ -13,8 +13,9 @@ machine-parseable line: ``error: <Kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import dsp, encoder, ingest, retrieval, space
 from .seeding import derive_seed
 
-DEFAULT_SHAPES = ((8, 16, 12), (4, 32, 8), (64, 24, 16))
+GRADCHECK_SHAPES = ((8, 16, 12), (4, 32, 8), (64, 24, 16))
 GRADCHECK_TOLERANCE = 1e-4
 
 _ERROR_KINDS = (
@@ -83,6 +84,16 @@ def _mean_std(text: str) -> dsp.WhiteningStats:
         raise argparse.ArgumentTypeError(f"must be finite 'mean,std' with std > 0, got {text!r}") from None
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 class Setting(NamedTuple):
     """One run setting: flag ``--<key with dashes>`` and config key ``key``,
     whose values both go through ``parse``. A ``_switch`` flag takes no value;
@@ -113,9 +124,8 @@ SETTINGS = (
     Setting("temperature", float, None),
     Setting("out_dim", int, None),
     Setting("warmup_epochs", int, None),
-    Setting("snippet_seconds", float, 30.0),
+    Setting("snippet_seconds", _seconds, 30.0, "longest audio kept per clip, in seconds"),
     Setting("whiten", _mean_std, None, "fixed whitening stats as 'mean,std'"),
-    Setting("patchout", _switch, False, "apply patchout when embedding"),
 )
 
 
@@ -146,44 +156,22 @@ def parse_config_file(path) -> dict[str, Any]:
     return out
 
 
-@dataclass
-class RunSettings:
-    """The settings of one command; each field is named after its ``SETTINGS`` key."""
-
-    manifest: list[Path]
-    audio_dir: Path | None
-    augmented_captions: Path | None
-    encoder: Path | None  # the embedding-dump directory; None for the toy encoders
-    preset: encoder.PatchGeometry
-    seed: int
-    out: Path | None
-    strict: bool
-    patchout: bool
-    snippet_seconds: float
-    checkpoint: Path | None
-    whiten: dsp.WhiteningStats | None
-    train: space.TrainConfig
-
-    def encoder_params(self, role: str) -> encoder.EncoderParams:
-        return encoder.EncoderParams(seed=derive_seed(self.seed, role))
-
-
-def _build_settings(args: argparse.Namespace) -> RunSettings:
-    """Table defaults, then the config file, then the flags given; the training
-    keys go to TrainConfig, whose own defaults fill the ones left unset."""
+def _build_settings(args: argparse.Namespace) -> argparse.Namespace:
+    """One attribute per ``SETTINGS`` key: table defaults, then the config file,
+    then the flags given. The training keys and epochs move into ``train``, a
+    TrainConfig whose own defaults fill the ones left unset; seed stays in both."""
     values = {s.key: s.default for s in SETTINGS}
     if args.config:
         values.update(parse_config_file(args.config))
     values.update((key, value) for key, value in vars(args).items() if key in values)
-    train_keys = {f.name for f in fields(space.TrainConfig)}
-    train = {key: value for key, value in values.items() if key in train_keys and value is not None}
-    if values["epochs"] is not None:
-        train["pretrain_epochs"] = train["finetune_epochs"] = values["epochs"]
-    values["train"] = space.TrainConfig(**train)
-    return RunSettings(**{field.name: values[field.name] for field in fields(RunSettings)})
+    train_keys = {f.name for f in fields(space.TrainConfig)} - {"seed"}
+    train = {key: values.pop(key) for key in train_keys & values.keys()}
+    train["pretrain_epochs"] = train["finetune_epochs"] = values.pop("epochs")
+    given = {key: value for key, value in train.items() if value is not None}
+    return argparse.Namespace(**values, train=space.TrainConfig(seed=values["seed"], **given))
 
 
-def _load_records(settings: RunSettings) -> list[ingest.ClipRecord]:
+def _load_records(settings: argparse.Namespace) -> list[ingest.ClipRecord]:
     if not settings.manifest:
         raise CliError("no manifest given (use --manifest or the config file)")
     records: list[ingest.ClipRecord] = []
@@ -198,9 +186,9 @@ def _load_records(settings: RunSettings) -> list[ingest.ClipRecord]:
 
 
 def _embed_audio(
-    records: list[ingest.ClipRecord], settings: RunSettings
+    records: list[ingest.ClipRecord], settings: argparse.Namespace
 ) -> tuple[list[tuple[str, np.ndarray]], dsp.WhiteningStats]:
-    params = settings.encoder_params("audio-encoder")
+    params = encoder.EncoderParams(seed=derive_seed(settings.seed, "audio-encoder"))
     specs: list[tuple[str, dsp.Spectrogram]] = []
     for rec in records:
         w = ingest.read_wav(rec.audio_path)
@@ -213,9 +201,6 @@ def _embed_audio(
     for clip_id, spec in specs:
         segments = dsp.segment(dsp.whiten(spec, stats), seg_frames)
         grids = [encoder.extract_patches(s, settings.preset) for s in segments]
-        if settings.patchout:
-            rng = np.random.default_rng(derive_seed(settings.seed, f"patchout:{clip_id}"))
-            grids = [encoder.structured_patchout(g, settings.preset.drop_f, settings.preset.drop_t, rng) for g in grids]
         entries.append((clip_id, encoder.embed_long_audio(grids, params)))
     return entries, stats
 
@@ -230,17 +215,17 @@ def _variant_texts(aug_sets: list[ingest.AugmentedCaptionSet]) -> list[tuple[str
     ]
 
 
-def _embed_texts(texts: list[tuple[str, str]], settings: RunSettings) -> list[tuple[str, np.ndarray]]:
+def _embed_texts(texts: list[tuple[str, str]], settings: argparse.Namespace) -> list[tuple[str, np.ndarray]]:
     """Toy text-encoder vectors for (id, text) pairs."""
     vocab = encoder.Vocabulary.default()
-    params = settings.encoder_params("text-encoder")
+    params = encoder.EncoderParams(seed=derive_seed(settings.seed, "text-encoder"))
     return [
         (key, encoder.text_encode(encoder.tokenize(encoder.normalize_text(text), vocab), params, len(vocab)))
         for key, text in texts
     ]
 
 
-def _raw_vectors(settings: RunSettings, dump_name: str, embed) -> dict[str, np.ndarray]:
+def _raw_vectors(settings: argparse.Namespace, dump_name: str, embed) -> dict[str, np.ndarray]:
     """Raw (pre-projection) vectors by id: the named file of the dump directory,
     or embed() under the toy encoder, rounded to float32 as a dump holds them."""
     if settings.encoder is None:
@@ -248,7 +233,7 @@ def _raw_vectors(settings: RunSettings, dump_name: str, embed) -> dict[str, np.n
     return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
 
 
-def _raw_audio(records: list[ingest.ClipRecord], settings: RunSettings) -> dict[str, np.ndarray]:
+def _raw_audio(records: list[ingest.ClipRecord], settings: argparse.Namespace) -> dict[str, np.ndarray]:
     return _raw_vectors(settings, "audio.embd", lambda: _embed_audio(records, settings)[0])
 
 
@@ -260,7 +245,7 @@ def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarra
 
 
 def _train_pairs(
-    records: list[ingest.ClipRecord], settings: RunSettings, with_variants: bool = False
+    records: list[ingest.ClipRecord], settings: argparse.Namespace, with_variants: bool = False
 ) -> list[space.TrainPair]:
     """A pair per record; with_variants attaches the --augmented-captions
     variants of each caption, parsed before any dump is read."""
@@ -287,7 +272,7 @@ def _train_pairs(
     ]
 
 
-def _require_out(settings: RunSettings) -> Path:
+def _require_out(settings: argparse.Namespace) -> Path:
     """The --out directory; it is created by the first write into it, so a
     command that fails before writing leaves none behind."""
     if settings.out is None:
@@ -301,7 +286,7 @@ def _loss_csv(curve) -> str:
     return "\n".join(lines)
 
 
-def cmd_embed(settings: RunSettings) -> int:
+def cmd_embed(settings: argparse.Namespace) -> int:
     if settings.encoder is not None:
         raise CliError("embed requires the toy encoder; dump files already hold embeddings")
     out = _require_out(settings)
@@ -325,7 +310,7 @@ def cmd_embed(settings: RunSettings) -> int:
     return 0
 
 
-def _run_training(settings: RunSettings, phase: str) -> int:
+def _run_training(settings: argparse.Namespace, phase: str) -> int:
     space.check_phase(settings.train, phase)
     if phase == "finetune" and settings.strict and settings.augmented_captions is None:
         raise space.MissingAugmentation("finetune --strict requires --augmented-captions")
@@ -349,7 +334,7 @@ def _run_training(settings: RunSettings, phase: str) -> int:
     return 0
 
 
-def cmd_evaluate(settings: RunSettings) -> int:
+def cmd_evaluate(settings: argparse.Namespace) -> int:
     out = _require_out(settings)
     if settings.checkpoint is None:
         raise CliError("evaluate requires --checkpoint")
@@ -365,7 +350,7 @@ def cmd_evaluate(settings: RunSettings) -> int:
     return 0
 
 
-def cmd_rank(settings: RunSettings, query: str, top: int) -> int:
+def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
     if top < 1:
         raise CliError(f"--top must be >= 1, got {top}")
     if settings.checkpoint is None:
@@ -384,9 +369,9 @@ def cmd_rank(settings: RunSettings, query: str, top: int) -> int:
     return 0
 
 
-def cmd_gradcheck(seed: int, shapes) -> int:
+def cmd_gradcheck(seed: int) -> int:
     worst = 0.0
-    for shape in shapes:
+    for shape in GRADCHECK_SHAPES:
         err = space.gradient_check(seed, shape)
         print(f"gradcheck shape={shape}: max relative error {err:.3e}")
         worst = max(worst, err)
@@ -395,16 +380,6 @@ def cmd_gradcheck(seed: int, shapes) -> int:
         return 0
     print(f"gradcheck FAIL (max {worst:.3e} >= {GRADCHECK_TOLERANCE})")
     return 1
-
-
-def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
-    shapes = []
-    for part in text.split(","):
-        dims = part.strip().lower().split("x")
-        if len(dims) != 3 or not all(d.strip().isdigit() and int(d) >= 1 for d in dims):
-            raise argparse.ArgumentTypeError(f"bad shape {part!r}; expected NxD_inxD_out, each at least 1")
-        shapes.append(tuple(int(d) for d in dims))
-    return tuple(shapes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad_p = sub.add_parser("gradcheck")
     grad_p.add_argument("--seed", type=int, default=0)
-    grad_p.add_argument("--shapes", type=_shapes, default=DEFAULT_SHAPES, help="comma-separated NxD_inxD_out triples")
     return parser
 
 
@@ -439,7 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            return cmd_gradcheck(args.seed, args.shapes)
+            return cmd_gradcheck(args.seed)
         settings = _build_settings(args)
         if args.command == "embed":
             return cmd_embed(settings)

@@ -286,8 +286,9 @@ def atomic_write(path, payload: bytes | bytearray) -> None:
 
 
 def write_embedding_dump(entries, path) -> None:
-    """Write (id, vector) pairs in the binary dump format, atomically: the
-    vectors, then the id table, into one buffer, so the file is held once."""
+    """Write (id, vector) pairs, every vector 1-d and of one length, in the
+    binary dump format, atomically: the vectors, then the id table, into one
+    buffer, so the file is held once."""
     items = [(str(i), np.asarray(v)) for i, v in entries]
     if not items:
         raise IngestError("cannot write an empty embedding dump")
@@ -298,7 +299,9 @@ def write_embedding_dump(entries, path) -> None:
     table = bytearray()
     seen: set[str] = set()
     for entry_id, vec in items:
-        vec = np.asarray(vec, dtype="<f4").reshape(-1)
+        if vec.ndim != 1:
+            raise DimMismatch(f"entry {entry_id!r}: expected a 1-d vector, got shape {vec.shape}")
+        vec = vec.astype("<f4", copy=False)
         if vec.size != dim:
             raise DimMismatch(f"entry {entry_id!r}: dim {vec.size} != {dim}")
         if not np.all(np.isfinite(vec)):

@@ -504,7 +504,8 @@ def train(
     d_a = pairs[0].audio.size
     d_t = pairs[0].captions[0].size
     for pair in pairs:
-        if pair.audio.size != d_a or any(c.size != d_t for c in pair.captions):
+        texts = (*pair.captions, *(v for variants in pair.variants for v in variants))
+        if pair.audio.size != d_a or any(t.size != d_t for t in texts):
             raise DimMismatch(f"clip {pair.clip_id!r}: inconsistent embedding dims")
 
     finetune = phase == "finetune"

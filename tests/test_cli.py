@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -61,6 +62,68 @@ def test_embed_variants(wav_dataset, tmp_path):
     assert run(args) == 0
     variants = ingest.read_embedding_dump(out / "variants.embd")
     assert len(variants.entries) == 6 * 5 * 5
+
+
+def test_embed_preset_changes_the_audio_not_its_width(wav_dataset, tmp_path):
+    outs = {preset: tmp_path / preset for preset in ("passt-n", "passt-s")}
+    for preset, out in outs.items():
+        assert run(["embed", *common(wav_dataset, out), "--preset", preset]) == 0
+    n, s = (ingest.read_embedding_dump(out / "audio.embd") for out in outs.values())
+    assert n.dim == s.dim == 64
+    assert (outs["passt-n"] / "audio.embd").read_bytes() != (outs["passt-s"] / "audio.embd").read_bytes()
+    assert (outs["passt-n"] / "captions.embd").read_bytes() == (outs["passt-s"] / "captions.embd").read_bytes()
+
+
+def test_embed_with_its_printed_whitening_is_byte_identical(wav_dataset, tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["embed", *common(wav_dataset, first)]) == 0
+    mean, std = re.search(r"whiten mean=(\S+) std=(\S+)\)$", capsys.readouterr().out.strip()).groups()
+    assert run(["embed", *common(wav_dataset, second), "--whiten", f"{mean},{std}"]) == 0
+    for name in ("audio.embd", "captions.embd"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def split_manifest(ds, tmp_path, parts):
+    """The dataset manifest as len(parts) manifests holding those row ranges."""
+    header, *rows = ds["manifest"].read_text().splitlines()
+    paths = []
+    for i, part in enumerate(parts):
+        paths.append(tmp_path / f"part{i}.csv")
+        paths[-1].write_text("\n".join([header, *(rows[j] for j in part)]) + "\n")
+    return paths
+
+
+def test_train_over_two_manifests_equals_one(wav_dataset, tmp_path):
+    halves = split_manifest(wav_dataset, tmp_path, [range(0, 3), range(3, 6)])
+    train = ["--epochs", "2", "--batch-size", "3", "--seed", "5", "--audio-dir", str(wav_dataset["audio_dir"])]
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run(["train", "--manifest", str(wav_dataset["manifest"]), "--out", str(one), *train]) == 0
+    assert run(["train", "--manifest", f"{halves[0]},{halves[1]}", "--out", str(two), *train]) == 0
+    for name in ("checkpoint.ackp", "loss.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def test_clip_in_two_manifests_is_input_error(wav_dataset, tmp_path, capsys):
+    overlapping = split_manifest(wav_dataset, tmp_path, [range(0, 3), range(2, 6)])
+    argv = ["--audio-dir", str(wav_dataset["audio_dir"]), "--out", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(["train", *argv, "--manifest", str(overlapping[0]), "--manifest", str(overlapping[1])]) == 2
+    assert capsys.readouterr().err == "error: DuplicateClipId: clip id 'clip2.wav' appears in multiple manifests\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--out", "{tmp}/out"], "no manifest given (use --manifest or the config file)"),
+        (["train", "--manifest", "{tmp}/m.csv"], "no output directory given (use --out)"),
+        (["rank", "--manifest", "{tmp}/m.csv", "--query", "a tone"], "rank requires --checkpoint"),
+    ],
+    ids=["no-manifest", "no-out", "rank-without-checkpoint"],
+)
+def test_missing_required_setting_is_usage_error(tmp_path, capsys, argv, message):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: UsageError: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_then_evaluate(wav_dataset, tmp_path, capsys):
@@ -201,6 +264,33 @@ def test_train_refuses_checkpoint_beyond_float32(tmp_path, capsys):
     assert list(out.glob("checkpoint.ackp*")) == []
 
 
+def test_finetune_refuses_variants_of_another_width(tmp_path, capsys):
+    ids = [f"c{i}.wav" for i in range(4)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{c},a,b,c,d,e\n" for c in ids)
+    )
+    variants = tmp_path / "variants.jsonl"
+    record = '{{"clip_id": "{}", "caption_index": {}, "variants": ["1", "2", "3", "4", "5"]}}\n'
+    variants.write_text("".join(record.format(c, k) for c in ids for k in range(5)))
+    rng = np.random.default_rng(0)
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    ingest.write_embedding_dump([(c, rng.normal(size=4)) for c in ids], dumps / "audio.embd")
+    captions = [(f"{c}#{k}", rng.normal(size=5)) for c in ids for k in range(5)]
+    ingest.write_embedding_dump(captions, dumps / "captions.embd")
+    seven_d = [(f"{key}@{j}", rng.normal(size=7)) for key, _ in captions for j in range(5)]
+    ingest.write_embedding_dump(seven_d, dumps / "variants.embd")
+    out = tmp_path / "out"
+    argv = [
+        "finetune", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--augmented-captions", str(variants),
+        "--out", str(out), "--epochs", "1", "--batch-size", "2",
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: DimMismatch: clip 'c0.wav': inconsistent embedding dims\n"
+    assert not out.exists()
+
+
 def test_evaluate_missing_checkpoint_exits_2(wav_dataset, tmp_path, capsys):
     code = run(
         [
@@ -243,11 +333,29 @@ def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, c
     elif case == "embed missing variants":
         argv = ["embed", *common(wav_dataset, out), "--augmented-captions", str(tmp_path / "missing.jsonl")]
     else:
-        argv = ["embed", *common(wav_dataset, out), "--snippet-seconds", "inf"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snippet_seconds = inf\n")
+        argv = ["embed", "--config", str(cfg), *common(wav_dataset, out)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if case == "embed infinite snippet":
+        assert err == f"error: UsageError: {cfg}: line 1: snippet_seconds must be positive and finite, got 'inf'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "abc"])
+def test_bad_snippet_seconds_is_refused_before_any_audio_is_read(wav_dataset, tmp_path, capsys, value):
+    (wav_dataset["audio_dir"] / "clip0.wav").unlink()
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        run(["embed", *common(wav_dataset, out), "--snippet-seconds", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"acre embed: error: argument --snippet-seconds: must be positive and finite, got {value!r}"
+    )
+    assert "clip0.wav" not in err and not out.exists()
 
 
 def test_dump_encoder_refuses_version_1_dump(tmp_path, capsys):
@@ -357,18 +465,19 @@ def test_rank_rejects_top_below_one(wav_dataset, tmp_path, capsys, top):
 
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", "1"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    *shapes, verdict = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in shapes] == [f"gradcheck shape={s}" for s in cli.GRADCHECK_SHAPES]
+    assert "PASS" in verdict
 
 
-@pytest.mark.parametrize("shape", ["4x0x4", "0x4x4"])
-def test_gradcheck_refuses_zero_dimension(capsys, shape):
+@pytest.mark.parametrize(
+    "argv", [["embed", "--patchout"], ["gradcheck", "--shapes", "8x16x12"]], ids=["patchout", "gradcheck-shapes"]
+)
+def test_removed_flags_are_argument_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run(["gradcheck", "--shapes", f"8x16x12,{shape}"])
+        run(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == (
-        f"acre gradcheck: error: argument --shapes: bad shape '{shape}'; expected NxD_inxD_out, each at least 1"
-    )
+    assert capsys.readouterr().err.splitlines()[-1] == f"acre: error: unrecognized arguments: {' '.join(argv[1:])}"
 
 
 def test_gradcheck_perturbed_fails(monkeypatch, capsys):
@@ -409,6 +518,7 @@ def test_config_file_with_flag_override(wav_dataset, tmp_path, capsys):
         ("seed = 1.5", "line 2: seed must be int, got '1.5'"),
         ("whiten = 1", "line 2: whiten must be finite 'mean,std' with std > 0, got '1'"),
         ("encoder = gpu", "line 2: encoder must be 'toy' or 'dump:<dir>', got 'gpu'"),
+        ("patchout = yes", "line 2: unknown key 'patchout'"),
     ],
 )
 def test_config_file_rejects_unknown_key_and_bad_switch(wav_dataset, tmp_path, capsys, line, message):
@@ -427,9 +537,9 @@ def test_config_file_rejects_unknown_key_and_bad_switch(wav_dataset, tmp_path, c
 
 def test_config_file_switch_words(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("strict = Off\npatchout = YES\n")
-    settings = cli._build_settings(cli.build_parser().parse_args(["embed", "--config", str(cfg)]))
-    assert settings.strict is False and settings.patchout is True
+    for word, value in (("Off", False), ("YES", True)):
+        cfg.write_text(f"strict = {word}\n")
+        assert settings_for(["embed", "--config", str(cfg)]).strict is value
 
 
 def settings_for(argv):
@@ -458,7 +568,6 @@ SETTING_VALUES = {
     "warmup_epochs": "2",
     "snippet_seconds": "10",
     "whiten": "0.5,2",
-    "patchout": "yes",
 }
 
 

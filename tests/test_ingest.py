@@ -68,6 +68,23 @@ def test_load_manifest_rejects_header_only(tmp_path, rows):
     assert str(excinfo.value) == f"{m}: no clip rows after the header"
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", ingest.MissingColumn, "empty manifest"),
+        ("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n ,a,b,c,d,e\n", ingest.MissingColumn,
+         "row 2: empty file_name"),
+    ],
+    ids=["empty-file", "empty-file-name"],
+)
+def test_load_manifest_rejects_empty_file_and_file_name(tmp_path, text, error, message):
+    m = tmp_path / "m.csv"
+    m.write_text(text)
+    with pytest.raises(error) as excinfo:
+        ingest.load_manifest(m)
+    assert str(excinfo.value) == f"{m}: {message}"
+
+
 def test_load_manifest_duplicate_clip(tmp_path):
     m = tmp_path / "m.csv"
     write_manifest(m, ["a.wav,1,2,3,4,5", "a.wav,1,2,3,4,5"])
@@ -151,6 +168,24 @@ def test_augmented_rejects_non_string_or_blank_variants(tmp_path, variant, shown
     assert str(excinfo.value) == f"{f}: line 1 (clip 'a'): variant 2 must be a non-blank string, got {shown}"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"clip_id": "a", ', "line 1: invalid JSON record: "),
+        ('{"clip_id": "a", "variants": ["1", "2", "3", "4", "5"]}', "line 1: malformed record: 'caption_index'"),
+        ('{"clip_id": "a", "caption_index": 5, "variants": ["1", "2", "3", "4", "5"]}',
+         "line 1: caption_index 5 outside 0..4"),
+    ],
+    ids=["invalid-json", "missing-key", "index-5"],
+)
+def test_augmented_rejects_malformed_records(tmp_path, line, message):
+    f = tmp_path / "aug.jsonl"
+    f.write_text(line + "\n")
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.load_augmented_captions(f)
+    assert str(excinfo.value).startswith(f"{f}: {message}")
+
+
 def test_augmented_unknown_clip_is_fine(tmp_path):
     f = tmp_path / "aug.jsonl"
     f.write_text('{"clip_id": "never-seen", "caption_index": 0, "variants": ["1","2","3","4","5"]}\n')
@@ -230,6 +265,40 @@ def test_read_wav_corrupt_header(tmp_path):
         ingest.read_wav(p)
 
 
+def riff(*chunks):
+    """A RIFF/WAVE file of the given (id, body) chunks."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+PCM_FMT = struct.pack("<HHIIHH", 1, 1, 32000, 64000, 2, 16)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (riff((b"data", b"\x00\x00")), "no fmt chunk"),
+        (riff((b"fmt ", PCM_FMT)), "no data chunk"),
+        (riff((b"fmt ", PCM_FMT[:14]), (b"data", b"\x00\x00")), "fmt chunk too small (14 bytes)"),
+        (riff((b"fmt ", struct.pack("<HHIIHH", 0xFFFE, 1, 32000, 64000, 2, 16) + b"\x00" * 6), (b"data", b"\x00\x00")),
+         "extensible fmt chunk too small"),
+        (riff((b"fmt ", struct.pack("<HHIIHH", 1, 0, 32000, 0, 0, 16)), (b"data", b"")),
+         "invalid fmt fields (channels=0, rate=32000)"),
+        (riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)), (b"data", b"\x00\x00")),
+         "invalid fmt fields (channels=1, rate=0)"),
+        (riff((b"fmt ", struct.pack("<HHIIHH", 1, 2, 32000, 128000, 4, 16)), (b"data", b"\x00" * 6)),
+         "data size 6 not a multiple of frame size 4"),
+    ],
+    ids=["no-fmt", "no-data", "small-fmt", "small-extensible-fmt", "zero-channels", "zero-rate", "partial-frame"],
+)
+def test_read_wav_rejects_malformed_chunks(tmp_path, raw, message):
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw)
+    with pytest.raises(ingest.CorruptHeader) as excinfo:
+        ingest.read_wav(p)
+    assert str(excinfo.value) == f"{p}: {message}"
+
+
 def test_dump_round_trip(tmp_path):
     p = tmp_path / "d.embd"
     rng = np.random.default_rng(1)
@@ -299,6 +368,21 @@ def test_dump_rejects_dim_mismatch(tmp_path):
         ingest.write_embedding_dump(entries, tmp_path / "d.embd")
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([("a", np.ones((2, 3))), ("b", np.ones((3, 2)))], "entry 'a': expected a 1-d vector, got shape (2, 3)"),
+        ([("a", np.ones(1)), ("b", np.float32(2.0))], "entry 'b': expected a 1-d vector, got shape ()"),
+    ],
+    ids=["matrices", "scalar"],
+)
+def test_dump_refuses_vectors_that_are_not_1d(tmp_path, entries, message):
+    with pytest.raises(ingest.DimMismatch) as excinfo:
+        ingest.write_embedding_dump(entries, tmp_path / "d.embd")
+    assert str(excinfo.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dump_rejects_zero_length_vectors(tmp_path):
     p = tmp_path / "d.embd"
     with pytest.raises(ingest.IngestError, match="^entry 'a': cannot write a zero-length vector$"):
@@ -362,10 +446,12 @@ THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]  # 53 bytes
         (hand_dump(THREE)[:40], ingest.TruncatedFile, "3 x 2 vectors end at byte 44, past the end at 40$"),
         (hand_dump(THREE)[:-1], ingest.TruncatedFile, "id table cut short at entry 2$"),
         (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
+        (hand_dump(THREE)[:19], ingest.TruncatedFile, "19 bytes, shorter than the 20-byte header$"),
+        (hand_dump([(b"a", [])], dim=0), ingest.CorruptHeader, "zero dimension$"),
     ],
     ids=[
         "duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector",
-        "cut-id", "nan-middle",
+        "cut-id", "nan-middle", "short-header", "zero-dim",
     ],
 )
 def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):

@@ -600,6 +600,16 @@ def test_train_errors():
         space.train(pairs, small_cfg(batch_size=2), phase="finetune", strict=True)
 
 
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+def test_train_refuses_variants_of_another_width(monkeypatch, phase):
+    pairs = tiny_pairs(0, n=4)
+    caption = pairs[2].captions[0]
+    pairs[2] = space.TrainPair(pairs[2].clip_id, pairs[2].audio, (caption,), ((caption, np.zeros(caption.size + 1)),))
+    monkeypatch.setattr(space, "loss_gradients", None)  # refused before step 0
+    with pytest.raises(space.DimMismatch, match=r"^clip 'train0002': inconsistent embedding dims$"):
+        space.train(pairs, small_cfg(batch_size=2), phase=phase)
+
+
 def test_train_stops_on_first_non_finite_loss(monkeypatch):
     exact = space.loss_gradients
     calls = []
