@@ -216,20 +216,19 @@ def _variant_texts(aug_sets: list[ingest.AugmentedCaptionSet]) -> list[tuple[str
 
 
 def _embed_texts(texts: list[tuple[str, str]], settings: argparse.Namespace) -> list[tuple[str, np.ndarray]]:
-    """Toy text-encoder vectors for (id, text) pairs."""
+    """Toy text-encoder vectors for (id, text) pairs, encoded in one batch."""
     vocab = encoder.Vocabulary.default()
     params = encoder.EncoderParams(seed=derive_seed(settings.seed, "text-encoder"))
-    return [
-        (key, encoder.text_encode(encoder.tokenize(encoder.normalize_text(text), vocab), params, len(vocab)))
-        for key, text in texts
-    ]
+    seqs = [encoder.tokenize(encoder.normalize_text(text), vocab) for _, text in texts]
+    vectors = encoder.text_encode_batch(seqs, params, len(vocab))
+    return [(key, vector) for (key, _), vector in zip(texts, vectors)]
 
 
 def _raw_vectors(settings: argparse.Namespace, dump_name: str, embed) -> dict[str, np.ndarray]:
     """Raw (pre-projection) vectors by id: the named file of the dump directory,
-    or embed() under the toy encoder, rounded to float32 as a dump holds them."""
+    or embed() under the toy encoder, whose float32 vectors are what a dump holds."""
     if settings.encoder is None:
-        return {key: np.asarray(vector, dtype="<f4") for key, vector in embed()}
+        return dict(embed())
     return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
 
 

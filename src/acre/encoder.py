@@ -7,14 +7,15 @@ returns the class-token output. Both stacks have a fixed shape, DEPTH = 2
 blocks of WIDTH = 64 with HEADS = 4 attention heads, as a pre-trained encoder's
 shape is fixed by its weights. All weights are drawn once from a seed and
 never trained: learning happens entirely in the projection heads, and real
-pre-trained encoders can be swapped in through embedding dumps.
+pre-trained encoders can be swapped in through embedding dumps. Both stacks
+run in float32.
 """
 
 from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
@@ -166,6 +167,9 @@ class _Block:
     w2: np.ndarray
     b2: np.ndarray
 
+    def astype(self, dtype) -> "_Block":
+        return _Block(*(getattr(self, f.name).astype(dtype) for f in fields(self)))
+
 
 def _draw_blocks(rng: np.random.Generator) -> tuple[_Block, ...]:
     w, hidden = WIDTH, 4 * WIDTH
@@ -186,25 +190,30 @@ def _draw_blocks(rng: np.random.Generator) -> tuple[_Block, ...]:
     return tuple(blocks)
 
 
+# Both stacks run in float32. Their weights are drawn in float64 and cast once
+# here, so the cached copies are float32.
+
+
 @lru_cache(maxsize=32)
 def _audio_weights(p: EncoderParams, patch_dim: int):
     rng = np.random.default_rng(derive_seed(p.seed, "toy-audio-encoder"))
     w_in = rng.normal(0.0, patch_dim**-0.5, (WIDTH, patch_dim))
     b_in = rng.normal(0.0, 0.02, WIDTH)
-    return w_in, b_in, _draw_blocks(rng)
+    blocks = tuple(blk.astype(np.float32) for blk in _draw_blocks(rng))
+    return w_in.astype(np.float32), b_in.astype(np.float32), blocks
 
 
 @lru_cache(maxsize=32)
 def _text_weights(p: EncoderParams, vocab_size: int):
     rng = np.random.default_rng(derive_seed(p.seed, "toy-text-encoder"))
     table = rng.normal(0.0, 1.0, (vocab_size, WIDTH))
-    return table, _draw_blocks(rng)
+    return table.astype(np.float32), tuple(blk.astype(np.float32) for blk in _draw_blocks(rng))
 
 
 # These elementwise helpers dominate the encoder's cost, so each works in place
-# in one buffer. _layer_norm and _gelu never write to their input. All three
-# keep the textbook formulas' order of operations, so they agree with them
-# bitwise, except that _gelu cubes by multiplication.
+# in one buffer, in its input's dtype. _layer_norm and _gelu never write to
+# their input. All three keep the textbook formulas' order of operations, so
+# they agree with them bitwise, except that _gelu cubes by multiplication.
 
 
 def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -236,19 +245,33 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# OpenBLAS splits a long inner dimension of a product at a point that depends
+# on its thread count (in sgemm on an AVX-512 Xeon, for most lengths from 452),
+# and float32 rounds differently on each side of the split. So attention
+# contracts over at most KEY_BLOCK keys per product and adds the blocks in
+# order, which keeps every output the same at any thread count.
+KEY_BLOCK = 256
+
+
 def _attention(x: np.ndarray, blk: _Block) -> np.ndarray:
-    n, w = x.shape
+    """Self-attention over the token axis of x, shaped (..., n, WIDTH)."""
+    *lead, n, w = x.shape
     hd = w // HEADS
-    q = (x @ blk.wq.T).reshape(n, HEADS, hd).transpose(1, 0, 2)
-    k = (x @ blk.wk.T).reshape(n, HEADS, hd).transpose(1, 0, 2)
-    v = (x @ blk.wv.T).reshape(n, HEADS, hd).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1)
+    q = (x @ blk.wq.T).reshape(*lead, n, HEADS, hd).swapaxes(-3, -2)
+    k = (x @ blk.wk.T).reshape(*lead, n, HEADS, hd).swapaxes(-3, -2)
+    v = (x @ blk.wv.T).reshape(*lead, n, HEADS, hd).swapaxes(-3, -2)
+    scores = q @ k.swapaxes(-1, -2)
     scores /= math.sqrt(hd)
-    out = _softmax(scores) @ v
-    return out.transpose(1, 0, 2).reshape(n, w) @ blk.wo.T
+    weights = _softmax(scores)
+    out = weights[..., :KEY_BLOCK] @ v[..., :KEY_BLOCK, :]
+    for start in range(KEY_BLOCK, n, KEY_BLOCK):
+        out += weights[..., start : start + KEY_BLOCK] @ v[..., start : start + KEY_BLOCK, :]
+    return out.swapaxes(-3, -2).reshape(*lead, n, w) @ blk.wo.T
 
 
 def _encode_tokens(tokens: np.ndarray, blocks: tuple[_Block, ...]) -> np.ndarray:
+    """Run the stack over tokens shaped (..., n, WIDTH); leading axes are
+    independent sequences of one length."""
     x = tokens
     for blk in blocks:
         x = x + _attention(_layer_norm(x), blk)
@@ -279,7 +302,7 @@ def audio_encode(grid: PatchGrid, p: EncoderParams = EncoderParams()) -> np.ndar
     pos = np.concatenate(
         [_sinusoid(grid.tags[:, 0], half), _sinusoid(grid.tags[:, 1], WIDTH - half)], axis=1
     )
-    tokens = grid.patches @ w_in.T + b_in + pos
+    tokens = grid.patches.astype(np.float32) @ w_in.T + b_in + pos.astype(np.float32)
     return _encode_tokens(tokens, blocks).mean(axis=0)
 
 
@@ -380,17 +403,33 @@ def tokenize(c: str, vocab: Vocabulary) -> TokenSeq:
     return TokenSeq(tuple(ids), tuple(pieces))
 
 
-def text_encode(t: TokenSeq, p: EncoderParams = EncoderParams(), vocab_size: int | None = None) -> np.ndarray:
-    """Encode tokens with the frozen bidirectional stack; return the class-token output.
+def text_encode_batch(
+    seqs: list[TokenSeq], p: EncoderParams = EncoderParams(), vocab_size: int | None = None
+) -> np.ndarray:
+    """Encode token sequences with the frozen bidirectional stack; return the
+    class-token outputs as an (N, WIDTH) float32 array, rows in input order.
 
-    vocab_size fixes the embedding table; it defaults to the shipped
-    vocabulary's size, and must match the vocabulary the ids came from.
+    Sequences of one length run as one stacked batch, with no padding, so a
+    row does not depend on what else is in the batch. vocab_size fixes the
+    embedding table; it defaults to the shipped vocabulary's size, and must
+    match the vocabulary the ids came from.
     """
     if vocab_size is None:
         vocab_size = len(Vocabulary.default())
     table, blocks = _text_weights(p, vocab_size)
-    idx = np.asarray(t.ids, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= vocab_size:
-        raise EncoderError(f"token id outside vocabulary of size {vocab_size}")
-    tokens = table[idx] + _sinusoid(np.arange(idx.size), WIDTH)
-    return _encode_tokens(tokens, blocks)[0]
+    by_length: dict[int, list[int]] = {}
+    for i, t in enumerate(seqs):
+        by_length.setdefault(len(t.ids), []).append(i)
+    out = np.empty((len(seqs), WIDTH), dtype=np.float32)
+    for length, rows in by_length.items():
+        idx = np.array([seqs[i].ids for i in rows], dtype=np.int64)
+        if idx.min() < 0 or idx.max() >= vocab_size:
+            raise EncoderError(f"token id outside vocabulary of size {vocab_size}")
+        tokens = table[idx] + _sinusoid(np.arange(length), WIDTH).astype(np.float32)
+        out[rows] = _encode_tokens(tokens, blocks)[:, 0]
+    return out
+
+
+def text_encode(t: TokenSeq, p: EncoderParams = EncoderParams(), vocab_size: int | None = None) -> np.ndarray:
+    """The class-token output of one sequence: text_encode_batch's row for it."""
+    return text_encode_batch([t], p, vocab_size)[0]

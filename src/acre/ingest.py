@@ -176,10 +176,12 @@ def load_augmented_captions(path) -> list[AugmentedCaptionSet]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{path}: line {lineno}: invalid JSON record: {exc}") from None
-            try:
-                clip_id, caption_index, variants = rec["clip_id"], rec["caption_index"], rec["variants"]
-            except (KeyError, TypeError) as exc:
-                raise IngestError(f"{path}: line {lineno}: malformed record: {exc}") from None
+            if not isinstance(rec, dict):
+                raise IngestError(f"{path}: line {lineno}: record must be a JSON object, got {type(rec).__name__}")
+            for key in ("clip_id", "caption_index", "variants"):
+                if key not in rec:
+                    raise IngestError(f"{path}: line {lineno}: missing key {key!r}")
+            clip_id, caption_index, variants = rec["clip_id"], rec["caption_index"], rec["variants"]
             if not isinstance(clip_id, str):
                 raise IngestError(f"{path}: line {lineno}: clip_id must be a string, got {clip_id!r}")
             if type(caption_index) is not int:  # a JSON integer: not 1.7, "1" or true

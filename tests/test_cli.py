@@ -10,7 +10,7 @@ import pytest
 
 from acre import cli, encoder, ingest, space
 from acre.seeding import derive_seed
-from conftest import write_v1_checkpoint
+from conftest import write_v1_checkpoint, write_wav_pcm16
 
 
 def run(args):
@@ -81,6 +81,27 @@ def test_embed_with_its_printed_whitening_is_byte_identical(wav_dataset, tmp_pat
     assert run(["embed", *common(wav_dataset, second), "--whiten", f"{mean},{std}"]) == 0
     for name in ("audio.embd", "captions.embd"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_embed_is_bitwise_the_same_at_one_and_two_blas_threads(wav_dataset, tmp_path):
+    # a 10-s clip under passt-s is 1188 tokens: attention over that many keys
+    # in one product would be split by OpenBLAS differently at one thread and two
+    rng = np.random.default_rng(8)
+    hum = 0.3 * np.sin(np.arange(320000) / 9.0) + 0.05 * rng.normal(size=320000)
+    write_wav_pcm16(wav_dataset["audio_dir"] / "long.wav", hum)
+    with open(wav_dataset["manifest"], "a") as fh:
+        fh.write("long.wav," + ",".join(f"a long hum number {k}" for k in range(5)) + ",hum\n")
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip(("1", "2"), outs):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        args = ["embed", *common(wav_dataset, out), "--preset", "passt-s"]
+        args += ["--augmented-captions", str(wav_dataset["augmented"])]
+        result = subprocess.run(
+            [sys.executable, "-m", "acre.cli", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+    for name in ("audio.embd", "captions.embd", "variants.embd"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def split_manifest(ds, tmp_path, parts):

@@ -1,6 +1,6 @@
 """Each narrative demo runs to completion in a fresh interpreter.
 
-Demo 07 (the segment-length sweep) is the slowest, about 15 s on 2 vCPUs.
+Demo 07 (the segment-length sweep) is the slowest, about 8 s on 2 vCPUs.
 """
 
 import os

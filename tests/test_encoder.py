@@ -260,6 +260,37 @@ def test_text_encode_rejects_out_of_vocab_ids(vocab):
         encoder.text_encode(ts, encoder.EncoderParams(seed=0), len(vocab))
 
 
+def random_captions(vocab, count, seed):
+    """count captions of 0 to 40 whole-word pieces, so token lengths repeat and
+    some captions run past the 32-token cap."""
+    words = [w for w in vocab.pieces if not w.startswith(("##", "["))]
+    rng = np.random.default_rng(seed)
+    return [" ".join(rng.choice(words, size=int(rng.integers(0, 41)))) for _ in range(count)]
+
+
+def test_text_encode_batch_rows_are_per_caption_text_encode_bitwise(vocab):
+    p = encoder.EncoderParams(seed=21)
+    seqs = [encoder.tokenize(c, vocab) for c in random_captions(vocab, 120, seed=4)]
+    assert len({len(t.ids) for t in seqs}) > 20
+    batch = encoder.text_encode_batch(seqs, p, len(vocab))
+    assert batch.shape == (120, encoder.WIDTH) and batch.dtype == np.float32
+    for row, t in zip(batch, seqs):
+        assert np.array_equal(row, encoder.text_encode(t, p, len(vocab)))
+
+
+def test_text_encode_batch_of_nothing_is_0_by_width(vocab):
+    out = encoder.text_encode_batch([], encoder.EncoderParams(seed=0), len(vocab))
+    assert out.shape == (0, encoder.WIDTH) and out.dtype == np.float32
+
+
+@pytest.mark.parametrize("bad_id", [-1, 10**6], ids=["negative", "past-the-end"])
+def test_text_encode_batch_rejects_out_of_vocab_ids(vocab, bad_id):
+    good = encoder.tokenize("rain on a window", vocab)
+    bad = encoder.TokenSeq(ids=(vocab.cls_id, bad_id), pieces=("x",))
+    with pytest.raises(encoder.EncoderError, match=f"outside vocabulary of size {len(vocab)}"):
+        encoder.text_encode_batch([good, bad], encoder.EncoderParams(seed=0), len(vocab))
+
+
 def test_geometry_presets_cover_expected_settings():
     assert encoder.PRESETS["passt-n"].drop_t == 15
     assert encoder.PRESETS["passt-s"].drop_t == 50
@@ -313,6 +344,19 @@ def test_gelu_is_the_tanh_formula_with_the_cube_by_multiplication(shape):
     assert np.abs(out - reference_gelu(x, lambda v: v**3)).max() <= 4.5e-16
 
 
+@pytest.mark.parametrize("n", [1188, 33], ids=["passt-s-grid", "capped-caption"])
+def test_float32_stack_stays_within_1e5_of_float64(n):
+    # the encoders run the stack in float32 on weights drawn in float64 and cast once
+    rng = np.random.default_rng(n)
+    blocks64 = encoder._draw_blocks(rng)
+    blocks32 = tuple(blk.astype(np.float32) for blk in blocks64)
+    tokens = rng.normal(size=(n, encoder.WIDTH))
+    ref = encoder._encode_tokens(tokens, blocks64)
+    out = encoder._encode_tokens(tokens.astype(np.float32), blocks32)
+    assert ref.dtype == np.float64 and out.dtype == np.float32
+    assert np.linalg.norm(out - ref) <= 1e-5 * np.linalg.norm(ref)
+
+
 def test_encoder_outputs_are_pinned_to_the_byte(vocab):
     # sha256 of the float32 bytes a dump would hold; a change to the encoder's
     # arithmetic that moves any dump by one bit moves these digests
@@ -321,6 +365,6 @@ def test_encoder_outputs_are_pinned_to_the_byte(vocab):
     audio = encoder.audio_encode(grid, p)
     text = encoder.text_encode(encoder.tokenize("a dog barks while rain falls on a tin roof", vocab), p)
     assert [hashlib.sha256(v.astype(np.float32).tobytes()).hexdigest() for v in (audio, text)] == [
-        "df62297b8f392b610d5acb2ece5555adada78dd779d17b7f74a92dcc3e7eb8dd",
-        "00badab204071943c3f0a5f3fadaaab06124545251a615f9896476d7c38d2c79",
+        "bb88823fc7b576d507e154a1aef1f8646aa423c5c6f41f0b0973250ee9ba7125",
+        "61c80516993dcd26860cf78a9bef2aef1609b0b070c79e607e25bf116f857278",
     ]

@@ -172,11 +172,17 @@ def test_augmented_rejects_non_string_or_blank_variants(tmp_path, variant, shown
     "line, message",
     [
         ('{"clip_id": "a", ', "line 1: invalid JSON record: "),
-        ('{"clip_id": "a", "variants": ["1", "2", "3", "4", "5"]}', "line 1: malformed record: 'caption_index'"),
+        ('{"clip_id": "a", "variants": ["1", "2", "3", "4", "5"]}', "line 1: missing key 'caption_index'"),
+        ('{"caption_index": 0, "variants": ["1", "2", "3", "4", "5"]}', "line 1: missing key 'clip_id'"),
         ('{"clip_id": "a", "caption_index": 5, "variants": ["1", "2", "3", "4", "5"]}',
          "line 1: caption_index 5 outside 0..4"),
+        ("[1, 2]", "line 1: record must be a JSON object, got list"),
+        ('"x"', "line 1: record must be a JSON object, got str"),
+        ("5", "line 1: record must be a JSON object, got int"),
+        ('{"clip_id": "a", "caption_index": 0, "variants": ["1", "2", "3", "4", "5"]}\n\n[]',
+         "line 3: record must be a JSON object, got list"),
     ],
-    ids=["invalid-json", "missing-key", "index-5"],
+    ids=["invalid-json", "missing-key", "missing-clip-id", "index-5", "list", "string", "number", "list-on-line-3"],
 )
 def test_augmented_rejects_malformed_records(tmp_path, line, message):
     f = tmp_path / "aug.jsonl"
