@@ -52,16 +52,24 @@ with tempfile.TemporaryDirectory(prefix="acre-cli-demo-") as tmp:
                 }
                 fh.write(json.dumps(rec) + "\n")
 
-    common = ["--manifest", str(manifest), "--audio-dir", str(audio_dir), "--seed", "5"]
+    common = ["--manifest", str(manifest), "--seed", "5"]
 
+    # embed is the one command that runs the frozen encoders; the others read its dumps
     print("== embed ==")
-    cli.main(["embed", *common, "--out", str(base / "emb"), "--augmented-captions", str(augmented)])
+    cli.main(
+        [
+            "embed", *common,
+            "--audio-dir", str(audio_dir),
+            "--augmented-captions", str(augmented),
+            "--out", str(base / "emb"),
+        ]
+    )
+    common += ["--encoder", f"dump:{base / 'emb'}"]
 
     print("\n== train (from the embedding dumps) ==")
     cli.main(
         [
             "train", *common,
-            "--encoder", f"dump:{base / 'emb'}",
             "--out", str(base / "pretrained"),
             "--epochs", "8", "--batch-size", "3", "--lr-max", "1e-2",
         ]

@@ -67,12 +67,10 @@ def _preset(text: str) -> encoder.PatchGeometry:
     return encoder.PRESETS[text]
 
 
-def _dump_dir(text: str) -> Path | None:
-    """'toy' -> None (the toy encoders); 'dump:<dir>' -> the embedding-dump directory."""
-    if text == "toy":
-        return None
+def _dump_dir(text: str) -> Path:
+    """'dump:<dir>' -> the embedding-dump directory."""
     if not text.startswith("dump:") or text == "dump:":
-        raise argparse.ArgumentTypeError(f"must be 'toy' or 'dump:<dir>', got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be 'dump:<dir>', got {text!r}")
     return Path(text[len("dump:") :])
 
 
@@ -109,7 +107,7 @@ SETTINGS = (
     Setting("manifest", _paths, [], "manifest CSVs, comma-separated (repeatable)"),
     Setting("audio_dir", _path, None, "base directory for audio paths"),
     Setting("augmented_captions", _path, None, "JSONL variants file"),
-    Setting("encoder", _dump_dir, None, "toy | dump:<dir> (default toy)"),
+    Setting("encoder", _dump_dir, None, "dump:<dir> written by embed (needed by train/finetune/evaluate/rank)"),
     Setting("preset", _preset, encoder.PRESETS["passt-n"], "patch geometry: " + " | ".join(sorted(encoder.PRESETS))),
     Setting("epochs", int, None, "epoch count override"),
     Setting("seed", int, 0, "global seed (default 0)"),
@@ -133,11 +131,13 @@ def parse_config_file(path) -> dict[str, Any]:
     """Flat key = value lines; '#' starts a comment; blank lines ignored.
 
     Every key must name a setting, and its value goes through the parser its
-    flag uses; an unknown key or a value that does not parse is a usage error
-    naming the line, so no setting is ever silently dropped or misread.
+    flag uses; an unknown key, a key set twice or a value that does not parse
+    is a usage error naming the line, so no setting is ever silently dropped,
+    overwritten or misread.
     """
     parsers = {s.key: s.parse for s in SETTINGS}
     out: dict[str, Any] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -147,6 +147,9 @@ def parse_config_file(path) -> dict[str, Any]:
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key not in parsers:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise CliError(f"{path}: line {lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             out[key] = parsers[key](value)
         except argparse.ArgumentTypeError as exc:
@@ -224,16 +227,12 @@ def _embed_texts(texts: list[tuple[str, str]], settings: argparse.Namespace) -> 
     return [(key, vector) for (key, _), vector in zip(texts, vectors)]
 
 
-def _raw_vectors(settings: argparse.Namespace, dump_name: str, embed) -> dict[str, np.ndarray]:
-    """Raw (pre-projection) vectors by id: the named file of the dump directory,
-    or embed() under the toy encoder, whose float32 vectors are what a dump holds."""
+def _raw_vectors(settings: argparse.Namespace, command: str, dump_name: str) -> dict[str, np.ndarray]:
+    """Raw (pre-projection) vectors by id, from the named file of the --encoder
+    dump directory; only embed runs the encoders, every other command reads its dumps."""
     if settings.encoder is None:
-        return dict(embed())
+        raise CliError(f"{command} reads embedding dumps: pass --encoder dump:<dir> (written by acre embed)")
     return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
-
-
-def _raw_audio(records: list[ingest.ClipRecord], settings: argparse.Namespace) -> dict[str, np.ndarray]:
-    return _raw_vectors(settings, "audio.embd", lambda: _embed_audio(records, settings)[0])
 
 
 def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarray:
@@ -243,20 +242,18 @@ def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarra
     return vectors[key]
 
 
-def _train_pairs(
-    records: list[ingest.ClipRecord], settings: argparse.Namespace, with_variants: bool = False
-) -> list[space.TrainPair]:
-    """A pair per record; with_variants attaches the --augmented-captions
-    variants of each caption, parsed before any dump is read."""
-    aug_sets = None
-    if with_variants and settings.augmented_captions is not None:
+def _train_pairs(records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str) -> list[space.TrainPair]:
+    """A pair per record; finetune attaches the --augmented-captions variants
+    of each caption, parsed before any dump is read."""
+    aug_sets = []
+    if command == "finetune" and settings.augmented_captions is not None:
         known = {rec.clip_id for rec in records}
         aug_sets = [a for a in ingest.load_augmented_captions(settings.augmented_captions) if a.clip_id in known]
-    audio = _raw_audio(records, settings)
-    captions = _raw_vectors(settings, "captions.embd", lambda: _embed_texts(_caption_texts(records), settings))
+    audio = _raw_vectors(settings, command, "audio.embd")
+    captions = _raw_vectors(settings, command, "captions.embd")
     variants: dict[str, tuple[np.ndarray, ...]] = {}
-    if aug_sets is not None:
-        entries = _raw_vectors(settings, "variants.embd", lambda: _embed_texts(_variant_texts(aug_sets), settings))
+    if aug_sets:
+        entries = _raw_vectors(settings, command, "variants.embd")
         for aug in aug_sets:
             key = f"{aug.clip_id}#{aug.caption_index}"
             variants[key] = tuple(_embedding(entries, f"{key}@{j}", "variant") for j in range(len(aug.variants)))
@@ -287,7 +284,7 @@ def _loss_csv(curve) -> str:
 
 def cmd_embed(settings: argparse.Namespace) -> int:
     if settings.encoder is not None:
-        raise CliError("embed requires the toy encoder; dump files already hold embeddings")
+        raise CliError("embed runs the encoders and writes dumps; it takes no --encoder")
     out = _require_out(settings)
     records = _load_records(settings)
     aug_sets = None
@@ -309,7 +306,8 @@ def cmd_embed(settings: argparse.Namespace) -> int:
     return 0
 
 
-def _run_training(settings: argparse.Namespace, phase: str) -> int:
+def _run_training(settings: argparse.Namespace, command: str) -> int:
+    phase = "pretrain" if command == "train" else "finetune"
     space.check_phase(settings.train, phase)
     if phase == "finetune" and settings.strict and settings.augmented_captions is None:
         raise space.MissingAugmentation("finetune --strict requires --augmented-captions")
@@ -319,7 +317,7 @@ def _run_training(settings: argparse.Namespace, phase: str) -> int:
         init = (ckpt.audio_head, ckpt.text_head)
     out = _require_out(settings)
     records = _load_records(settings)
-    pairs = _train_pairs(records, settings, with_variants=phase == "finetune")
+    pairs = _train_pairs(records, settings, command)
     result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
     checkpoint = out / "checkpoint.ackp"
     space.save_checkpoint(checkpoint, result.audio_head, result.text_head, result.total_steps, settings.train)
@@ -339,7 +337,7 @@ def cmd_evaluate(settings: argparse.Namespace) -> int:
         raise CliError("evaluate requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    pairs = _train_pairs(records, settings)
+    pairs = _train_pairs(records, settings, "evaluate")
     queries, index = retrieval.build_eval(pairs, ckpt.audio_head, ckpt.text_head)
     report = retrieval.evaluate(queries, index)
     table = retrieval.format_metrics_table(report)
@@ -356,7 +354,7 @@ def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
         raise CliError("rank requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    audio = _raw_audio(records, settings)
+    audio = _raw_vectors(settings, "rank", "audio.embd")
     ids = [rec.clip_id for rec in records]
     index = retrieval.RetrievalIndex.build(
         ids, space.project(np.stack([_embedding(audio, i, "audio") for i in ids]), ckpt.audio_head)
@@ -420,7 +418,7 @@ def main(argv=None) -> int:
             return cmd_evaluate(settings)
         if args.command == "rank":
             return cmd_rank(settings, args.query, args.top)
-        return _run_training(settings, "pretrain" if args.command == "train" else "finetune")
+        return _run_training(settings, args.command)
     except CliError as exc:
         print(f"error: UsageError: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import struct
 from pathlib import Path
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from acre import space
+from acre import cli, space
 from acre.seeding import derive_seed
 
 
@@ -95,3 +97,15 @@ def wav_dataset(tmp_path):
                     + "\n"
                 )
     return {"dir": tmp_path, "audio_dir": audio_dir, "manifest": manifest, "augmented": augmented, "names": names}
+
+
+@pytest.fixture
+def wav_dumps(wav_dataset):
+    """acre embed's dumps of wav_dataset at seed 5, variants included: the
+    directory every train, finetune, evaluate and rank reads with --encoder dump:."""
+    out = wav_dataset["dir"] / "wav-dumps"
+    argv = ["embed", "--manifest", str(wav_dataset["manifest"]), "--audio-dir", str(wav_dataset["audio_dir"])]
+    argv += ["--augmented-captions", str(wav_dataset["augmented"]), "--out", str(out), "--seed", "5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return out

@@ -260,12 +260,13 @@ def test_criterion_8_determinism(wav_dataset, tmp_path):
             "--seed", "5",
         ]
         assert cli.main(["embed", *common, "--out", str(base / "emb")]) == 0
+        dump = ["--encoder", f"dump:{base / 'emb'}"]
         assert cli.main(
-            ["train", *common, "--out", str(base / "train"), "--epochs", "4", "--batch-size", "3"]
+            ["train", *common, *dump, "--out", str(base / "train"), "--epochs", "4", "--batch-size", "3"]
         ) == 0
         assert cli.main(
             [
-                "evaluate", *common,
+                "evaluate", *common, *dump,
                 "--out", str(base / "eval"),
                 "--checkpoint", str(base / "train" / "checkpoint.ackp"),
             ]

@@ -27,6 +27,10 @@ def common(ds, out, extra=()):
     ]
 
 
+def dump_encoder(dumps):
+    return ["--encoder", f"dump:{dumps}"]
+
+
 def test_embed_writes_dumps(wav_dataset, tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["embed", *common(wav_dataset, out)]) == 0
@@ -114,9 +118,9 @@ def split_manifest(ds, tmp_path, parts):
     return paths
 
 
-def test_train_over_two_manifests_equals_one(wav_dataset, tmp_path):
+def test_train_over_two_manifests_equals_one(wav_dataset, wav_dumps, tmp_path):
     halves = split_manifest(wav_dataset, tmp_path, [range(0, 3), range(3, 6)])
-    train = ["--epochs", "2", "--batch-size", "3", "--seed", "5", "--audio-dir", str(wav_dataset["audio_dir"])]
+    train = ["--epochs", "2", "--batch-size", "3", "--seed", "5", *dump_encoder(wav_dumps)]
     one, two = tmp_path / "one", tmp_path / "two"
     assert run(["train", "--manifest", str(wav_dataset["manifest"]), "--out", str(one), *train]) == 0
     assert run(["train", "--manifest", f"{halves[0]},{halves[1]}", "--out", str(two), *train]) == 0
@@ -147,9 +151,10 @@ def test_missing_required_setting_is_usage_error(tmp_path, capsys, argv, message
     assert not (tmp_path / "out").exists()
 
 
-def test_train_then_evaluate(wav_dataset, tmp_path, capsys):
+def test_train_then_evaluate(wav_dataset, wav_dumps, tmp_path, capsys):
     out = tmp_path / "run"
-    train_args = ["train", *common(wav_dataset, out), "--epochs", "6", "--batch-size", "3", "--lr-max", "1e-2"]
+    dump = dump_encoder(wav_dumps)
+    train_args = ["train", *common(wav_dataset, out, dump), "--epochs", "6", "--batch-size", "3", "--lr-max", "1e-2"]
     assert run(train_args) == 0
     assert (out / "checkpoint.ackp").exists()
     loss_lines = (out / "loss.csv").read_text().strip().splitlines()
@@ -157,7 +162,7 @@ def test_train_then_evaluate(wav_dataset, tmp_path, capsys):
     assert len(loss_lines) == 1 + 12  # 6 epochs x 2 steps
 
     eval_args = [
-        "evaluate", *common(wav_dataset, tmp_path / "eval"),
+        "evaluate", *common(wav_dataset, tmp_path / "eval", dump),
         "--checkpoint", str(out / "checkpoint.ackp"),
     ]
     assert run(eval_args) == 0
@@ -167,19 +172,52 @@ def test_train_then_evaluate(wav_dataset, tmp_path, capsys):
     assert metrics.splitlines()[0] == "metric,value"
 
 
-def test_train_rerun_byte_identical(wav_dataset, tmp_path):
+def test_evaluate_reads_the_dumps_whatever_the_embedding_settings(wav_dataset, wav_dumps, tmp_path):
+    # the seed's encoder weights, the preset, the snippet length and whitening
+    # shape what embed writes; evaluate reads that, so none of them moves its metrics
+    dump, ckpt = dump_encoder(wav_dumps), tmp_path / "run" / "checkpoint.ackp"
+    assert run(["train", *common(wav_dataset, ckpt.parent, dump), "--epochs", "4", "--batch-size", "3"]) == 0
+    evaluate = ["evaluate", "--checkpoint", str(ckpt)]
+    assert run([*evaluate, *common(wav_dataset, tmp_path / "seed5", dump)]) == 0
+    expected = (tmp_path / "seed5" / "metrics.csv").read_bytes()
+    cases = [
+        ["--seed", "0"], ["--seed", "9"], ["--preset", "passt-s"], ["--snippet-seconds", "1"], ["--whiten", "0.5,2"],
+    ]
+    for i, extra in enumerate(cases):
+        assert run([*evaluate, *common(wav_dataset, tmp_path / f"case{i}", [*dump, *extra])]) == 0
+        assert (tmp_path / f"case{i}" / "metrics.csv").read_bytes() == expected, extra
+
+
+@pytest.mark.parametrize("command", ["train", "finetune", "evaluate", "rank"])
+def test_commands_without_dumps_point_at_acre_embed(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\nabsent.wav,a,b,c,d,e\n")
+    ckpt = tmp_path / "init.ackp"
+    rng = np.random.default_rng(0)
+    heads = (space.ProjectionHead.initialize(4, 8, rng), space.ProjectionHead.initialize(3, 8, rng))
+    space.save_checkpoint(ckpt, *heads, 0, space.TrainConfig())
+    extra = {"evaluate": ["--checkpoint", str(ckpt)], "rank": ["--checkpoint", str(ckpt), "--query", "a tone"]}
+    assert run([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"), *extra.get(command, [])]) == 2
+    assert capsys.readouterr().err == (
+        f"error: UsageError: {command} reads embedding dumps: pass --encoder dump:<dir> (written by acre embed)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_rerun_byte_identical(wav_dataset, wav_dumps, tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert run(["train", *common(wav_dataset, out), "--epochs", "4", "--batch-size", "3"]) == 0
+        train = ["train", *common(wav_dataset, out, dump_encoder(wav_dumps)), "--epochs", "4", "--batch-size", "3"]
+        assert run(train) == 0
         outs.append(out)
     assert (outs[0] / "checkpoint.ackp").read_bytes() == (outs[1] / "checkpoint.ackp").read_bytes()
     assert (outs[0] / "loss.csv").read_bytes() == (outs[1] / "loss.csv").read_bytes()
 
 
-def test_train_zero_epochs_equals_initialization(wav_dataset, tmp_path):
+def test_train_zero_epochs_equals_initialization(wav_dataset, wav_dumps, tmp_path):
     out = tmp_path / "run"
-    assert run(["train", *common(wav_dataset, out), "--epochs", "0", "--batch-size", "3"]) == 0
+    assert run(["train", *common(wav_dataset, out, dump_encoder(wav_dumps)), "--epochs", "0", "--batch-size", "3"]) == 0
     ckpt = space.load_checkpoint(out / "checkpoint.ackp")
     assert ckpt.step == 0
     from acre.seeding import derive_seed
@@ -188,12 +226,12 @@ def test_train_zero_epochs_equals_initialization(wav_dataset, tmp_path):
     assert np.array_equal(ckpt.audio_head.weight, expected.weight.astype(np.float32).astype(np.float64))
 
 
-def test_finetune_strict_without_augmentations_fails(wav_dataset, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run(["train", *common(wav_dataset, out), "--epochs", "1", "--batch-size", "3"]) == 0
+def test_finetune_strict_without_augmentations_fails(wav_dataset, wav_dumps, tmp_path, capsys):
+    out, dump = tmp_path / "run", dump_encoder(wav_dumps)
+    assert run(["train", *common(wav_dataset, out, dump), "--epochs", "1", "--batch-size", "3"]) == 0
     code = run(
         [
-            "finetune", *common(wav_dataset, tmp_path / "ft"),
+            "finetune", *common(wav_dataset, tmp_path / "ft", dump),
             "--checkpoint", str(out / "checkpoint.ackp"),
             "--epochs", "1", "--batch-size", "3", "--strict",
         ]
@@ -202,20 +240,22 @@ def test_finetune_strict_without_augmentations_fails(wav_dataset, tmp_path, caps
     assert "MissingAugmentation" in capsys.readouterr().err
 
 
-def test_finetune_warns_when_variants_cover_no_clip(wav_dataset, tmp_path):
+def test_finetune_warns_when_variants_cover_no_clip(wav_dataset, wav_dumps, tmp_path):
     elsewhere = tmp_path / "elsewhere.jsonl"
     elsewhere.write_text('{"clip_id": "other.wav", "caption_index": 0, "variants": ["a", "b", "c", "d", "e"]}\n')
-    args = ["--augmented-captions", str(elsewhere), "--epochs", "1", "--batch-size", "3"]
+    # no variant is needed, so variants.embd is not read
+    (wav_dumps / "variants.embd").unlink()
+    args = ["--augmented-captions", str(elsewhere), "--epochs", "1", "--batch-size", "3", *dump_encoder(wav_dumps)]
     with pytest.warns(UserWarning, match="swaps will never fire"):
         assert run(["finetune", *common(wav_dataset, tmp_path / "ft"), *args]) == 0
 
 
-def test_finetune_with_augmentations(wav_dataset, tmp_path):
-    out = tmp_path / "run"
-    assert run(["train", *common(wav_dataset, out), "--epochs", "2", "--batch-size", "3"]) == 0
+def test_finetune_with_augmentations(wav_dataset, wav_dumps, tmp_path):
+    out, dump = tmp_path / "run", dump_encoder(wav_dumps)
+    assert run(["train", *common(wav_dataset, out, dump), "--epochs", "2", "--batch-size", "3"]) == 0
     code = run(
         [
-            "finetune", *common(wav_dataset, tmp_path / "ft"),
+            "finetune", *common(wav_dataset, tmp_path / "ft", dump),
             "--checkpoint", str(out / "checkpoint.ackp"),
             "--augmented-captions", str(wav_dataset["augmented"]),
             "--epochs", "2", "--batch-size", "3", "--strict",
@@ -223,38 +263,6 @@ def test_finetune_with_augmentations(wav_dataset, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "ft" / "checkpoint.ackp").exists()
-
-
-def test_dump_encoder_roundtrip(wav_dataset, tmp_path, capsys):
-    # the toy encoder rounds its vectors to float32 as embed writes them, so a
-    # toy run and a run on embed's dumps see the same vectors and write the same bytes
-    emb = tmp_path / "emb"
-    assert run(["embed", *common(wav_dataset, emb), "--augmented-captions", str(wav_dataset["augmented"])]) == 0
-    capsys.readouterr()
-    runs = {}
-    for name, extra in (("toy", []), ("dump", ["--encoder", f"dump:{emb}"])):
-        base = tmp_path / name
-        pretrained, finetuned = (str(base / phase / "checkpoint.ackp") for phase in ("train", "finetune"))
-        steps = [
-            ["train", "--epochs", "3", "--batch-size", "3"],
-            [
-                "finetune", "--epochs", "2", "--batch-size", "3", "--checkpoint", pretrained,
-                "--augmented-captions", str(wav_dataset["augmented"]), "--strict",
-            ],
-            ["evaluate", "--checkpoint", finetuned],
-        ]
-        for command, *args in steps:
-            assert run([command, *common(wav_dataset, base / command, extra), *args]) == 0
-        capsys.readouterr()
-        rank = ["--checkpoint", finetuned, "--query", "a tone of kind 2 sounds loud"]
-        assert run(["rank", *common(wav_dataset, base / "rank", extra), *rank]) == 0
-        files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
-        runs[name] = ({str(f): (base / f).read_bytes() for f in files}, capsys.readouterr().out)
-    assert sorted(runs["toy"][0]) == [
-        "evaluate/metrics.csv", "evaluate/report.txt", "finetune/checkpoint.ackp", "finetune/loss.csv",
-        "train/checkpoint.ackp", "train/loss.csv",
-    ]
-    assert runs["toy"] == runs["dump"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -395,13 +403,14 @@ def test_dump_encoder_refuses_version_1_dump(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_rank_prints_ordering(wav_dataset, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run(["train", *common(wav_dataset, out), "--epochs", "6", "--batch-size", "3", "--lr-max", "1e-2"]) == 0
+def test_rank_prints_ordering(wav_dataset, wav_dumps, tmp_path, capsys):
+    out, dump = tmp_path / "run", dump_encoder(wav_dumps)
+    train = ["train", *common(wav_dataset, out, dump), "--epochs", "6", "--batch-size", "3", "--lr-max", "1e-2"]
+    assert run(train) == 0
     capsys.readouterr()
     code = run(
         [
-            "rank", *common(wav_dataset, tmp_path / "rankout"),
+            "rank", *common(wav_dataset, tmp_path / "rankout", dump),
             "--checkpoint", str(out / "checkpoint.ackp"),
             "--query", "a tone of kind 2 sounds loud",
             "--top", "3",
@@ -413,10 +422,9 @@ def test_rank_prints_ordering(wav_dataset, tmp_path, capsys):
     assert lines[0].split()[0] == "1"
 
 
-def test_rank_scores_are_projected_cosines(wav_dataset, tmp_path, capsys):
-    emb, out = tmp_path / "emb", tmp_path / "run"
-    assert run(["embed", *common(wav_dataset, emb)]) == 0
-    dump = ["--encoder", f"dump:{emb}"]
+def test_rank_scores_are_projected_cosines(wav_dataset, wav_dumps, tmp_path, capsys):
+    emb, out = wav_dumps, tmp_path / "run"
+    dump = dump_encoder(emb)
     assert run(["train", *common(wav_dataset, out, dump), "--epochs", "2", "--batch-size", "3"]) == 0
     capsys.readouterr()
     query = "a tone of kind 2 sounds loud"
@@ -447,10 +455,8 @@ def test_rank_scores_are_projected_cosines(wav_dataset, tmp_path, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_rank_rejects_clip_without_audio_embedding(wav_dataset, tmp_path, capsys):
-    emb, out = tmp_path / "emb", tmp_path / "run"
-    assert run(["embed", *common(wav_dataset, emb)]) == 0
-    dump = ["--encoder", f"dump:{emb}"]
+def test_rank_rejects_clip_without_audio_embedding(wav_dataset, wav_dumps, tmp_path, capsys):
+    out, dump = tmp_path / "run", dump_encoder(wav_dumps)
     assert run(["train", *common(wav_dataset, out, dump), "--epochs", "1", "--batch-size", "3"]) == 0
     with open(wav_dataset["manifest"], "a", encoding="utf-8") as fh:
         fh.write("ghost.wav,a,b,c,d,e\n")
@@ -507,14 +513,14 @@ def test_gradcheck_perturbed_fails(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_config_file_with_flag_override(wav_dataset, tmp_path, capsys):
+def test_config_file_with_flag_override(wav_dataset, wav_dumps, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "\n".join(
             [
                 "# demo config",
                 f"manifest = {wav_dataset['manifest']}",
-                f"audio_dir = {wav_dataset['audio_dir']}",
+                f"encoder = dump:{wav_dumps}",
                 "seed = 9",
                 "epochs = 1",
                 "batch_size = 3",
@@ -538,8 +544,10 @@ def test_config_file_with_flag_override(wav_dataset, tmp_path, capsys):
         ("lr_max = abc", "line 2: lr_max must be float, got 'abc'"),
         ("seed = 1.5", "line 2: seed must be int, got '1.5'"),
         ("whiten = 1", "line 2: whiten must be finite 'mean,std' with std > 0, got '1'"),
-        ("encoder = gpu", "line 2: encoder must be 'toy' or 'dump:<dir>', got 'gpu'"),
+        ("encoder = gpu", "line 2: encoder must be 'dump:<dir>', got 'gpu'"),
+        ("encoder = toy", "line 2: encoder must be 'dump:<dir>', got 'toy'"),
         ("patchout = yes", "line 2: unknown key 'patchout'"),
+        ("epochs = 2", "line 2: epochs already set on line 1"),
     ],
 )
 def test_config_file_rejects_unknown_key_and_bad_switch(wav_dataset, tmp_path, capsys, line, message):
@@ -615,9 +623,10 @@ def test_flags_replace_config_values(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "train-dump", "evaluate", "rank"])
-def test_header_only_manifest_is_input_error(wav_dataset, tmp_path, capsys, command):
+def test_header_only_manifest_is_input_error(wav_dataset, wav_dumps, tmp_path, capsys, command):
     ckpt = tmp_path / "run" / "checkpoint.ackp"
-    assert run(["train", *common(wav_dataset, ckpt.parent), "--epochs", "0", "--batch-size", "3"]) == 0
+    train = ["train", *common(wav_dataset, ckpt.parent, dump_encoder(wav_dumps)), "--epochs", "0", "--batch-size", "3"]
+    assert run(train) == 0
     empty = tmp_path / "empty.csv"
     empty.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n\n")
     extra = {
@@ -709,3 +718,5 @@ def test_python_m_acre_cli_prints_no_runtime_warning(tmp_path, lr_max, last_line
 def test_embed_rejects_dump_encoder(wav_dataset, tmp_path, capsys):
     code = run(["embed", *common(wav_dataset, tmp_path / "x"), "--encoder", "dump:/tmp/nowhere"])
     assert code == 2
+    assert capsys.readouterr().err == "error: UsageError: embed runs the encoders and writes dumps; it takes no --encoder\n"
+    assert not (tmp_path / "x").exists()
