@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 # Patch extraction, structured patchout, and the frozen toy audio encoder.
 
+import math
+
 import numpy as np
 
 from acre import dsp, encoder
@@ -40,8 +42,7 @@ perm = np.random.default_rng(3).permutation(len(grid))
 shuffled = encoder.PatchGrid(grid.rows, grid.cols, grid.patches[perm], grid.tags[perm])
 print("shuffled-patch difference:", float(np.abs(encoder.audio_encode(shuffled, params) - vec).max()))
 
-# Long audio: encode each segment separately, then average the embeddings.
-segments = dsp.segment(spec, 500)
-grids = [encoder.extract_patches(s, g) for s in segments]
-pooled = encoder.embed_long_audio(grids, params)
-print(f"{len(grids)} segments averaged -> same width: {pooled.shape}")
+# Long audio: encode each 500-frame segment separately, then average the
+# embeddings. This is the path acre embed runs on every clip.
+pooled = encoder.embed_long_audio(spec, 500, g, params)
+print(f"{math.ceil(spec.frames / 500)} segments averaged -> same width: {pooled.shape}")

@@ -197,14 +197,16 @@ def _embed_audio(
         w = ingest.read_wav(rec.audio_path)
         rng = np.random.default_rng(derive_seed(settings.seed, f"snippet:{rec.clip_id}"))
         w = dsp.snippet_or_pad(w, settings.snippet_seconds, rng)
-        specs.append((rec.clip_id, dsp.logmel(w)))
+        try:
+            specs.append((rec.clip_id, dsp.logmel(w)))
+        except dsp.DspError as exc:  # the same kind, naming the clip among thousands
+            raise type(exc)(f"{rec.audio_path}: {exc}") from None
     stats = settings.whiten or dsp.compute_whitening_stats(s for _, s in specs)
     seg_frames = dsp.seconds_to_frames(settings.preset.max_input_seconds)
-    entries = []
-    for clip_id, spec in specs:
-        segments = dsp.segment(dsp.whiten(spec, stats), seg_frames)
-        grids = [encoder.extract_patches(s, settings.preset) for s in segments]
-        entries.append((clip_id, encoder.embed_long_audio(grids, params)))
+    entries = [
+        (clip_id, encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, settings.preset, params))
+        for clip_id, spec in specs
+    ]
     return entries, stats
 
 

@@ -8,7 +8,8 @@ blocks of WIDTH = 64 with HEADS = 4 attention heads, as a pre-trained encoder's
 shape is fixed by its weights. All weights are drawn once from a seed and
 never trained: learning happens entirely in the projection heads, and real
 pre-trained encoders can be swapped in through embedding dumps. Both stacks
-run in float32.
+run in float32. embed_long_audio, the one long-audio path from a whitened
+spectrogram to a clip vector, is what acre embed and the sweep both run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dsp import N_MELS, Spectrogram
+from .dsp import N_MELS, Spectrogram, segment
 from .seeding import derive_seed
 
 MAX_CONTENT_TOKENS = 32
@@ -306,11 +307,12 @@ def audio_encode(grid: PatchGrid, p: EncoderParams = EncoderParams()) -> np.ndar
     return _encode_tokens(tokens, blocks).mean(axis=0)
 
 
-def embed_long_audio(segments: list[PatchGrid], p: EncoderParams = EncoderParams()) -> np.ndarray:
-    """Mean of the per-segment encodings; the long-input strategy."""
-    if not segments:
-        raise EmptyGrid("need at least one segment")
-    return np.mean([audio_encode(g, p) for g in segments], axis=0)
+def embed_long_audio(
+    s: Spectrogram, seg_frames: int, g: PatchGeometry, p: EncoderParams = EncoderParams()
+) -> np.ndarray:
+    """The one long-audio path: encode each seg_frames-frame segment of a
+    whitened spectrogram (dsp.segment) and average the encodings."""
+    return np.mean([audio_encode(extract_patches(chunk, g), p) for chunk in segment(s, seg_frames)], axis=0)
 
 
 def normalize_text(c: str) -> str:

@@ -213,7 +213,8 @@ def read_wav(path) -> Waveform:
     Accepts 16-bit PCM and 32-bit IEEE float (plain or WAVE_FORMAT_EXTENSIBLE);
     multichannel input is averaged to mono. Integer samples are scaled by
     1/32768, the symmetric-range convention, so int16 -32768 maps to -1.0
-    exactly.
+    exactly. Float samples must be finite (NonFiniteValue otherwise); finite
+    overshoot past +-1 is clipped.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -269,7 +270,10 @@ def read_wav(path) -> Waveform:
         samples /= 32768.0
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    if samples.size and float(np.max(np.abs(samples))) > 1.0:
+    peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+    if not np.isfinite(peak):  # NaN or +-inf: clipping would turn inf into a full-scale sample
+        raise NonFiniteValue(f"{path}: samples must be finite, got peak {peak}")
+    if peak > 1.0:
         samples = np.clip(samples, -1.0, 1.0)  # float files may carry headroom overshoot
     return Waveform(samples, int(rate))
 

@@ -10,6 +10,7 @@ query-id order so independent recomputations can match bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -276,9 +277,9 @@ def segment_length_sweep(
 ) -> list[SweepRow]:
     """Evaluate retrieval when audio is chopped into fixed-length segments.
 
-    For each length, every clip's spectrogram is segmented, each segment is
-    encoded separately, and the per-segment embeddings are averaged before
-    projection. The per-clip segment counts are recorded alongside the score.
+    For each length, every clip's whitened spectrogram goes through the path
+    embed runs, encoder.embed_long_audio, before projection. The per-clip
+    segment counts are recorded alongside the score.
     """
     if not lengths_seconds:
         raise ValueError("no segment lengths supplied")
@@ -286,16 +287,11 @@ def segment_length_sweep(
     rows = []
     for length in lengths_seconds:
         seg_frames = dsp.seconds_to_frames(length)
-        counts = []
-        audio_vecs = []
-        for spec in specs:
-            segments = dsp.segment(spec, seg_frames)
-            counts.append(len(segments))
-            grids = [encoder.extract_patches(s, geometry) for s in segments]
-            audio_vecs.append(encoder.embed_long_audio(grids, enc_params))
-        pairs = [TrainPair(clip.clip_id, vec, clip.caption_vecs) for clip, vec in zip(clips, audio_vecs)]
+        pairs = [
+            TrainPair(clip.clip_id, encoder.embed_long_audio(spec, seg_frames, geometry, enc_params), clip.caption_vecs)
+            for clip, spec in zip(clips, specs)
+        ]
         report = evaluate(*build_eval(pairs, audio_head, text_head))
-        rows.append(
-            SweepRow(length_seconds=float(length), map_at_10=report.map_at_10, segments_per_clip=tuple(counts))
-        )
+        counts = tuple(math.ceil(spec.frames / seg_frames) for spec in specs)
+        rows.append(SweepRow(length_seconds=float(length), map_at_10=report.map_at_10, segments_per_clip=counts))
     return rows

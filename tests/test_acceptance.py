@@ -295,17 +295,19 @@ def test_criterion_9_segment_averaging():
     t = np.arange(960000) / 32000  # exactly 30 s
     clip = dsp.Waveform(0.4 * np.sin(2 * np.pi * 500 * t), 32000)
     spec = dsp.logmel(clip)
-    segments = dsp.segment(spec, dsp.seconds_to_frames(10.0))
+    seg_frames = dsp.seconds_to_frames(10.0)
+    segments = dsp.segment(spec, seg_frames)
     assert len(segments) == 3
 
     params = encoder.EncoderParams(seed=3)
     geometry = encoder.PRESETS["passt-n"]
     grids = [encoder.extract_patches(s, geometry) for s in segments]
-    averaged = encoder.embed_long_audio(grids, params)
+    averaged = encoder.embed_long_audio(spec, seg_frames, geometry, params)
     per_segment = [encoder.audio_encode(g, params) for g in grids]
     assert np.abs(averaged - np.mean(per_segment, axis=0)).max() < 1e-12
 
-    same = encoder.embed_long_audio([grids[0]] * 3, params)
+    thrice = dsp.Spectrogram(np.tile(segments[0].values, (3, 1)))
+    same = encoder.embed_long_audio(thrice, 1000, geometry, params)
     single = encoder.audio_encode(grids[0], params)
     assert np.abs(same - single).max() < 1e-6
     ok("criterion 9 segment-averaging (3 segments, mean identity)")

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import struct
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acre import cli, encoder, ingest, space
+from acre import cli, dsp, encoder, ingest, space
 from acre.seeding import derive_seed
-from conftest import write_v1_checkpoint, write_wav_pcm16
+from conftest import write_v1_checkpoint, write_wav_float32, write_wav_pcm16
 
 
 def run(args):
@@ -58,6 +59,70 @@ def test_embed_missing_audio_exits_2(wav_dataset, tmp_path, capsys):
     assert err.startswith("error: ")
     assert "clip0.wav" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embed_non_finite_float_wav_exits_2(wav_dataset, tmp_path, capsys, bad):
+    x = np.full(32000, 0.1, dtype=np.float32)
+    x[5], x[9] = bad, -bad
+    bad_wav = wav_dataset["audio_dir"] / "clip3.wav"
+    write_wav_float32(bad_wav, x)
+    out = tmp_path / "run"
+    assert run(["embed", *common(wav_dataset, out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: NonFiniteValue: {bad_wav}: samples must be finite")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rate, samples, message",
+    [
+        (44100, 44100, "WrongSampleRate: {wav}: expected 32000 Hz input, got 44100 Hz"),
+        (32000, 500, "TooShort: {wav}: need at least 1024 samples, got 500"),
+    ],
+    ids=["44.1 kHz", "500 samples"],
+)
+def test_embed_dsp_error_names_the_clip(wav_dataset, tmp_path, capsys, rate, samples, message):
+    bad_wav = wav_dataset["audio_dir"] / "clip4.wav"
+    write_wav_pcm16(bad_wav, np.zeros(samples, dtype=np.int16), rate)
+    out = tmp_path / "run"
+    assert run(["embed", *common(wav_dataset, out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(wav=bad_wav)}\n"
+    assert not out.exists()
+
+
+def test_embed_runs_the_library_path_bitwise(tmp_path, capsys):
+    # a 35-s clip goes through the 30-s snippet draw, and a 12-s clip is two
+    # 10-s passt-n segments averaged
+    audio_dir = tmp_path / "audio"
+    audio_dir.mkdir()
+    rng = np.random.default_rng(12)
+    seconds = {"long.wav": 35.0, "mid.wav": 12.0}
+    for name, length in seconds.items():
+        n = int(length * 32000)
+        write_wav_pcm16(audio_dir / name, 0.3 * np.sin(np.arange(n) / 7.0) + 0.05 * rng.normal(size=n))
+    manifest = tmp_path / "manifest.csv"
+    rows = [f"{name}," + ",".join(f"clip {name} caption {k}" for k in range(5)) for name in seconds]
+    manifest.write_text("\n".join(["file_name,caption_1,caption_2,caption_3,caption_4,caption_5", *rows]) + "\n")
+    out, seed = tmp_path / "run", 5
+    argv = ["embed", "--manifest", str(manifest), "--audio-dir", str(audio_dir), "--out", str(out)]
+    assert run([*argv, "--seed", str(seed)]) == 0
+    mean, std = re.search(r"whiten mean=(\S+) std=(\S+)\)$", capsys.readouterr().out.strip()).groups()
+    stats = dsp.WhiteningStats(float(mean), float(std))
+    preset = encoder.PRESETS["passt-n"]
+    seg_frames = dsp.seconds_to_frames(preset.max_input_seconds)
+    params = encoder.EncoderParams(seed=derive_seed(seed, "audio-encoder"))
+    dump = ingest.read_embedding_dump(out / "audio.embd")
+    assert [clip_id for clip_id, _ in dump.entries] == list(seconds)
+    segments = []
+    for clip_id, row in dump.entries:
+        rng = np.random.default_rng(derive_seed(seed, f"snippet:{clip_id}"))
+        spec = dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(audio_dir / clip_id), 30.0, rng))
+        segments.append(math.ceil(spec.frames / seg_frames))
+        expected = encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, preset, params)
+        assert np.array_equal(row, expected.astype(np.float32))
+    assert segments == [3, 2]
 
 
 def test_embed_variants(wav_dataset, tmp_path):

@@ -159,13 +159,17 @@ def test_audio_encode_rejects_empty_grid():
 
 def test_embed_long_audio_mean(toy_grid):
     p = encoder.EncoderParams(seed=4)
+    g = encoder.PRESETS["passt-n"]
+    spec = spec_of_frames(120, seed=9)  # toy_grid's spectrogram
     one = encoder.audio_encode(toy_grid, p)
-    assert np.abs(encoder.embed_long_audio([toy_grid] * 3, p) - one).max() < 1e-6
-    assert np.array_equal(encoder.embed_long_audio([toy_grid], p), one)
-    other_grid = encoder.extract_patches(spec_of_frames(120, seed=10), encoder.PRESETS["passt-n"])
+    thrice = dsp.Spectrogram(np.tile(spec.values, (3, 1)))
+    assert np.abs(encoder.embed_long_audio(thrice, 120, g, p) - one).max() < 1e-6
+    assert np.array_equal(encoder.embed_long_audio(spec, 120, g, p), one)
+    other = spec_of_frames(120, seed=10)
     u = encoder.audio_encode(toy_grid, p)
-    v = encoder.audio_encode(other_grid, p)
-    assert np.array_equal(encoder.embed_long_audio([toy_grid, other_grid], p), (u + v) / 2)
+    v = encoder.audio_encode(encoder.extract_patches(other, g), p)
+    both = dsp.Spectrogram(np.vstack([spec.values, other.values]))
+    assert np.array_equal(encoder.embed_long_audio(both, 120, g, p), (u + v) / 2)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 import struct
 import time
 import tracemalloc
@@ -237,6 +238,17 @@ def test_read_wav_float32_clips_overshoot(tmp_path):
     write_wav_float32(p, np.array([1.25, -1.5, 0.5], dtype=np.float32))
     w = ingest.read_wav(p)
     assert list(w.samples) == [1.0, -1.0, 0.5]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_wav_refuses_non_finite_float_samples(tmp_path, bad):
+    # the overshoot clip would turn +-inf into a full-scale sample
+    p = tmp_path / "x.wav"
+    x = np.linspace(-0.5, 0.5, 16, dtype=np.float32)
+    x[5], x[9] = bad, -bad
+    write_wav_float32(p, x)
+    with pytest.raises(ingest.NonFiniteValue, match=re.escape(f"{p}: samples must be finite")):
+        ingest.read_wav(p)
 
 
 def test_read_wav_extensible_format(tmp_path):
