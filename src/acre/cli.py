@@ -191,17 +191,25 @@ def _load_records(settings: argparse.Namespace) -> list[ingest.ClipRecord]:
 def _embed_audio(
     records: list[ingest.ClipRecord], settings: argparse.Namespace
 ) -> tuple[list[tuple[str, np.ndarray]], dsp.WhiteningStats]:
+    """Audio vectors by clip id, and the whitening stats used. Fixed stats
+    (--whiten) let each clip be encoded as soon as its log-mel exists; without
+    them every log-mel is kept, because the stats need all of them first."""
     params = encoder.EncoderParams(seed=derive_seed(settings.seed, "audio-encoder"))
-    specs: list[tuple[str, dsp.Spectrogram]] = []
-    for rec in records:
-        w = ingest.read_wav(rec.audio_path)
-        rng = np.random.default_rng(derive_seed(settings.seed, f"snippet:{rec.clip_id}"))
-        w = dsp.snippet_or_pad(w, settings.snippet_seconds, rng)
-        try:
-            specs.append((rec.clip_id, dsp.logmel(w)))
-        except dsp.DspError as exc:  # the same kind, naming the clip among thousands
-            raise type(exc)(f"{rec.audio_path}: {exc}") from None
-    stats = settings.whiten or dsp.compute_whitening_stats(s for _, s in specs)
+
+    def spectrograms():
+        for rec in records:
+            rng = np.random.default_rng(derive_seed(settings.seed, f"snippet:{rec.clip_id}"))
+            try:  # no waveform outlives its log-mel into the next clip's decode
+                spec = dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(rec.audio_path), settings.snippet_seconds, rng))
+            except dsp.DspError as exc:  # the same kind, naming the clip among thousands
+                raise type(exc)(f"{rec.audio_path}: {exc}") from None
+            yield rec.clip_id, spec
+
+    specs = spectrograms()
+    stats = settings.whiten
+    if stats is None:
+        specs = list(specs)
+        stats = dsp.compute_whitening_stats(s for _, s in specs)
     seg_frames = dsp.seconds_to_frames(settings.preset.max_input_seconds)
     entries = [
         (clip_id, encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, settings.preset, params))
@@ -287,6 +295,10 @@ def _loss_csv(curve) -> str:
 def cmd_embed(settings: argparse.Namespace) -> int:
     if settings.encoder is not None:
         raise CliError("embed runs the encoders and writes dumps; it takes no --encoder")
+    try:  # a snippet shorter than one FFT window would make every clip too short
+        dsp.frame_count(int(round(settings.snippet_seconds * dsp.SAMPLE_RATE)))
+    except dsp.TooShort as exc:
+        raise CliError(f"snippet_seconds (--snippet-seconds) {settings.snippet_seconds!r} is below one FFT window: {exc}")
     out = _require_out(settings)
     records = _load_records(settings)
     aug_sets = None

@@ -51,10 +51,12 @@ class Waveform:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if samples.size and float(np.max(np.abs(samples))) > 1.0:
-            raise ValueError("samples must lie in [-1, 1]")
+        if samples.size:  # min and max carry NaN and +-inf, so no full-size mask is needed
+            lo, hi = float(samples.min()), float(samples.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("samples must be finite")
+            if lo < -1.0 or hi > 1.0:
+                raise ValueError("samples must lie in [-1, 1]")
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
@@ -142,6 +144,23 @@ def mel_filterbank() -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+@lru_cache(maxsize=1)
+def _analysis_operators() -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window and the filterbank's first N_FFT // 2 columns as a
+    (bins, N_MELS) matrix, both read-only.
+
+    The filterbank's columns 0 (0 Hz) and N_FFT // 2 (Nyquist) are exactly zero,
+    since the outer filters' feet sit there, so dropping the Nyquist bin leaves
+    every product the same. It is dropped because OpenBLAS splits an inner
+    dimension of 513 differently at one thread and at two, and 512 it does not.
+    """
+    window = np.hanning(N_FFT)
+    weights = mel_filterbank()[:, : N_FFT // 2].T
+    for a in (window, weights):
+        a.flags.writeable = False
+    return window, weights
+
+
 def frame_count(n_samples: int) -> int:
     """Number of analysis frames for a signal of n_samples: 1 + (n - N_FFT) // HOP."""
     if n_samples < N_FFT:
@@ -158,6 +177,13 @@ def seconds_to_frames(seconds: float) -> int:
     return int(round(seconds * SAMPLE_RATE / HOP))
 
 
+# logmel analyses FRAME_BLOCK frames at a time, so its scratch (windowed
+# frames, spectrum, power) is one block whatever the clip's length. The last
+# block takes the remainder: OpenBLAS sends a product of a few rows down a
+# small-matrix path that rounds differently from the same rows of a longer one.
+FRAME_BLOCK = 256
+
+
 def logmel(w: Waveform) -> Spectrogram:
     """Log-mel spectrogram of a 32 kHz waveform.
 
@@ -166,13 +192,21 @@ def logmel(w: Waveform) -> Spectrogram:
     """
     if w.sample_rate != SAMPLE_RATE:
         raise WrongSampleRate(f"expected {SAMPLE_RATE} Hz input, got {w.sample_rate} Hz")
-    frame_count(len(w))  # raises TooShort
+    n = frame_count(len(w))  # raises TooShort
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, N_FFT)[::HOP]
-    window = np.hanning(N_FFT)
-    spectra = np.fft.rfft(frames * window, axis=1)
-    power = spectra.real**2 + spectra.imag**2
-    mel = power @ mel_filterbank().T
-    return Spectrogram(np.log(np.maximum(mel, LOG_FLOOR)))
+    window, weights = _analysis_operators()
+    out = np.empty((n, N_MELS))
+    blocks = max(n // FRAME_BLOCK, 1)
+    for k in range(blocks):
+        rows = slice(k * FRAME_BLOCK, n if k == blocks - 1 else (k + 1) * FRAME_BLOCK)
+        # re, im interleaved, for the bins below Nyquist
+        parts = np.fft.rfft(frames[rows] * window, axis=1).view(np.float64)[:, :N_FFT]
+        parts *= parts
+        mel = np.matmul(parts[:, 0::2] + parts[:, 1::2], weights, out=out[rows])
+        del parts  # else it sits beside the next block's scratch
+        np.maximum(mel, LOG_FLOOR, out=mel)
+        np.log(mel, out=mel)
+    return Spectrogram(out)
 
 
 def whiten(s: Spectrogram, stats: WhiteningStats) -> Spectrogram:

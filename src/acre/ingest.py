@@ -42,6 +42,10 @@ DUMP_MAGIC = b"ACRE"
 _DUMP_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
 
+# read_wav mixes multichannel audio to mono MIX_BLOCK frames at a time, so its
+# float64 scratch is one block rather than a copy of the whole file
+MIX_BLOCK = 1 << 14
+
 
 class IngestError(Exception):
     pass
@@ -218,6 +222,7 @@ def read_wav(path) -> Waveform:
     """
     path = Path(path)
     raw = path.read_bytes()
+    view = memoryview(raw)  # chunk bodies are slices of it, not copies
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise CorruptHeader(f"{path}: not a RIFF/WAVE file")
 
@@ -227,7 +232,7 @@ def read_wav(path) -> Waveform:
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise CorruptHeader(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
@@ -265,16 +270,25 @@ def read_wav(path) -> Waveform:
     if len(data) % frame_bytes != 0:
         raise CorruptHeader(f"{path}: data size {len(data)} not a multiple of frame size {frame_bytes}")
 
-    samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    frames = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
+    if channels == 1:
+        samples = frames[:, 0].astype(np.float64)
+    else:
+        # numpy's own row sums, one block of float64 frames at a time: the same
+        # bits as a whole-file reshape(-1, channels).mean(axis=1)
+        samples = np.empty(frames.shape[0])
+        for start in range(0, samples.size, MIX_BLOCK):
+            block = slice(start, start + MIX_BLOCK)
+            np.add.reduce(frames[block].astype(np.float64), axis=1, out=samples[block])
+        samples /= channels
     if dtype.kind == "i":
-        samples /= 32768.0
-    if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1)
-    peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+        samples /= 32768.0  # exact, so it may follow the mean
+    lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
+    peak = max(-lo, hi)
     if not np.isfinite(peak):  # NaN or +-inf: clipping would turn inf into a full-scale sample
         raise NonFiniteValue(f"{path}: samples must be finite, got peak {peak}")
     if peak > 1.0:
-        samples = np.clip(samples, -1.0, 1.0)  # float files may carry headroom overshoot
+        np.clip(samples, -1.0, 1.0, out=samples)  # float files may carry headroom overshoot
     return Waveform(samples, int(rate))
 
 

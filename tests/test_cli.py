@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,31 @@ def test_embed_with_its_printed_whitening_is_byte_identical(wav_dataset, tmp_pat
     assert run(["embed", *common(wav_dataset, second), "--whiten", f"{mean},{std}"]) == 0
     for name in ("audio.embd", "captions.embd"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_embed_with_fixed_whitening_holds_one_log_mel_at_a_time(tmp_path):
+    # a 30-s clip's float64 log-mel is 3 MB; with --whiten none is kept past its encode
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    x = 0.3 * np.sin(np.arange(30 * 32000) / 7.0) + 0.05 * np.random.default_rng(1).normal(size=30 * 32000)
+    write_wav_pcm16(audio / "clip0.wav", x)
+    peaks = {}
+    for copies in (2, 2, 8):  # the first run fills the encoders' caches
+        manifest = tmp_path / f"manifest{copies}.csv"
+        rows = ["file_name,caption_1,caption_2,caption_3,caption_4,caption_5"]
+        for i in range(copies):
+            if i:
+                (audio / f"clip{i}.wav").write_bytes((audio / "clip0.wav").read_bytes())
+            rows.append(f"clip{i}.wav,a hum,a low hum,a steady hum,a hum indoors,a quiet hum")
+        manifest.write_text("\n".join(rows) + "\n")
+        args = ["embed", "--manifest", str(manifest), "--audio-dir", str(audio), "--whiten", "0.5,2"]
+        tracemalloc.start()
+        try:
+            assert run([*args, "--out", str(tmp_path / f"out{copies}")]) == 0
+            _, peaks[copies] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] < peaks[2] + 1_000_000, peaks
 
 
 def test_embed_is_bitwise_the_same_at_one_and_two_blas_threads(wav_dataset, tmp_path):
@@ -450,6 +476,31 @@ def test_bad_snippet_seconds_is_refused_before_any_audio_is_read(wav_dataset, tm
         f"acre embed: error: argument --snippet-seconds: must be positive and finite, got {value!r}"
     )
     assert "clip0.wav" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("value,samples", [("0.01", 320), ("0.0319", 1021)])
+def test_snippet_shorter_than_one_fft_window_is_a_usage_error(wav_dataset, tmp_path, capsys, where, value, samples):
+    # every clip would be too short; the error names the setting, not the first clip
+    out = tmp_path / "never"
+    if where == "flag":
+        argv = ["embed", *common(wav_dataset, out), "--snippet-seconds", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snippet_seconds = {value}\n")
+        argv = ["embed", "--config", str(cfg), *common(wav_dataset, out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: UsageError: snippet_seconds (--snippet-seconds) {value} is below one FFT window: "
+        f"need at least 1024 samples, got {samples}\n"
+    )
+    assert not out.exists()
+
+
+def test_snippet_of_exactly_one_fft_window_embeds(wav_dataset, tmp_path):
+    out = tmp_path / "run"
+    assert run(["embed", *common(wav_dataset, out), "--snippet-seconds", "0.032"]) == 0
+    assert len(ingest.read_embedding_dump(out / "audio.embd").entries) == 6
 
 
 def test_dump_encoder_refuses_version_1_dump(tmp_path, capsys):

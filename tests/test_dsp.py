@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +175,19 @@ def test_waveform_validation():
         dsp.Waveform(np.zeros(4), 0)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [(np.nan, "samples must be finite"), (np.inf, "samples must be finite"), (-np.inf, "samples must be finite"),
+     (1.0 + 1e-12, r"samples must lie in \[-1, 1\]"), (-1.5, r"samples must lie in \[-1, 1\]")],
+)
+def test_waveform_names_what_is_wrong_with_a_sample(bad, message):
+    x = np.linspace(-1.0, 1.0, 9)  # both ends are allowed
+    assert dsp.Waveform(x, 32000).samples is not None
+    x[4] = bad
+    with pytest.raises(ValueError, match=message):
+        dsp.Waveform(x, 32000)
+
+
 def test_logmel_is_pinned_to_the_byte():
     # sha256 of the float32 bytes of a log-mel and of the filterbank; a change
     # to the front end's arithmetic that moves any cell by one bit moves these
@@ -183,3 +201,81 @@ def test_logmel_is_pinned_to_the_byte():
         "baf05427ca6fe2b562c7f3d6fec59c1f986e2cee4701e95692d39e77e910fd36",
         "222e1d8b0613cc529da5357837722e1af805e55dbc86a9492cb85fe60e42f3cf",
     ]
+    # the float64 bytes too, at any BLAS thread count: the one-shot product's at one thread
+    assert hashlib.sha256(spec.values.tobytes()).hexdigest() == (
+        "77772eb2119d3d8a0ab563ec38a42f9bdce8a0c2ada897b3ed5f6808a1fa9230"
+    )
+
+
+def test_filterbank_is_exactly_zero_at_0_hz_and_nyquist():
+    # the outer filters' feet sit on these bins, so logmel may leave Nyquist out
+    fb = dsp.mel_filterbank()
+    assert fb.shape == (128, 513)
+    assert np.all(fb[:, 0] == 0.0) and np.all(fb[:, 512] == 0.0)
+    assert np.all(fb[:, 1:512].sum(axis=0) > 0)
+
+
+ORACLE_FRAMES = (1, 8, 15, 16, 255, 256, 257, 511, 512, 513, 767, 2997)
+
+# Per frame count of a seeded uniform-noise clip: whether logmel's float64 bytes
+# equal the textbook one-shot log-mel's (every frame and all 513 bins in one
+# product), and the sha256 of those bytes.
+_LOGMEL_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from acre import dsp
+
+def one_shot(x):
+    frames = np.lib.stride_tricks.sliding_window_view(x, dsp.N_FFT)[:: dsp.HOP]
+    spectra = np.fft.rfft(frames * np.hanning(dsp.N_FFT), axis=1)
+    power = spectra.real**2 + spectra.imag**2
+    return np.log(np.maximum(power @ dsp.mel_filterbank().T, dsp.LOG_FLOOR))
+
+for n in map(int, sys.argv[1:]):
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, dsp.N_FFT + dsp.HOP * (n - 1) + 100)
+    got = dsp.logmel(dsp.Waveform(x, dsp.SAMPLE_RATE)).values
+    print(n, got.tobytes() == one_shot(x).tobytes(), hashlib.sha256(got.tobytes()).hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def logmel_runs():
+    """{threads: {frames: (equals the one-shot oracle, sha256)}} at 1 and 2 OpenBLAS threads."""
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(dsp.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", _LOGMEL_SCRIPT, *map(str, ORACLE_FRAMES)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [line.split() for line in result.stdout.splitlines()]
+        runs[threads] = {int(n): (same == "True", digest) for n, same, digest in rows}
+    return runs
+
+
+@pytest.mark.parametrize("frames", ORACLE_FRAMES)
+def test_logmel_is_the_one_shot_log_mel_bitwise_at_one_thread(logmel_runs, frames):
+    # block edges, a remainder folded into the last block, and a 30-s clip
+    assert logmel_runs["1"][frames][0]
+
+
+def test_logmel_is_bitwise_the_same_at_one_and_two_blas_threads(logmel_runs):
+    # an inner dimension of 513 bins is split differently by OpenBLAS at one
+    # thread and at two; logmel contracts over the 512 below Nyquist
+    assert {n: d for n, (_, d) in logmel_runs["1"].items()} == {n: d for n, (_, d) in logmel_runs["2"].items()}
+
+
+def test_logmel_holds_its_output_and_one_block():
+    dsp.logmel(sine(440, 1.0))  # the cached window and filterbank are not scratch
+    w = dsp.Waveform(np.random.default_rng(2).uniform(-1.0, 1.0, 30 * 32000), 32000)
+    tracemalloc.start()
+    try:
+        spec = dsp.logmel(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.frames == 2997
+    # one block of at most 511 frames windowed (511 x 1024 float64) and its
+    # spectrum (511 x 513 complex128): 8.4 MB; whole-clip temporaries were 46 MB
+    assert peak < spec.values.nbytes + 2 * 512 * 1024 * 8

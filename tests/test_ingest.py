@@ -233,6 +233,40 @@ def test_read_wav_stereo_mean(tmp_path):
     assert np.allclose(w.samples, [0.0, 0.5])
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3, 6, 8, 9])
+@pytest.mark.parametrize("code,bits", [(1, 16), (3, 32)], ids=["int16", "float32"])
+def test_read_wav_mono_mix_is_the_interleaved_mean_bitwise(tmp_path, code, bits, channels):
+    # more frames than one mix block; float32 exponents spread wide enough that
+    # the order of the channel sum shows in the last bit
+    rng = np.random.default_rng(channels)
+    n = ingest.MIX_BLOCK + 1001
+    if bits == 16:
+        x, scale = rng.integers(-32768, 32768, (n, channels)), 32768.0
+    else:
+        x, scale = (rng.uniform(-1.0, 1.0, (n, channels)) * 10.0 ** rng.integers(-20, 1, (n, channels))), 1.0
+        x = x.astype(np.float32)
+    expected = (x.astype(np.float64) / scale).reshape(-1, channels).mean(axis=1)
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=code, bits=bits))
+    assert ingest.read_wav(p).samples.tobytes() == expected.tobytes()
+
+
+def test_read_wav_holds_its_output_and_the_file(tmp_path):
+    p = tmp_path / "long.wav"
+    x = np.random.default_rng(0).integers(-20000, 20000, (40 * 32000, 2)).astype(np.int16)
+    write_wav_pcm16(p, x)
+    tracemalloc.start()
+    try:
+        w = ingest.read_wav(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 40 * 32000
+    # the samples and the file's bytes, plus one float64 mix block (0.26 MB);
+    # a float64 copy of the interleaved data alone would be 20 MB
+    assert peak < w.samples.nbytes + p.stat().st_size + 500_000
+
+
 def test_read_wav_float32_clips_overshoot(tmp_path):
     p = tmp_path / "x.wav"
     write_wav_float32(p, np.array([1.25, -1.5, 0.5], dtype=np.float32))
