@@ -75,12 +75,11 @@ with tempfile.TemporaryDirectory(prefix="acre-cli-demo-") as tmp:
         ]
     )
 
-    print("\n== finetune (caption swaps against the variants) ==")
+    print("\n== finetune (caption swaps against the variants embed wrote) ==")
     cli.main(
         [
             "finetune", *common,
             "--checkpoint", str(base / "pretrained" / "checkpoint.ackp"),
-            "--augmented-captions", str(augmented),
             "--out", str(base / "finetuned"),
             "--epochs", "4", "--batch-size", "3", "--strict",
         ]

@@ -106,13 +106,13 @@ class Setting(NamedTuple):
 SETTINGS = (
     Setting("manifest", _paths, [], "manifest CSVs, comma-separated (repeatable)"),
     Setting("audio_dir", _path, None, "base directory for audio paths"),
-    Setting("augmented_captions", _path, None, "JSONL variants file"),
+    Setting("augmented_captions", _path, None, "JSONL variants file, embedded into variants.embd"),
     Setting("encoder", _dump_dir, None, "dump:<dir> written by embed (needed by train/finetune/evaluate/rank)"),
     Setting("preset", _preset, encoder.PRESETS["passt-n"], "patch geometry: " + " | ".join(sorted(encoder.PRESETS))),
     Setting("epochs", int, None, "epoch count override"),
     Setting("seed", int, 0, "global seed (default 0)"),
     Setting("out", _path, None, "output directory"),
-    Setting("strict", _switch, False, "fail on missing augmentations"),
+    Setting("strict", _switch, False, "finetune: fail on a caption without variants"),
     Setting("checkpoint", _path, None, "checkpoint path (evaluate/rank input, train init)"),
     Setting("batch_size", int, None),
     Setting("lr_max", float, None),
@@ -138,7 +138,7 @@ def parse_config_file(path) -> dict[str, Any]:
     parsers = {s.key: s.parse for s in SETTINGS}
     out: dict[str, Any] = {}
     set_on: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -253,26 +253,21 @@ def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarra
 
 
 def _train_pairs(records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str) -> list[space.TrainPair]:
-    """A pair per record; finetune attaches the --augmented-captions variants
-    of each caption, parsed before any dump is read."""
-    aug_sets = []
-    if command == "finetune" and settings.augmented_captions is not None:
-        known = {rec.clip_id for rec in records}
-        aug_sets = [a for a in ingest.load_augmented_captions(settings.augmented_captions) if a.clip_id in known]
+    """A pair per record; finetune attaches each caption's variants from the
+    dump directory's variants.embd, when it has one: the entries whose id is
+    '<caption id>@<j>', in file order."""
     audio = _raw_vectors(settings, command, "audio.embd")
     captions = _raw_vectors(settings, command, "captions.embd")
-    variants: dict[str, tuple[np.ndarray, ...]] = {}
-    if aug_sets:
-        entries = _raw_vectors(settings, command, "variants.embd")
-        for aug in aug_sets:
-            key = f"{aug.clip_id}#{aug.caption_index}"
-            variants[key] = tuple(_embedding(entries, f"{key}@{j}", "variant") for j in range(len(aug.variants)))
+    variants: dict[str, list[np.ndarray]] = {}
+    if command == "finetune" and (settings.encoder / "variants.embd").exists():
+        for key, vector in _raw_vectors(settings, command, "variants.embd").items():
+            variants.setdefault(key.rpartition("@")[0], []).append(vector)
     return [
         space.TrainPair(
             rec.clip_id,
             _embedding(audio, rec.clip_id, "audio"),
             tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
-            tuple(variants.get(f"{rec.clip_id}#{k}", ()) for k in range(len(rec.captions))),
+            tuple(tuple(variants.get(f"{rec.clip_id}#{k}", ())) for k in range(len(rec.captions))),
         )
         for rec in records
     ]
@@ -303,7 +298,10 @@ def cmd_embed(settings: argparse.Namespace) -> int:
     records = _load_records(settings)
     aug_sets = None
     if settings.augmented_captions is not None:
-        aug_sets = ingest.load_augmented_captions(settings.augmented_captions)
+        known = {rec.clip_id for rec in records}
+        aug_sets = [a for a in ingest.load_augmented_captions(settings.augmented_captions) if a.clip_id in known]
+        if not aug_sets:
+            raise ingest.IngestError(f"{settings.augmented_captions}: no record names a clip of the manifest")
     audio_entries, stats = _embed_audio(records, settings)
     caption_entries = _embed_texts(_caption_texts(records), settings)
     ingest.write_embedding_dump(audio_entries, out / "audio.embd")
@@ -323,8 +321,9 @@ def cmd_embed(settings: argparse.Namespace) -> int:
 def _run_training(settings: argparse.Namespace, command: str) -> int:
     phase = "pretrain" if command == "train" else "finetune"
     space.check_phase(settings.train, phase)
-    if phase == "finetune" and settings.strict and settings.augmented_captions is None:
-        raise space.MissingAugmentation("finetune --strict requires --augmented-captions")
+    strict_finetune = phase == "finetune" and settings.strict
+    if strict_finetune and (settings.encoder is None or not (settings.encoder / "variants.embd").exists()):
+        raise space.MissingAugmentation("finetune --strict requires variants.embd in the --encoder directory")
     init = None
     if settings.checkpoint is not None:
         ckpt = space.load_checkpoint(settings.checkpoint)

@@ -3,7 +3,8 @@ and the binary embedding-dump container.
 
 External formats
 ----------------
-Manifest CSV (UTF-8, quoted fields allowed)::
+Manifest CSV (UTF-8, quoted fields allowed; a leading byte-order mark is
+skipped, as it is in the augmented-captions file)::
 
     file_name,caption_1,caption_2,caption_3,caption_4,caption_5
 
@@ -123,7 +124,7 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
     """
     path = Path(path)
     base = Path(audio_dir) if audio_dir is not None else path.parent
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -171,7 +172,7 @@ def load_augmented_captions(path) -> list[AugmentedCaptionSet]:
     path = Path(path)
     sets: list[AugmentedCaptionSet] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -271,16 +272,14 @@ def read_wav(path) -> Waveform:
         raise CorruptHeader(f"{path}: data size {len(data)} not a multiple of frame size {frame_bytes}")
 
     frames = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
-    if channels == 1:
-        samples = frames[:, 0].astype(np.float64)
-    else:
-        # numpy's own row sums, one block of float64 frames at a time: the same
-        # bits as a whole-file reshape(-1, channels).mean(axis=1)
-        samples = np.empty(frames.shape[0])
-        for start in range(0, samples.size, MIX_BLOCK):
-            block = slice(start, start + MIX_BLOCK)
-            np.add.reduce(frames[block].astype(np.float64), axis=1, out=samples[block])
-        samples /= channels
+    # numpy's own row sums, one block of float64 frames at a time: the same bits
+    # as a whole-file reshape(-1, channels).mean(axis=1), and mono passes through
+    # exactly (a one-element sum is the element, and dividing by 1 is exact)
+    samples = np.empty(frames.shape[0])
+    for start in range(0, samples.size, MIX_BLOCK):
+        block = slice(start, start + MIX_BLOCK)
+        np.add.reduce(frames[block].astype(np.float64), axis=1, out=samples[block])
+    samples /= channels
     if dtype.kind == "i":
         samples /= 32768.0  # exact, so it may follow the mean
     lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)

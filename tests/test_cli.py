@@ -320,6 +320,7 @@ def test_train_zero_epochs_equals_initialization(wav_dataset, wav_dumps, tmp_pat
 def test_finetune_strict_without_augmentations_fails(wav_dataset, wav_dumps, tmp_path, capsys):
     out, dump = tmp_path / "run", dump_encoder(wav_dumps)
     assert run(["train", *common(wav_dataset, out, dump), "--epochs", "1", "--batch-size", "3"]) == 0
+    (wav_dumps / "variants.embd").unlink()
     code = run(
         [
             "finetune", *common(wav_dataset, tmp_path / "ft", dump),
@@ -332,13 +333,46 @@ def test_finetune_strict_without_augmentations_fails(wav_dataset, wav_dumps, tmp
 
 
 def test_finetune_warns_when_variants_cover_no_clip(wav_dataset, wav_dumps, tmp_path):
-    elsewhere = tmp_path / "elsewhere.jsonl"
-    elsewhere.write_text('{"clip_id": "other.wav", "caption_index": 0, "variants": ["a", "b", "c", "d", "e"]}\n')
-    # no variant is needed, so variants.embd is not read
-    (wav_dumps / "variants.embd").unlink()
-    args = ["--augmented-captions", str(elsewhere), "--epochs", "1", "--batch-size", "3", *dump_encoder(wav_dumps)]
+    width = ingest.read_embedding_dump(wav_dumps / "captions.embd").dim
+    elsewhere = [(f"other.wav#0@{j}", np.ones(width)) for j in range(5)]
+    ingest.write_embedding_dump(elsewhere, wav_dumps / "variants.embd")
+    args = ["--epochs", "1", "--batch-size", "3", *dump_encoder(wav_dumps)]
     with pytest.warns(UserWarning, match="swaps will never fire"):
         assert run(["finetune", *common(wav_dataset, tmp_path / "ft"), *args]) == 0
+
+
+def test_finetune_reads_its_variants_from_the_dump_alone(wav_dataset, wav_dumps, tmp_path):
+    dump = dump_encoder(wav_dumps)
+    assert run(["train", *common(wav_dataset, tmp_path / "pre", dump), "--epochs", "1", "--batch-size", "3"]) == 0
+    finetune = [*dump, "--checkpoint", str(tmp_path / "pre" / "checkpoint.ackp"), "--epochs", "2", "--batch-size", "3"]
+    flagged = ["--augmented-captions", str(wav_dataset["augmented"])]
+    assert run(["finetune", *common(wav_dataset, tmp_path / "with", finetune), *flagged]) == 0
+    assert run(["finetune", *common(wav_dataset, tmp_path / "without", finetune)]) == 0
+    for name in ("checkpoint.ackp", "loss.csv"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+
+
+def test_finetune_strict_on_dumps_written_outside_embed(tmp_path, capsys):
+    ids = [f"c{i}.wav" for i in range(4)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{c},a,b,c,d,e\n" for c in ids)
+    )
+    rng = np.random.default_rng(0)
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    ingest.write_embedding_dump([(c, rng.normal(size=6)) for c in ids], dumps / "audio.embd")
+    captions = [f"{c}#{k}" for c in ids for k in range(5)]
+    ingest.write_embedding_dump([(key, rng.normal(size=5)) for key in captions], dumps / "captions.embd")
+    variants = [(f"{key}@{j}", rng.normal(size=5)) for key in captions for j in range(5)]
+    ingest.write_embedding_dump(variants, dumps / "variants.embd")
+    argv = [
+        "finetune", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(tmp_path / "out"),
+        "--epochs", "1", "--batch-size", "2", "--strict",
+    ]
+    assert run(argv) == 0
+    assert "finetune: 4 clips, 2 steps" in capsys.readouterr().out
+    assert list(tmp_path.rglob("*.jsonl")) == []
 
 
 def test_finetune_with_augmentations(wav_dataset, wav_dumps, tmp_path):
@@ -348,7 +382,6 @@ def test_finetune_with_augmentations(wav_dataset, wav_dumps, tmp_path):
         [
             "finetune", *common(wav_dataset, tmp_path / "ft", dump),
             "--checkpoint", str(out / "checkpoint.ackp"),
-            "--augmented-captions", str(wav_dataset["augmented"]),
             "--epochs", "2", "--batch-size", "3", "--strict",
         ]
     )
@@ -390,9 +423,6 @@ def test_finetune_refuses_variants_of_another_width(tmp_path, capsys):
     manifest.write_text(
         "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{c},a,b,c,d,e\n" for c in ids)
     )
-    variants = tmp_path / "variants.jsonl"
-    record = '{{"clip_id": "{}", "caption_index": {}, "variants": ["1", "2", "3", "4", "5"]}}\n'
-    variants.write_text("".join(record.format(c, k) for c in ids for k in range(5)))
     rng = np.random.default_rng(0)
     dumps = tmp_path / "dumps"
     dumps.mkdir()
@@ -403,8 +433,8 @@ def test_finetune_refuses_variants_of_another_width(tmp_path, capsys):
     ingest.write_embedding_dump(seven_d, dumps / "variants.embd")
     out = tmp_path / "out"
     argv = [
-        "finetune", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--augmented-captions", str(variants),
-        "--out", str(out), "--epochs", "1", "--batch-size", "2",
+        "finetune", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(out),
+        "--epochs", "1", "--batch-size", "2",
     ]
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: DimMismatch: clip 'c0.wav': inconsistent embedding dims\n"
@@ -436,7 +466,7 @@ def test_evaluate_rejects_version_1_checkpoint(wav_dataset, tmp_path, capsys):
     "case",
     [
         "evaluate without checkpoint", "evaluate truncated checkpoint", "embed missing wav", "embed missing variants",
-        "embed infinite snippet",
+        "embed empty variants", "embed variants of other clips", "embed infinite snippet",
     ],
 )
 def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, case):
@@ -452,6 +482,14 @@ def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, c
         argv = ["embed", *common(wav_dataset, out)]
     elif case == "embed missing variants":
         argv = ["embed", *common(wav_dataset, out), "--augmented-captions", str(tmp_path / "missing.jsonl")]
+    elif case in ("embed empty variants", "embed variants of other clips"):
+        variants = tmp_path / "variants.jsonl"
+        if case == "embed empty variants":
+            variants.write_text("")
+        else:
+            variants.write_text('{"clip_id": "other.wav", "caption_index": 0, "variants": ["a", "b", "c", "d", "e"]}\n')
+        (wav_dataset["audio_dir"] / "clip0.wav").unlink()  # the refusal comes before any audio is read
+        argv = ["embed", *common(wav_dataset, out), "--augmented-captions", str(variants)]
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("snippet_seconds = inf\n")
@@ -461,6 +499,8 @@ def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, c
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     if case == "embed infinite snippet":
         assert err == f"error: UsageError: {cfg}: line 1: snippet_seconds must be positive and finite, got 'inf'\n"
+    if case in ("embed empty variants", "embed variants of other clips"):
+        assert err == f"error: IngestError: {variants}: no record names a clip of the manifest\n"
     assert not out.exists()
 
 
@@ -789,7 +829,7 @@ def test_finetune_rejects_inverted_schedule(wav_dataset, tmp_path, capsys):
     [
         ("finetune", ["--finetune-lr-max", "1e-8"], "lr_min (1e-07) must be below finetune_lr_max (1e-08)"),
         ("train", ["--epochs", "1", "--warmup-epochs", "5"], "warmup_epochs (5) must not exceed pretrain_epochs (1)"),
-        ("finetune", ["--strict"], "MissingAugmentation: finetune --strict requires --augmented-captions"),
+        ("finetune", ["--strict"], "MissingAugmentation: finetune --strict requires variants.embd in the --encoder"),
         ("train", ["--checkpoint", "{tmp}/nope.ackp"], "{tmp}/nope.ackp"),
         ("finetune", ["--checkpoint", "{tmp}/v1.ackp"], "SpaceError: {tmp}/v1.ackp: unsupported checkpoint version 1"),
         ("train", ["--temperature", "nan"], "ValueError: temperature must be finite, got nan"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acre import ingest
+from acre import cli, ingest
 from conftest import raw_wav_bytes, write_wav_float32, write_wav_pcm16
 
 
@@ -101,6 +101,23 @@ def test_load_augmented_captions(tmp_path):
     sets = ingest.load_augmented_captions(f)
     assert len(sets) == 1
     assert sets[0].variants == ("v0", "v1", "v2", "v3", "v4")
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (ingest.load_manifest, "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\na.wav,p,q,r,s,t\n"),
+        (ingest.load_augmented_captions, '{"clip_id": "a.wav", "caption_index": 0, "variants": ["1", "2", "3", "4", "5"]}\n'),
+        (cli.parse_config_file, "seed = 3\nmanifest = a.csv\n"),
+    ],
+    ids=["manifest", "augmented-captions", "config"],
+)
+def test_readers_skip_a_utf8_byte_order_mark(tmp_path, reader, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reader(marked) == reader(plain)
 
 
 def test_augmented_caption_totals(tmp_path):
