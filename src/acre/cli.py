@@ -13,11 +13,12 @@ machine-parseable line: ``error: <Kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -252,25 +253,34 @@ def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarra
     return vectors[key]
 
 
-def _train_pairs(records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str) -> list[space.TrainPair]:
+@contextlib.contextmanager
+def _train_pairs(
+    records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str
+) -> Iterator[list[space.TrainPair]]:
     """A pair per record; finetune attaches each caption's variants from the
-    dump directory's variants.embd, when it has one: the entries whose id is
-    '<caption id>@<j>', in file order."""
+    dump directory's variants.embd, when it has one: the rows whose id is
+    '<caption id>@<j>', in file order. That file is checked whole here, but a
+    variant row is read only when training draws it, so it stays open while
+    the pairs are in use."""
     audio = _raw_vectors(settings, command, "audio.embd")
     captions = _raw_vectors(settings, command, "captions.embd")
-    variants: dict[str, list[np.ndarray]] = {}
-    if command == "finetune" and (settings.encoder / "variants.embd").exists():
-        for key, vector in _raw_vectors(settings, command, "variants.embd").items():
-            variants.setdefault(key.rpartition("@")[0], []).append(vector)
-    return [
-        space.TrainPair(
-            rec.clip_id,
-            _embedding(audio, rec.clip_id, "audio"),
-            tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
-            tuple(tuple(variants.get(f"{rec.clip_id}#{k}", ())) for k in range(len(rec.captions))),
-        )
-        for rec in records
-    ]
+    with contextlib.ExitStack() as open_dumps:
+        variants: dict[str, ingest.DumpRows] = {}
+        if command == "finetune" and (settings.encoder / "variants.embd").exists():
+            reader = open_dumps.enter_context(ingest.DumpReader(settings.encoder / "variants.embd"))
+            rows: dict[str, list[int]] = {}
+            for row, key in enumerate(reader.ids):
+                rows.setdefault(key.rpartition("@")[0], []).append(row)
+            variants = {key: ingest.DumpRows(reader, tuple(group)) for key, group in rows.items()}
+        yield [
+            space.TrainPair(
+                rec.clip_id,
+                _embedding(audio, rec.clip_id, "audio"),
+                tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
+                tuple(variants.get(f"{rec.clip_id}#{k}", ()) for k in range(len(rec.captions))),
+            )
+            for rec in records
+        ]
 
 
 def _require_out(settings: argparse.Namespace) -> Path:
@@ -330,8 +340,8 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
         init = (ckpt.audio_head, ckpt.text_head)
     out = _require_out(settings)
     records = _load_records(settings)
-    pairs = _train_pairs(records, settings, command)
-    result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
+    with _train_pairs(records, settings, command) as pairs:
+        result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
     checkpoint = out / "checkpoint.ackp"
     space.save_checkpoint(checkpoint, result.audio_head, result.text_head, result.total_steps, settings.train)
     ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))
@@ -350,8 +360,9 @@ def cmd_evaluate(settings: argparse.Namespace) -> int:
         raise CliError("evaluate requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    pairs = _train_pairs(records, settings, "evaluate")
-    queries, index = retrieval.build_eval(pairs, ckpt.audio_head, ckpt.text_head)
+    with _train_pairs(records, settings, "evaluate") as pairs:
+        queries, index = retrieval.build_eval(pairs, ckpt.audio_head, ckpt.text_head)
+    del pairs  # the dumps are not needed past projection
     report = retrieval.evaluate(queries, index)
     table = retrieval.format_metrics_table(report)
     ingest.atomic_write(out / "metrics.csv", (retrieval.metrics_csv(report) + "\n").encode("utf-8"))

@@ -337,36 +337,30 @@ def write_embedding_dump(entries, path) -> None:
     atomic_write(path, buf)
 
 
-def read_embedding_dump(path) -> EmbeddingDump:
-    """Read a dump written by write_embedding_dump; bit-exact round trip.
+def _read_dump_header(fh, path: Path) -> tuple[int, int]:
+    """Check a dump's header against the open file's size and leave fh at the
+    vector block; the declared (dim, count). The block is checked against the
+    file size here, so an untrusted header count sizes nothing."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < _HEADER.size:
+        raise TruncatedFile(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
+    magic, version, dim, count = _HEADER.unpack(fh.read(_HEADER.size))
+    if magic != DUMP_MAGIC:
+        raise BadMagic(f"{path}: bad magic {magic!r}")
+    if version != _DUMP_VERSION:
+        raise CorruptHeader(f"{path}: dump version {version}, expected {_DUMP_VERSION}; re-export it with acre embed")
+    if dim == 0:
+        raise CorruptHeader(f"{path}: zero dimension")
+    block_end = _HEADER.size + count * dim * 4
+    if block_end > size:
+        raise TruncatedFile(f"{path}: {count} x {dim} vectors end at byte {block_end}, past the end at {size}")
+    return dim, count
 
-    The vector block is checked against the file size before anything is
-    allocated, so an untrusted header count sizes nothing. One readinto fills
-    a read-only (count, dim) float32 matrix, and each entry's vector is a
-    read-only view of its row.
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER.size:
-            raise TruncatedFile(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
-        magic, version, dim, count = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != DUMP_MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        if version != _DUMP_VERSION:
-            raise CorruptHeader(
-                f"{path}: dump version {version}, expected {_DUMP_VERSION}; re-export it with acre embed"
-            )
-        if dim == 0:
-            raise CorruptHeader(f"{path}: zero dimension")
-        block_end = _HEADER.size + count * dim * 4
-        if block_end > size:
-            raise TruncatedFile(f"{path}: {count} x {dim} vectors end at byte {block_end}, past the end at {size}")
-        matrix = np.empty((count, dim), dtype="<f4")
-        fh.readinto(matrix)
-        table = fh.read()
-    matrix.flags.writeable = False
 
+def _read_dump_ids(fh, path: Path, dim: int, count: int) -> list[str]:
+    """The id table, which runs from the end of the vector block to the end of the file."""
+    fh.seek(_HEADER.size + count * dim * 4)
+    table = fh.read()
     ids: dict[str, None] = {}  # insertion-ordered, and a duplicate costs one lookup
     pos = 0
     for row in range(count):
@@ -384,10 +378,114 @@ def read_embedding_dump(path) -> EmbeddingDump:
         ids[entry_id] = None
     if pos != len(table):
         raise CorruptHeader(f"{path}: {len(table) - pos} trailing bytes")
+    return list(ids)
 
-    # a float64 sum of finite float32 values cannot overflow, and NaN or inf
-    # carries through it: one value per row instead of a full-size bool mask
-    bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
-    if bad.size:
-        raise NonFiniteValue(f"{path}: entry {list(ids)[bad[0]]!r} contains non-finite values")
+
+def _first_non_finite(rows: np.ndarray) -> int | None:
+    """Index of the first row holding NaN or inf, if any. A float64 sum of
+    finite float32 values cannot overflow, and NaN or inf carries through it:
+    one value per row instead of a full-size bool mask."""
+    bad = np.flatnonzero(~np.isfinite(rows.sum(axis=-1, dtype=np.float64)))
+    return int(bad[0]) if bad.size else None
+
+
+def read_embedding_dump(path) -> EmbeddingDump:
+    """Read a dump written by write_embedding_dump; bit-exact round trip.
+
+    One readinto fills a read-only (count, dim) float32 matrix, and each
+    entry's vector is a read-only view of its row.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        dim, count = _read_dump_header(fh, path)
+        matrix = np.empty((count, dim), dtype="<f4")
+        fh.readinto(matrix)
+        ids = _read_dump_ids(fh, path, dim, count)
+    matrix.flags.writeable = False
+    bad = _first_non_finite(matrix)
+    if bad is not None:
+        raise NonFiniteValue(f"{path}: entry {ids[bad]!r} contains non-finite values")
     return EmbeddingDump(dim=dim, entries=tuple(zip(ids, matrix)))
+
+
+# DumpReader checks a dump's vectors this many bytes of rows at a time
+CHECK_BLOCK_BYTES = 1 << 20
+
+
+class DumpReader:
+    """An embedding dump held open and read one row at a time, when asked.
+
+    Opening checks the whole file in one streaming pass, with the errors and
+    messages of read_embedding_dump: the header, the id table and every row
+    finite. A row is then read with one seek and readinto only when indexed,
+    so the reader holds the ids, never the matrix. A row that reads short or
+    non-finite later (the file was rewritten in place after the check) is a
+    TruncatedFile or NonFiniteValue naming its entry. Use it as a context
+    manager: the file handle closes on exit, and on any error while opening.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        # unbuffered: a row is read from the file when asked, never from a
+        # buffer filled by an earlier read
+        self._fh = open(self.path, "rb", buffering=0)
+        try:
+            self.dim, count = _read_dump_header(self._fh, self.path)
+            block = np.empty((max(1, min(count, CHECK_BLOCK_BYTES // (4 * self.dim))), self.dim), dtype="<f4")
+            bad = None
+            for start in range(0, count, len(block)):
+                rows = block[: count - start]
+                self._fh.readinto(rows)  # a file cut short since the size check fails on its id table
+                bad = _first_non_finite(rows)
+                if bad is not None:
+                    bad += start
+                    break
+            self.ids = _read_dump_ids(self._fh, self.path, self.dim, count)
+            if bad is not None:
+                raise NonFiniteValue(f"{self.path}: entry {self.ids[bad]!r} contains non-finite values")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "DumpReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def row(self, i: int) -> np.ndarray:
+        """Entry i's vector, read from the file now, as a fresh read-only array."""
+        vec = np.empty(self.dim, dtype="<f4")
+        self._fh.seek(_HEADER.size + i * vec.nbytes)
+        got = self._fh.readinto(vec)
+        if got != vec.nbytes:
+            raise TruncatedFile(
+                f"{self.path}: entry {self.ids[i]!r} reads {got} of {vec.nbytes} bytes; "
+                "the file changed after it was checked"
+            )
+        if _first_non_finite(vec) is not None:
+            raise NonFiniteValue(f"{self.path}: entry {self.ids[i]!r} contains non-finite values")
+        vec.flags.writeable = False
+        return vec
+
+
+@dataclass(frozen=True)
+class DumpRows:
+    """Some rows of an open DumpReader as a sequence of vectors: its length
+    and width come from the reader, and a row is read only when indexed."""
+
+    reader: DumpReader
+    rows: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.reader.dim
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.reader.row(self.rows[j])

@@ -34,6 +34,19 @@ class UnknownTargetId(RetrievalError):
     pass
 
 
+# evaluate scores, and build_eval projects, EVAL_BLOCK query rows at a time, so
+# neither holds a full-size temporary beside the queries. The last block takes
+# the remainder: OpenBLAS sends a product of a few rows down a small-matrix
+# path that rounds differently from the same rows of a longer one.
+EVAL_BLOCK = 512
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of EVAL_BLOCK rows covering range(n); the last one takes the remainder."""
+    blocks = max(n // EVAL_BLOCK, 1)
+    return [slice(k * EVAL_BLOCK, n if k == blocks - 1 else (k + 1) * EVAL_BLOCK) for k in range(blocks)]
+
+
 @dataclass(frozen=True)
 class RetrievalIndex:
     """Unit-normalized audio embeddings keyed by clip id."""
@@ -117,9 +130,10 @@ class Query:
 def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
     """Mean AP@10 and R@{1,5,10} over the queries, summed in query-id order.
 
-    All queries are scored in one similarity matrix. A target's rank is
-    1 + #(sim > s_target) + #(sim == s_target and id < target id), which is
-    the order `rank` defines: descending cosine, ties on ascending clip id.
+    The similarity matrix is scored EVAL_BLOCK query rows at a time. A
+    target's rank is 1 + #(sim > s_target) + #(sim == s_target and id <
+    target id), which is the order `rank` defines: descending cosine, ties on
+    ascending clip id.
     """
     ordered = sorted(queries, key=lambda q: q.query_id)
     if not ordered:
@@ -131,7 +145,6 @@ def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
     for q in ordered:
         if np.shape(q.vector) != (dim,):
             raise DimMismatch(f"query dim {np.shape(q.vector)} != index dim {dim}")
-    unit_queries = l2_normalize(np.stack([q.vector for q in ordered]))
     for q in ordered:
         if q.target_id not in column:
             raise UnknownTargetId(f"target {q.target_id!r} not in index")
@@ -139,10 +152,13 @@ def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
     id_order = np.empty(len(index), dtype=np.int64)
     id_order[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
 
-    sims = unit_queries @ index.vectors.T
-    s_target = sims[np.arange(len(ordered)), targets][:, None]
-    ahead = (sims > s_target) | ((sims == s_target) & (id_order < id_order[targets][:, None]))
-    ranks = 1 + np.count_nonzero(ahead, axis=1)
+    ranks = np.empty(len(ordered), dtype=np.int64)
+    for rows in _row_blocks(len(ordered)):
+        sims = l2_normalize(np.stack([q.vector for q in ordered[rows]])) @ index.vectors.T
+        block_targets = targets[rows]
+        s_target = sims[np.arange(len(block_targets)), block_targets][:, None]
+        ahead = (sims > s_target) | ((sims == s_target) & (id_order < id_order[block_targets][:, None]))
+        ranks[rows] = 1 + np.count_nonzero(ahead, axis=1)
 
     # a sequential sum, not np.sum: pairwise summation would move the last bits
     ap_sum = 0.0
@@ -199,7 +215,9 @@ def build_eval(
     for query_id, _, cap in captions:
         if cap.shape != (text_head.d_in,):
             raise DimMismatch(f"caption {query_id!r}: dim {cap.shape} != head d_in {text_head.d_in}")
-    vectors = project(np.stack([cap for _, _, cap in captions]), text_head)
+    vectors = np.empty((len(captions), text_head.d_out), dtype=text_head.weight.dtype)
+    for rows in _row_blocks(len(captions)):
+        vectors[rows] = project(np.stack([cap for _, _, cap in captions[rows]]), text_head)
     queries = [Query(query_id, vec, target) for (query_id, target, _), vec in zip(captions, vectors)]
     return queries, index
 

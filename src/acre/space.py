@@ -435,12 +435,14 @@ class TrainPair:
     """One clip's frozen encoder outputs: an audio vector, its caption vectors
     and, for finetuning, variants[k], the augmented variants of captions[k]
     (empty when it has none). Vectors are kept as given; a batch of them
-    takes the head's dtype in project and loss_gradients: float32 in train."""
+    takes the head's dtype in project and loss_gradients: float32 in train.
+    A variant group is any sequence of vectors; one with a ``dim`` attribute
+    (ingest.DumpRows) declares its width, so train reads only the rows it draws."""
 
     clip_id: str
     audio: np.ndarray
     captions: tuple[np.ndarray, ...]
-    variants: tuple[tuple[np.ndarray, ...], ...] = ()
+    variants: tuple[Sequence[np.ndarray], ...] = ()
 
     def __post_init__(self):
         if not self.captions:
@@ -504,8 +506,10 @@ def train(
     d_a = pairs[0].audio.size
     d_t = pairs[0].captions[0].size
     for pair in pairs:
-        texts = (*pair.captions, *(v for variants in pair.variants for v in variants))
-        if pair.audio.size != d_a or any(t.size != d_t for t in texts):
+        widths = {t.size for t in pair.captions}
+        for group in pair.variants:
+            widths.update([group.dim] if hasattr(group, "dim") else (v.size for v in group))
+        if pair.audio.size != d_a or widths != {d_t}:
             raise DimMismatch(f"clip {pair.clip_id!r}: inconsistent embedding dims")
 
     finetune = phase == "finetune"

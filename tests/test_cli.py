@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -5,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +441,108 @@ def test_finetune_refuses_variants_of_another_width(tmp_path, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: DimMismatch: clip 'c0.wav': inconsistent embedding dims\n"
     assert not out.exists()
+
+
+def finetune_dumps(tmp_path, n_clips, text_dim, audio_dim=16):
+    """A manifest and a dump directory with audio, caption and variant dumps
+    of n_clips clips (5 captions, 5 variants each); the finetune argv over them."""
+    ids = [f"c{i:03d}.wav" for i in range(n_clips)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{c},a,b,c,d,e\n" for c in ids)
+    )
+    rng = np.random.default_rng(3)
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    ingest.write_embedding_dump([(c, rng.normal(size=audio_dim)) for c in ids], dumps / "audio.embd")
+    captions = [f"{c}#{k}" for c in ids for k in range(5)]
+    ingest.write_embedding_dump([(key, rng.normal(size=text_dim)) for key in captions], dumps / "captions.embd")
+    variants = ((f"{key}@{j}", rng.normal(size=text_dim)) for key in captions for j in range(5))
+    ingest.write_embedding_dump(variants, dumps / "variants.embd")
+    argv = [
+        "finetune", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(tmp_path / "out"),
+        "--epochs", "1", "--batch-size", "16", "--out-dim", "16", "--swap-prob", "0.5", "--strict",
+    ]
+    return dumps / "variants.embd", argv
+
+
+def test_finetune_reads_no_undrawn_variant_row(tmp_path):
+    # 3200 variants of 512 floats: 8 steps of 16 clips draw at most 128 of them
+    variants, argv = finetune_dumps(tmp_path, 128, 512)
+    assert variants.stat().st_size >= 4_000_000
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gc.collect()
+    assert peak < variants.stat().st_size, peak
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("rewrite", ["non-finite", "truncated"])
+def test_finetune_fails_closed_on_variants_rewritten_after_the_check(tmp_path, monkeypatch, capsys, rewrite):
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    readers = []
+
+    class RewrittenAfterTheCheck(ingest.DumpReader):
+        def __init__(self, path):
+            super().__init__(path)
+            readers.append(self)
+            with open(path, "r+b") as fh:  # in place, as a writer that does not rename would
+                if rewrite == "truncated":
+                    fh.truncate(20)
+                else:
+                    fh.seek(20)
+                    fh.write(np.full(len(self.ids) * self.dim, np.nan, dtype="<f4").tobytes())
+
+    monkeypatch.setattr(ingest, "DumpReader", RewrittenAfterTheCheck)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(argv) == 2
+        readers.clear()
+        gc.collect()
+    kind, detail = {
+        "non-finite": ("NonFiniteValue", "contains non-finite values"),
+        "truncated": ("TruncatedFile", "reads 0 of 32 bytes; the file changed after it was checked"),
+    }[rewrite]
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {kind}: {re.escape(str(variants))}: entry 'c\d+\.wav#\d@\d' {detail}\n", err), err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not (tmp_path / "out").exists()
+
+
+def duplicate_last_id(raw):
+    # 400 rows of 8 floats, then ids of 12 bytes each, 'c000.wav#0@0' to 'c015.wav#4@4'
+    table = 20 + 400 * 32
+    return raw[:-12] + raw[table + 2 : table + 14]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: b"NOPE" + raw[4:],
+        lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
+        lambda raw: raw[:20 + 100],
+        duplicate_last_id,
+        lambda raw: raw + b"\x00",
+        lambda raw: raw[:-1],
+        lambda raw: raw[: 20 + 399 * 32] + np.array([np.nan], "<f4").tobytes() + raw[20 + 399 * 32 + 4 :],
+    ],
+    ids=["bad-magic", "version-1", "cut-block", "duplicate-id", "trailing-bytes", "cut-id", "nan-last-row"],
+)
+def test_finetune_refuses_a_bad_variants_dump_before_step_0(tmp_path, monkeypatch, capsys, corrupt):
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    variants.write_bytes(corrupt(variants.read_bytes()))
+    with pytest.raises(ingest.IngestError) as eager:
+        ingest.read_embedding_dump(variants)
+    monkeypatch.setattr(space, "loss_gradients", None)  # refused before step 0
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {type(eager.value).__name__}: {eager.value}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_missing_checkpoint_exits_2(wav_dataset, tmp_path, capsys):

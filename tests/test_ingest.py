@@ -1,7 +1,9 @@
+import gc
 import re
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -503,26 +505,26 @@ def test_dump_golden_bytes(tmp_path):
 THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]  # 53 bytes: 20 header, 24 vectors, 9 ids
 
 
-@pytest.mark.parametrize(
-    "raw, error, message",
-    [
-        (hand_dump([(b"a", [1.0, 2.0]), (b"a", [3.0, 4.0])]), ingest.IngestError, "duplicate entry id 'a'"),
-        (hand_dump([(b"\xff\xfe", [1.0, 2.0])]), ingest.CorruptHeader, "entry id is not valid UTF-8"),
-        (hand_dump(THREE) + b"\x00", ingest.CorruptHeader, "1 trailing bytes"),
-        # the fourth row takes the first 8 bytes of the id table, which then lacks a length
-        (hand_dump(THREE, count=4), ingest.TruncatedFile, "id table cut short at entry 0$"),
-        (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"{2**62} x 2 vectors end at byte {20 + 2**65}, past the end at 53$"),
-        (hand_dump(THREE)[:40], ingest.TruncatedFile, "3 x 2 vectors end at byte 44, past the end at 40$"),
-        (hand_dump(THREE)[:-1], ingest.TruncatedFile, "id table cut short at entry 2$"),
-        (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
-        (hand_dump(THREE)[:19], ingest.TruncatedFile, "19 bytes, shorter than the 20-byte header$"),
-        (hand_dump([(b"a", [])], dim=0), ingest.CorruptHeader, "zero dimension$"),
-    ],
-    ids=[
-        "duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector",
-        "cut-id", "nan-middle", "short-header", "zero-dim",
-    ],
-)
+MALFORMED_DUMPS = [
+    (hand_dump([(b"a", [1.0, 2.0]), (b"a", [3.0, 4.0])]), ingest.IngestError, "duplicate entry id 'a'"),
+    (hand_dump([(b"\xff\xfe", [1.0, 2.0])]), ingest.CorruptHeader, "entry id is not valid UTF-8"),
+    (hand_dump(THREE) + b"\x00", ingest.CorruptHeader, "1 trailing bytes"),
+    # the fourth row takes the first 8 bytes of the id table, which then lacks a length
+    (hand_dump(THREE, count=4), ingest.TruncatedFile, "id table cut short at entry 0$"),
+    (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"{2**62} x 2 vectors end at byte {20 + 2**65}, past the end at 53$"),
+    (hand_dump(THREE)[:40], ingest.TruncatedFile, "3 x 2 vectors end at byte 44, past the end at 40$"),
+    (hand_dump(THREE)[:-1], ingest.TruncatedFile, "id table cut short at entry 2$"),
+    (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
+    (hand_dump(THREE)[:19], ingest.TruncatedFile, "19 bytes, shorter than the 20-byte header$"),
+    (hand_dump([(b"a", [])], dim=0), ingest.CorruptHeader, "zero dimension$"),
+]
+MALFORMED_IDS = [
+    "duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector",
+    "cut-id", "nan-middle", "short-header", "zero-dim",
+]
+
+
+@pytest.mark.parametrize("raw, error, message", MALFORMED_DUMPS, ids=MALFORMED_IDS)
 def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
     p = tmp_path / "d.embd"
     p.write_bytes(raw)
@@ -548,6 +550,85 @@ def test_dump_read_holds_the_matrix_not_the_file(tmp_path):
     assert np.array_equal(np.stack([v for _, v in dump.entries]), vectors)
     # the matrix plus one view, id and tuple per entry; the file's bytes on top of it would be 2x
     assert peak < 1.5 * vectors.nbytes
+
+
+def refusal(read, path):
+    """The (kind, message) that read raises on path, checking that no file
+    handle is left to the garbage collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            read(path)
+        except ingest.IngestError as exc:
+            kind, message = type(exc), str(exc)
+        else:
+            kind = message = None
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    return kind, message
+
+
+@pytest.mark.parametrize("block_bytes", [8, 16, ingest.CHECK_BLOCK_BYTES], ids=["1-row", "2-row", "default"])
+@pytest.mark.parametrize(
+    "raw",
+    [raw for raw, _, _ in MALFORMED_DUMPS]
+    + [
+        hand_dump([*THREE[:2], (b"c", [np.inf, 1.0])]),
+        # a non-finite row in an early block does not hide a bad id table
+        hand_dump([(b"a", [np.nan, 1.0]), *THREE[1:]])[:-1],
+    ],
+    ids=[*MALFORMED_IDS, "inf-last-row", "nan-and-cut-id"],
+)
+def test_dump_reader_refuses_what_read_embedding_dump_refuses(tmp_path, monkeypatch, raw, block_bytes):
+    p = tmp_path / "d.embd"
+    p.write_bytes(raw)
+    monkeypatch.setattr(ingest, "CHECK_BLOCK_BYTES", block_bytes)
+    expected = refusal(ingest.read_embedding_dump, p)
+    assert expected[0] is not None
+    assert refusal(ingest.DumpReader, p) == expected
+
+
+def test_dump_reader_reads_only_the_rows_asked_for(tmp_path):
+    n, dim = 2731, 768  # 8.4 MB of float32 vectors
+    p = tmp_path / "big.embd"
+    vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+    ingest.write_embedding_dump(((f"clip{i:05d}", v) for i, v in enumerate(vectors)), p)
+    tracemalloc.start()
+    try:
+        with ingest.DumpReader(p) as reader:
+            rows = ingest.DumpRows(reader, (2730, 0, 1366))
+            got = [rows[j] for j in range(len(rows))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (reader.dim, rows.dim, len(reader.ids)) == (dim, dim, n)
+    assert reader.ids[:2] == ["clip00000", "clip00001"]
+    assert all(v.tobytes() == vectors[i].tobytes() and not v.flags.writeable for v, i in zip(got, rows.rows))
+    # one check block, the id table and the ids; the matrix would be 8.4 MB
+    assert peak < 0.5 * vectors.nbytes
+
+
+def test_dump_reader_fails_closed_on_a_file_rewritten_after_the_check(tmp_path):
+    p = tmp_path / "d.embd"
+    p.write_bytes(hand_dump(THREE))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with ingest.DumpReader(p) as reader:
+            with open(p, "r+b") as fh:  # in place, as a writer that does not rename would
+                fh.seek(20 + 8)
+                fh.write(np.array([np.nan, 1.0], dtype="<f4").tobytes())
+            with pytest.raises(ingest.NonFiniteValue) as nan:
+                reader.row(1)
+            with open(p, "r+b") as fh:
+                fh.truncate(20 + 8 + 4)
+            with pytest.raises(ingest.TruncatedFile) as short:
+                reader.row(1)
+            assert reader.row(0).tobytes() == np.array([1.0, 2.0], dtype="<f4").tobytes()
+        del reader
+        gc.collect()
+    assert str(nan.value) == f"{p}: entry 'b' contains non-finite values"
+    assert str(short.value) == f"{p}: entry 'b' reads 4 of 8 bytes; the file changed after it was checked"
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_dump_write_holds_the_file_once(tmp_path):

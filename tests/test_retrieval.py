@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from acre import dsp, encoder, retrieval, space
+from acre import dsp, encoder, ingest, retrieval, space
 from conftest import make_latent_pairs
 
 
@@ -205,6 +211,97 @@ def test_evaluate_agrees_with_rank_with_several_captions_per_clip():
     queries, index = retrieval.build_eval(pairs, audio_head, text_head)
     assert len(queries) == 40
     assert_evaluate_agrees_with_rank(queries, index)
+
+
+def tied_queries(n, rng):
+    """n queries against 30 clips, a third of them duplicates of others, and
+    every seventh query exactly a clip vector: ties at the target and around it."""
+    base = rng.normal(size=(20, 6))
+    vecs = np.vstack([base, base[:10]])
+    ids = [f"c{i:02d}" for i in range(30)]
+    queries = []
+    for k in range(n):
+        target = int(rng.integers(30))
+        v = vecs[target] if k % 7 == 0 else vecs[target] + 0.8 * rng.normal(size=6)
+        queries.append(retrieval.Query(f"q{k:05d}", v, ids[target]))
+    return queries, retrieval.RetrievalIndex.build(ids, vecs)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, retrieval.EVAL_BLOCK + 3], ids=["block-1", "block", "block+1", "2block+3"])
+def test_blocked_evaluate_ranks_agree_with_rank_exactly(monkeypatch, extra):
+    n = retrieval.EVAL_BLOCK + extra
+    queries, index = tied_queries(n, np.random.default_rng(n))
+    expected = [retrieval.rank(q.vector, index, target_id=q.target_id).rank_of_target for q in queries]
+    ranks, blocks = [], []
+    exact_ap, exact_normalize = retrieval.average_precision_at_10, retrieval.l2_normalize
+    monkeypatch.setattr(retrieval, "average_precision_at_10", lambda r: ranks.append(r) or exact_ap(r))
+    monkeypatch.setattr(retrieval, "l2_normalize", lambda x: blocks.append(len(x)) or exact_normalize(x))
+    report = retrieval.evaluate(queries, index)
+    assert ranks == expected  # evaluate sums AP@10 over the ranks in query-id order
+    # no block is smaller than EVAL_BLOCK unless the whole input is
+    assert blocks == ([n] if n < 2 * retrieval.EVAL_BLOCK else [retrieval.EVAL_BLOCK, n - retrieval.EVAL_BLOCK])
+    monkeypatch.setattr(retrieval, "EVAL_BLOCK", 10 * n)
+    assert retrieval.evaluate(queries, index) == report
+
+
+def test_build_eval_projects_in_blocks_bitwise(monkeypatch):
+    rng = np.random.default_rng(26)
+    n = 2 * retrieval.EVAL_BLOCK + 3
+    pairs = [
+        space.TrainPair(f"c{i:04d}", rng.normal(size=64), (rng.normal(size=64).astype(np.float32),)) for i in range(n)
+    ]
+    audio_head = space.ProjectionHead.initialize(64, 128, rng)
+    text_head = space.ProjectionHead.initialize(64, 128, rng)
+    blocks = []
+    exact = retrieval.project
+    monkeypatch.setattr(retrieval, "project", lambda e, h: blocks.append(len(e)) or exact(e, h))
+    queries, _ = retrieval.build_eval(pairs, audio_head, text_head)
+    assert blocks == [n, retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # the index, then the captions
+    whole = exact(np.stack([p.captions[0] for p in pairs]), text_head)
+    assert np.stack([q.vector for q in queries]).tobytes() == whole.tobytes()
+
+
+def test_evaluate_holds_less_than_the_score_matrix():
+    rng = np.random.default_rng(27)
+    n_queries, n_clips = 4 * retrieval.EVAL_BLOCK, 1000
+    ids = [f"c{i:04d}" for i in range(n_clips)]
+    index = retrieval.RetrievalIndex.build(ids, rng.normal(size=(n_clips, 32)))
+    vectors = rng.normal(size=(n_queries, 32))
+    queries = [retrieval.Query(f"q{k:05d}", v, ids[k % n_clips]) for k, v in enumerate(vectors)]
+    tracemalloc.start()
+    try:
+        retrieval.evaluate(queries, index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_queries * n_clips * 8, peak
+
+
+def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    rng = np.random.default_rng(28)
+    n_clips = 2 * retrieval.EVAL_BLOCK // 5 + 7  # five captions each: more than two blocks of queries
+    ids = [f"c{i:04d}.wav" for i in range(n_clips)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{c},a,b,c,d,e\n" for c in ids)
+    )
+    dumps = tmp_path / "dumps"
+    latent = rng.normal(size=(n_clips, 256))
+    ingest.write_embedding_dump(zip(ids, latent), dumps / "audio.embd")
+    captions = [(f"{c}#{k}", latent[i] + rng.normal(size=256)) for i, c in enumerate(ids) for k in range(5)]
+    ingest.write_embedding_dump(captions, dumps / "captions.embd")
+    heads = [space.ProjectionHead.initialize(256, 1024, np.random.default_rng(seed)) for seed in (1, 2)]
+    space.save_checkpoint(tmp_path / "ckpt.ackp", *heads, 0, space.TrainConfig())
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip(("1", "2"), outs):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(retrieval.__file__).parents[1])}
+        args = ["evaluate", "--manifest", str(manifest), "--encoder", f"dump:{dumps}"]
+        args += ["--checkpoint", str(tmp_path / "ckpt.ackp"), "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "acre.cli", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acre import retrieval, space
+from acre import ingest, retrieval, space
 from acre.seeding import derive_seed
 from conftest import make_latent_pairs, write_v1_checkpoint
 
@@ -581,6 +581,35 @@ def test_finetune_swap_stream_is_pinned(partial, heads_sha, curve_sha):
     assert len(result.curve) == 9
     assert hashlib.sha256(heads).hexdigest()[:16] == heads_sha
     assert hashlib.sha256(curve).hexdigest()[:16] == curve_sha
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["every-caption", "three-quarters"])
+def test_finetune_over_dump_rows_draws_the_same_stream(tmp_path, partial):
+    # the swap stream's variants as rows of a dump: the same heads and curve,
+    # and only the rows drawn are read
+    eager = swap_stream_pairs(partial)
+    variants = [(f"{p.clip_id}#{k}@{j}", v) for p in eager for k, vs in enumerate(p.variants) for j, v in enumerate(vs)]
+    ingest.write_embedding_dump(variants, tmp_path / "variants.embd")
+    read = []
+    with ingest.DumpReader(tmp_path / "variants.embd") as reader:
+        row = reader.row
+        reader.row = lambda i: read.append(i) or row(i)
+        rows = iter(range(len(variants)))
+        lazy = [
+            space.TrainPair(
+                p.clip_id,
+                p.audio,
+                p.captions,
+                tuple(ingest.DumpRows(reader, tuple(next(rows) for _ in vs)) for vs in p.variants),
+            )
+            for p in eager
+        ]
+        cfg = small_cfg(batch_size=4, finetune_epochs=3, swap_prob=0.5, seed=4)
+        results = [space.train(pairs, cfg, phase="finetune", strict=not partial) for pairs in (eager, lazy)]
+    assert 0 < len(read) < len(variants)
+    for a, b in zip(*((r.audio_head, r.text_head) for r in results)):
+        assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+    assert results[0].curve == results[1].curve
 
 
 def test_train_pair_needs_one_variant_set_per_caption():
