@@ -128,7 +128,7 @@ def mel_center_frequencies() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def mel_filterbank() -> np.ndarray:
-    """Triangular filter matrix of shape (N_MELS, N_FFT//2 + 1).
+    """Triangular filter matrix of shape (N_MELS, N_FFT//2 + 1), read-only.
 
     Filters are unnormalized triangles with feet on the neighboring centers,
     so rows are nonnegative and adjacent filters overlap: every FFT bin
@@ -141,7 +141,9 @@ def mel_filterbank() -> np.ndarray:
     right = points[2:, None]
     rising = (freqs[None, :] - left) / (center - left)
     falling = (right - freqs[None, :]) / (right - center)
-    return np.clip(np.minimum(rising, falling), 0.0, None)
+    fb = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False  # cached: a caller's edit would reach every later logmel
+    return fb
 
 
 @lru_cache(maxsize=1)
@@ -155,10 +157,8 @@ def _analysis_operators() -> tuple[np.ndarray, np.ndarray]:
     dimension of 513 differently at one thread and at two, and 512 it does not.
     """
     window = np.hanning(N_FFT)
-    weights = mel_filterbank()[:, : N_FFT // 2].T
-    for a in (window, weights):
-        a.flags.writeable = False
-    return window, weights
+    window.flags.writeable = False
+    return window, mel_filterbank()[:, : N_FFT // 2].T
 
 
 def frame_count(n_samples: int) -> int:
@@ -177,10 +177,20 @@ def seconds_to_frames(seconds: float) -> int:
     return int(round(seconds * SAMPLE_RATE / HOP))
 
 
+def row_blocks(n: int, size: int) -> list[slice]:
+    """Slices of size rows covering range(n) in order, the last one taking the
+    remainder (one slice when n < 2 * size).
+
+    The remainder is folded in, not left as a short block of its own: OpenBLAS
+    sends a product of a few rows down a small-matrix path that rounds
+    differently from the same rows of a longer one.
+    """
+    blocks = max(n // size, 1)
+    return [slice(k * size, n if k == blocks - 1 else (k + 1) * size) for k in range(blocks)]
+
+
 # logmel analyses FRAME_BLOCK frames at a time, so its scratch (windowed
-# frames, spectrum, power) is one block whatever the clip's length. The last
-# block takes the remainder: OpenBLAS sends a product of a few rows down a
-# small-matrix path that rounds differently from the same rows of a longer one.
+# frames, spectrum, power) is one block whatever the clip's length
 FRAME_BLOCK = 256
 
 
@@ -196,9 +206,7 @@ def logmel(w: Waveform) -> Spectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, N_FFT)[::HOP]
     window, weights = _analysis_operators()
     out = np.empty((n, N_MELS))
-    blocks = max(n // FRAME_BLOCK, 1)
-    for k in range(blocks):
-        rows = slice(k * FRAME_BLOCK, n if k == blocks - 1 else (k + 1) * FRAME_BLOCK)
+    for rows in row_blocks(n, FRAME_BLOCK):
         # re, im interleaved, for the bins below Nyquist
         parts = np.fft.rfft(frames[rows] * window, axis=1).view(np.float64)[:, :N_FFT]
         parts *= parts

@@ -16,9 +16,9 @@ Augmented captions: UTF-8 JSON lines, one record per line::
     {"clip_id": "...", "caption_index": 0, "variants": ["...", ...5 non-blank strings]}
 
 Embedding dump (binary, little-endian): magic ``ACRE``, version u32=2,
-dim u32, count u64, then one count x dim block of 32-bit floats from byte 20,
-then the id table to the end of the file: per entry a u16 byte length and the
-UTF-8 id. Round-trips bit-exactly.
+dim u32, count u64 (neither zero), then one count x dim block of 32-bit floats
+from byte 20, then the id table to the end of the file: per entry a u16 byte
+length and the UTF-8 id. Round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -296,12 +296,17 @@ def atomic_write(path, payload: bytes | bytearray) -> None:
     creating the parent directory first.
 
     Readers see either the old file or the new one, never a partial write.
+    A failed write or rename removes the temp file and re-raises its error.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (path.name + f".tmp.{os.getpid()}")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_embedding_dump(entries, path) -> None:
@@ -338,9 +343,9 @@ def write_embedding_dump(entries, path) -> None:
 
 
 def _read_dump_header(fh, path: Path) -> tuple[int, int]:
-    """Check a dump's header against the open file's size and leave fh at the
-    vector block; the declared (dim, count). The block is checked against the
-    file size here, so an untrusted header count sizes nothing."""
+    """Check a dump's header against the open file's size; the declared (dim,
+    count), neither zero. The block is checked against the file size here, so
+    an untrusted header sizes nothing."""
     size = os.fstat(fh.fileno()).st_size
     if size < _HEADER.size:
         raise TruncatedFile(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
@@ -351,6 +356,8 @@ def _read_dump_header(fh, path: Path) -> tuple[int, int]:
         raise CorruptHeader(f"{path}: dump version {version}, expected {_DUMP_VERSION}; re-export it with acre embed")
     if dim == 0:
         raise CorruptHeader(f"{path}: zero dimension")
+    if count == 0:
+        raise CorruptHeader(f"{path}: zero entries")
     block_end = _HEADER.size + count * dim * 4
     if block_end > size:
         raise TruncatedFile(f"{path}: {count} x {dim} vectors end at byte {block_end}, past the end at {size}")
@@ -381,30 +388,39 @@ def _read_dump_ids(fh, path: Path, dim: int, count: int) -> list[str]:
     return list(ids)
 
 
-def _first_non_finite(rows: np.ndarray) -> int | None:
-    """Index of the first row holding NaN or inf, if any. A float64 sum of
-    finite float32 values cannot overflow, and NaN or inf carries through it:
-    one value per row instead of a full-size bool mask."""
+def _read_rows(fh, path: Path, ids: list[str], dim: int, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of a checked dump as a new read-only float32 matrix; a
+    short read or a non-finite row (the file changed after its header was
+    checked) is a TruncatedFile or NonFiniteValue naming the entry. A float64
+    sum of finite float32 values cannot overflow, and NaN or inf carries
+    through it: one value per row instead of a full-size bool mask."""
+    rows = np.empty((stop - start, dim), dtype="<f4")
+    fh.seek(_HEADER.size + start * dim * 4)
+    got = fh.readinto(rows)
+    if got != rows.nbytes:
+        entry, part = divmod(got, dim * 4)
+        raise TruncatedFile(
+            f"{path}: entry {ids[start + entry]!r} reads {part} of {dim * 4} bytes; "
+            "the file changed after it was checked"
+        )
     bad = np.flatnonzero(~np.isfinite(rows.sum(axis=-1, dtype=np.float64)))
-    return int(bad[0]) if bad.size else None
+    if bad.size:
+        raise NonFiniteValue(f"{path}: entry {ids[start + bad[0]]!r} contains non-finite values")
+    rows.flags.writeable = False
+    return rows
 
 
 def read_embedding_dump(path) -> EmbeddingDump:
     """Read a dump written by write_embedding_dump; bit-exact round trip.
 
-    One readinto fills a read-only (count, dim) float32 matrix, and each
-    entry's vector is a read-only view of its row.
+    After the header and the id table, one readinto fills a read-only
+    (count, dim) float32 matrix, and each entry's vector is a view of its row.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         dim, count = _read_dump_header(fh, path)
-        matrix = np.empty((count, dim), dtype="<f4")
-        fh.readinto(matrix)
         ids = _read_dump_ids(fh, path, dim, count)
-    matrix.flags.writeable = False
-    bad = _first_non_finite(matrix)
-    if bad is not None:
-        raise NonFiniteValue(f"{path}: entry {ids[bad]!r} contains non-finite values")
+        matrix = _read_rows(fh, path, ids, dim, 0, count)
     return EmbeddingDump(dim=dim, entries=tuple(zip(ids, matrix)))
 
 
@@ -431,18 +447,10 @@ class DumpReader:
         self._fh = open(self.path, "rb", buffering=0)
         try:
             self.dim, count = _read_dump_header(self._fh, self.path)
-            block = np.empty((max(1, min(count, CHECK_BLOCK_BYTES // (4 * self.dim))), self.dim), dtype="<f4")
-            bad = None
-            for start in range(0, count, len(block)):
-                rows = block[: count - start]
-                self._fh.readinto(rows)  # a file cut short since the size check fails on its id table
-                bad = _first_non_finite(rows)
-                if bad is not None:
-                    bad += start
-                    break
             self.ids = _read_dump_ids(self._fh, self.path, self.dim, count)
-            if bad is not None:
-                raise NonFiniteValue(f"{self.path}: entry {self.ids[bad]!r} contains non-finite values")
+            step = max(1, CHECK_BLOCK_BYTES // (4 * self.dim))
+            for start in range(0, count, step):
+                _read_rows(self._fh, self.path, self.ids, self.dim, start, min(start + step, count))
         except BaseException:
             self._fh.close()
             raise
@@ -458,18 +466,7 @@ class DumpReader:
 
     def row(self, i: int) -> np.ndarray:
         """Entry i's vector, read from the file now, as a fresh read-only array."""
-        vec = np.empty(self.dim, dtype="<f4")
-        self._fh.seek(_HEADER.size + i * vec.nbytes)
-        got = self._fh.readinto(vec)
-        if got != vec.nbytes:
-            raise TruncatedFile(
-                f"{self.path}: entry {self.ids[i]!r} reads {got} of {vec.nbytes} bytes; "
-                "the file changed after it was checked"
-            )
-        if _first_non_finite(vec) is not None:
-            raise NonFiniteValue(f"{self.path}: entry {self.ids[i]!r} contains non-finite values")
-        vec.flags.writeable = False
-        return vec
+        return _read_rows(self._fh, self.path, self.ids, self.dim, i, i + 1)[0]
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,9 @@ class UnknownTargetId(RetrievalError):
     pass
 
 
-# evaluate scores, and build_eval projects, EVAL_BLOCK query rows at a time, so
-# neither holds a full-size temporary beside the queries. The last block takes
-# the remainder: OpenBLAS sends a product of a few rows down a small-matrix
-# path that rounds differently from the same rows of a longer one.
+# evaluate scores, and build_eval projects, EVAL_BLOCK query rows at a time
+# (dsp.row_blocks), so neither holds a full-size temporary beside the queries
 EVAL_BLOCK = 512
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of EVAL_BLOCK rows covering range(n); the last one takes the remainder."""
-    blocks = max(n // EVAL_BLOCK, 1)
-    return [slice(k * EVAL_BLOCK, n if k == blocks - 1 else (k + 1) * EVAL_BLOCK) for k in range(blocks)]
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,7 @@ def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
     id_order[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
 
     ranks = np.empty(len(ordered), dtype=np.int64)
-    for rows in _row_blocks(len(ordered)):
+    for rows in dsp.row_blocks(len(ordered), EVAL_BLOCK):
         sims = l2_normalize(np.stack([q.vector for q in ordered[rows]])) @ index.vectors.T
         block_targets = targets[rows]
         s_target = sims[np.arange(len(block_targets)), block_targets][:, None]
@@ -216,7 +208,7 @@ def build_eval(
         if cap.shape != (text_head.d_in,):
             raise DimMismatch(f"caption {query_id!r}: dim {cap.shape} != head d_in {text_head.d_in}")
     vectors = np.empty((len(captions), text_head.d_out), dtype=text_head.weight.dtype)
-    for rows in _row_blocks(len(captions)):
+    for rows in dsp.row_blocks(len(captions), EVAL_BLOCK):
         vectors[rows] = project(np.stack([cap for _, _, cap in captions[rows]]), text_head)
     queries = [Query(query_id, vec, target) for (query_id, target, _), vec in zip(captions, vectors)]
     return queries, index

@@ -215,6 +215,25 @@ def test_filterbank_is_exactly_zero_at_0_hz_and_nyquist():
     assert np.all(fb[:, 1:512].sum(axis=0) > 0)
 
 
+def test_filterbank_is_read_only_so_no_caller_can_change_logmel():
+    w = sine(440, 1.0)
+    before = dsp.logmel(w).values.tobytes()
+    fb = dsp.mel_filterbank()
+    with pytest.raises(ValueError, match="read-only"):
+        fb *= 2
+    assert dsp.logmel(w).values.tobytes() == before
+
+
+@given(st.integers(0, 3000), st.integers(1, 600))
+def test_row_blocks_cover_the_rows_in_order_and_fold_in_the_remainder(n, size):
+    blocks = dsp.row_blocks(n, size)
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+    lengths = [len(range(n)[rows]) for rows in blocks]
+    # no block is shorter than size unless it is the only one
+    assert len(blocks) == 1 or min(lengths) >= size
+    assert lengths[:-1] == [size] * (len(blocks) - 1) and lengths[-1] < 2 * size
+
+
 ORACLE_FRAMES = (1, 8, 15, 16, 255, 256, 257, 511, 512, 513, 767, 2997)
 
 # Per frame count of a seeded uniform-noise clip: whether logmel's float64 bytes

@@ -517,10 +517,12 @@ MALFORMED_DUMPS = [
     (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
     (hand_dump(THREE)[:19], ingest.TruncatedFile, "19 bytes, shorter than the 20-byte header$"),
     (hand_dump([(b"a", [])], dim=0), ingest.CorruptHeader, "zero dimension$"),
+    # the writer refuses an empty dump; a 20-byte one must not size anything from its dim
+    (hand_dump([], dim=2**32 - 1), ingest.CorruptHeader, "zero entries$"),
 ]
 MALFORMED_IDS = [
     "duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector",
-    "cut-id", "nan-middle", "short-header", "zero-dim",
+    "cut-id", "nan-middle", "short-header", "zero-dim", "zero-entries",
 ]
 
 
@@ -534,6 +536,23 @@ def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
     assert caught.type is error
     # a count the bytes cannot hold fails the size check, never by sizing from it
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_dump_read_refuses_rows_cut_short_after_the_checks(tmp_path, monkeypatch):
+    p = tmp_path / "d.embd"
+    p.write_bytes(hand_dump(THREE))
+    read_ids = ingest._read_dump_ids
+
+    def read_ids_then_cut(fh, path, dim, count):
+        ids = read_ids(fh, path, dim, count)
+        with open(path, "r+b") as out:  # in place, as a writer that does not rename would
+            out.truncate(20 + 8 + 4)
+        return ids
+
+    monkeypatch.setattr(ingest, "_read_dump_ids", read_ids_then_cut)
+    with pytest.raises(ingest.TruncatedFile) as short:
+        ingest.read_embedding_dump(p)
+    assert str(short.value) == f"{p}: entry 'b' reads 4 of 8 bytes; the file changed after it was checked"
 
 
 def test_dump_read_holds_the_matrix_not_the_file(tmp_path):
@@ -652,3 +671,11 @@ def test_atomic_write_replaces_target_without_leftovers(tmp_path):
     ingest.atomic_write(p, b"new")
     assert p.read_bytes() == b"new"
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    p = tmp_path / "out" / "metrics.csv"
+    p.mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        ingest.atomic_write(p, b"x")
+    assert [f.name for f in p.parent.iterdir()] == ["metrics.csv"]
