@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -253,34 +253,28 @@ def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarra
     return vectors[key]
 
 
-@contextlib.contextmanager
 def _train_pairs(
-    records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str
-) -> Iterator[list[space.TrainPair]]:
-    """A pair per record; finetune attaches each caption's variants from the
-    dump directory's variants.embd, when it has one: the rows whose id is
-    '<caption id>@<j>', in file order. That file is checked whole here, but a
-    variant row is read only when training draws it, so it stays open while
-    the pairs are in use."""
+    records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str,
+    variants: ingest.DumpReader | None = None,
+) -> list[space.TrainPair]:
+    """A pair per record. Given finetune's open variants.embd, each caption
+    also gets the rows whose id is '<caption id>@<j>', in file order; a row is
+    read only when training draws it."""
     audio = _raw_vectors(settings, command, "audio.embd")
     captions = _raw_vectors(settings, command, "captions.embd")
-    with contextlib.ExitStack() as open_dumps:
-        variants: dict[str, ingest.DumpRows] = {}
-        if command == "finetune" and (settings.encoder / "variants.embd").exists():
-            reader = open_dumps.enter_context(ingest.DumpReader(settings.encoder / "variants.embd"))
-            rows: dict[str, list[int]] = {}
-            for row, key in enumerate(reader.ids):
-                rows.setdefault(key.rpartition("@")[0], []).append(row)
-            variants = {key: ingest.DumpRows(reader, tuple(group)) for key, group in rows.items()}
-        yield [
-            space.TrainPair(
-                rec.clip_id,
-                _embedding(audio, rec.clip_id, "audio"),
-                tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
-                tuple(variants.get(f"{rec.clip_id}#{k}", ()) for k in range(len(rec.captions))),
-            )
-            for rec in records
-        ]
+    rows: dict[str, list[int]] = {}
+    for row, key in enumerate(variants.ids if variants is not None else ()):
+        rows.setdefault(key.rpartition("@")[0], []).append(row)
+    groups = {key: ingest.DumpRows(variants, tuple(group)) for key, group in rows.items()}
+    return [
+        space.TrainPair(
+            rec.clip_id,
+            _embedding(audio, rec.clip_id, "audio"),
+            tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
+            tuple(groups.get(f"{rec.clip_id}#{k}", ()) for k in range(len(rec.captions))),
+        )
+        for rec in records
+    ]
 
 
 def _require_out(settings: argparse.Namespace) -> Path:
@@ -331,8 +325,9 @@ def cmd_embed(settings: argparse.Namespace) -> int:
 def _run_training(settings: argparse.Namespace, command: str) -> int:
     phase = "pretrain" if command == "train" else "finetune"
     space.check_phase(settings.train, phase)
-    strict_finetune = phase == "finetune" and settings.strict
-    if strict_finetune and (settings.encoder is None or not (settings.encoder / "variants.embd").exists()):
+    variants = None if settings.encoder is None else settings.encoder / "variants.embd"
+    has_variants = phase == "finetune" and variants is not None and variants.exists()
+    if phase == "finetune" and settings.strict and not has_variants:
         raise space.MissingAugmentation("finetune --strict requires variants.embd in the --encoder directory")
     init = None
     if settings.checkpoint is not None:
@@ -340,7 +335,9 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
         init = (ckpt.audio_head, ckpt.text_head)
     out = _require_out(settings)
     records = _load_records(settings)
-    with _train_pairs(records, settings, command) as pairs:
+    # variants.embd is checked whole before the other dumps are read, and stays open while training draws from it
+    with ingest.DumpReader(variants) if has_variants else contextlib.nullcontext() as reader:
+        pairs = _train_pairs(records, settings, command, reader)
         result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
     checkpoint = out / "checkpoint.ackp"
     space.save_checkpoint(checkpoint, result.audio_head, result.text_head, result.total_steps, settings.train)
@@ -360,9 +357,7 @@ def cmd_evaluate(settings: argparse.Namespace) -> int:
         raise CliError("evaluate requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    with _train_pairs(records, settings, "evaluate") as pairs:
-        queries, index = retrieval.build_eval(pairs, ckpt.audio_head, ckpt.text_head)
-    del pairs  # the dumps are not needed past projection
+    queries, index = retrieval.build_eval(_train_pairs(records, settings, "evaluate"), ckpt.audio_head, ckpt.text_head)
     report = retrieval.evaluate(queries, index)
     table = retrieval.format_metrics_table(report)
     ingest.atomic_write(out / "metrics.csv", (retrieval.metrics_csv(report) + "\n").encode("utf-8"))

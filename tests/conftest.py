@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,19 @@ def write_v1_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:
     header = struct.pack("<4sIIIIQQ8s", b"ACKP", 1, d_out, d_in_audio, d_in_text, 3, 3, bytes(8))
     head_params = d_out * (d_in_audio + d_in_text + 2)
     Path(path).write_bytes(header + np.zeros(3 * head_params, dtype="<f4").tobytes())
+
+
+def run_at_blas_threads(threads: str, *args: str) -> tuple[str, str]:
+    """Runs ``python *args`` with acre importable and OPENBLAS_NUM_THREADS set,
+    and asserts it exits 0. Returns its stdout and the OpenBLAS kernel it
+    loaded (OPENBLAS_VERBOSE=2 prints 'Core: <name>' on stderr), so a byte
+    comparison across thread counts can say which kernel it was made on."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OPENBLAS_VERBOSE": "2"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    core = re.search(r"^Core: (\S+)", result.stderr, re.MULTILINE)
+    return result.stdout, core[1] if core else "unknown"
 
 
 def make_latent_pairs(seed, n_train=200, n_eval=50, latent_dim=32, d_audio=48, d_text=40, noise=0.05):

@@ -14,7 +14,7 @@ import pytest
 
 from acre import cli, dsp, encoder, ingest, space
 from acre.seeding import derive_seed
-from conftest import write_v1_checkpoint, write_wav_float32, write_wav_pcm16
+from conftest import run_at_blas_threads, write_v1_checkpoint, write_wav_float32, write_wav_pcm16
 
 
 def run(args):
@@ -190,15 +190,11 @@ def test_embed_is_bitwise_the_same_at_one_and_two_blas_threads(wav_dataset, tmp_
         fh.write("long.wav," + ",".join(f"a long hum number {k}" for k in range(5)) + ",hum\n")
     outs = [tmp_path / "t1", tmp_path / "t2"]
     for threads, out in zip(("1", "2"), outs):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         args = ["embed", *common(wav_dataset, out), "--preset", "passt-s"]
         args += ["--augmented-captions", str(wav_dataset["augmented"])]
-        result = subprocess.run(
-            [sys.executable, "-m", "acre.cli", *args], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
+        _, core = run_at_blas_threads(threads, "-m", "acre.cli", *args)
     for name in ("audio.embd", "captions.embd", "variants.embd"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), f"OpenBLAS core {core}"
 
 
 def split_manifest(ds, tmp_path, parts):
@@ -540,6 +536,43 @@ def test_finetune_refuses_a_bad_variants_dump_before_step_0(tmp_path, monkeypatc
     with pytest.raises(ingest.IngestError) as eager:
         ingest.read_embedding_dump(variants)
     monkeypatch.setattr(space, "loss_gradients", None)  # refused before step 0
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {type(eager.value).__name__}: {eager.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_finetune_takes_variants_interleaved_by_an_external_writer(tmp_path):
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    assert run(argv) == 0
+    # every '@0' row first, then every '@1' row, and so on: no caption's rows are contiguous
+    interleaved = sorted(ingest.read_embedding_dump(variants).entries, key=lambda e: int(e[0].rpartition("@")[2]))
+    assert [key for key, _ in interleaved[:2]] == ["c000.wav#0@0", "c000.wav#1@0"]
+    ingest.write_embedding_dump(interleaved, variants)
+    assert run([*argv, "--out", str(tmp_path / "interleaved")]) == 0
+    for name in ("checkpoint.ackp", "loss.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "interleaved" / name).read_bytes()
+
+
+def test_train_and_evaluate_never_open_variants(wav_dataset, wav_dumps, tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"opened {path}")
+
+    monkeypatch.setattr(ingest, "DumpReader", refuse)
+    assert (wav_dumps / "variants.embd").exists()
+    dump = dump_encoder(wav_dumps)
+    assert run(["train", *common(wav_dataset, tmp_path / "pre", dump), "--epochs", "1", "--batch-size", "3"]) == 0
+    ckpt = [*dump, "--checkpoint", str(tmp_path / "pre" / "checkpoint.ackp")]
+    assert run(["evaluate", *common(wav_dataset, tmp_path / "eval", ckpt)]) == 0
+    with pytest.raises(AssertionError, match="variants.embd"):  # the patch bites where the file is read
+        run(["finetune", *common(wav_dataset, tmp_path / "ft", ckpt), "--epochs", "1", "--batch-size", "3"])
+
+
+def test_finetune_checks_variants_before_it_reads_the_other_dumps(tmp_path, capsys):
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    variants.write_bytes(b"NOPE" + variants.read_bytes()[4:])
+    (variants.parent / "audio.embd").unlink()
+    with pytest.raises(ingest.IngestError) as eager:
+        ingest.read_embedding_dump(variants)
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {type(eager.value).__name__}: {eager.value}\n"
     assert not (tmp_path / "out").exists()

@@ -1,10 +1,6 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acre import dsp
+from conftest import run_at_blas_threads
 
 
 def sine(freq, seconds, amplitude=0.5, rate=32000):
@@ -259,16 +256,12 @@ for n in map(int, sys.argv[1:]):
 
 @pytest.fixture(scope="module")
 def logmel_runs():
-    """{threads: {frames: (equals the one-shot oracle, sha256)}} at 1 and 2 OpenBLAS threads."""
+    """{threads: {frames: (equals the one-shot oracle, sha256)}} at 1 and 2
+    OpenBLAS threads, and the OpenBLAS kernel under "core"."""
     runs = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(dsp.__file__).parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-c", _LOGMEL_SCRIPT, *map(str, ORACLE_FRAMES)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        rows = [line.split() for line in result.stdout.splitlines()]
+        stdout, runs["core"] = run_at_blas_threads(threads, "-c", _LOGMEL_SCRIPT, *map(str, ORACLE_FRAMES))
+        rows = [line.split() for line in stdout.splitlines()]
         runs[threads] = {int(n): (same == "True", digest) for n, same, digest in rows}
     return runs
 
@@ -276,13 +269,14 @@ def logmel_runs():
 @pytest.mark.parametrize("frames", ORACLE_FRAMES)
 def test_logmel_is_the_one_shot_log_mel_bitwise_at_one_thread(logmel_runs, frames):
     # block edges, a remainder folded into the last block, and a 30-s clip
-    assert logmel_runs["1"][frames][0]
+    assert logmel_runs["1"][frames][0], f"OpenBLAS core {logmel_runs['core']}"
 
 
 def test_logmel_is_bitwise_the_same_at_one_and_two_blas_threads(logmel_runs):
     # an inner dimension of 513 bins is split differently by OpenBLAS at one
     # thread and at two; logmel contracts over the 512 below Nyquist
-    assert {n: d for n, (_, d) in logmel_runs["1"].items()} == {n: d for n, (_, d) in logmel_runs["2"].items()}
+    one, two = ({n: d for n, (_, d) in logmel_runs[threads].items()} for threads in ("1", "2"))
+    assert one == two, f"OpenBLAS core {logmel_runs['core']}"
 
 
 def test_logmel_holds_its_output_and_one_block():

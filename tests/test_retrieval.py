@@ -1,14 +1,10 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acre import dsp, encoder, ingest, retrieval, space
-from conftest import make_latent_pairs
+from conftest import make_latent_pairs, run_at_blas_threads
 
 
 def unit(v):
@@ -294,14 +290,10 @@ def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_pat
     space.save_checkpoint(tmp_path / "ckpt.ackp", *heads, 0, space.TrainConfig())
     outs = [tmp_path / "t1", tmp_path / "t2"]
     for threads, out in zip(("1", "2"), outs):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(retrieval.__file__).parents[1])}
         args = ["evaluate", "--manifest", str(manifest), "--encoder", f"dump:{dumps}"]
         args += ["--checkpoint", str(tmp_path / "ckpt.ackp"), "--out", str(out)]
-        result = subprocess.run(
-            [sys.executable, "-m", "acre.cli", *args], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+        _, core = run_at_blas_threads(threads, "-m", "acre.cli", *args)
+    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes(), f"OpenBLAS core {core}"
 
 
 @pytest.mark.parametrize(

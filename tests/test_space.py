@@ -1,10 +1,6 @@
 import hashlib
 import math
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +9,7 @@ from hypothesis import strategies as st
 
 from acre import ingest, retrieval, space
 from acre.seeding import derive_seed
-from conftest import make_latent_pairs, write_v1_checkpoint
+from conftest import make_latent_pairs, run_at_blas_threads, write_v1_checkpoint
 
 
 # ---------------------------------------------------------------- projection
@@ -427,14 +423,10 @@ print(hashlib.sha256(heads).hexdigest(), hashlib.sha256(curve).hexdigest(), len(
 def test_train_is_bitwise_the_same_at_one_and_two_blas_threads():
     digests = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(space.__file__).parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-c", _TRAIN_DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        digests.append(result.stdout.split())
+        stdout, core = run_at_blas_threads(threads, "-c", _TRAIN_DIGEST_SCRIPT)
+        digests.append(stdout.split())
     assert digests[0][2] == "2"
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1], f"OpenBLAS core {core}"
 
 
 def test_finetune_without_swaps_replays_pretrain_stream():
