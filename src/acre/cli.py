@@ -1,10 +1,10 @@
 """Command-line surface: embed, train, finetune, evaluate, rank, gradcheck.
 
 Runs are declared by a flat key=value config file plus flags; flags win. Each
-setting is declared once, in ``SETTINGS``: its flag, its config key, its parser
-and its default. Every command is deterministic for a fixed seed: all module
-seeds derive from the global one, and output files are written atomically
-(temp + rename).
+setting is declared once, in ``SETTINGS`` (the training ones as TrainConfig's
+fields): its flag, config key, parser and default. Every command is
+deterministic for a fixed seed: all module seeds derive from the global one,
+and output files are written atomically (temp + rename).
 
 Exit codes: 0 success, 1 check failure, 2 input error. Errors print one
 machine-parseable line: ``error: <Kind>: <message>``.
@@ -16,9 +16,8 @@ import argparse
 import contextlib
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -104,6 +103,13 @@ class Setting(NamedTuple):
     help: str | None = None
 
 
+# TrainConfig's fields are settings too, but for seed (a setting of its own)
+# and the two epoch counts, which epochs sets together
+_TRAIN_TYPES = {
+    key: kind for key, kind in get_type_hints(space.TrainConfig).items()
+    if key not in ("seed", "pretrain_epochs", "finetune_epochs")
+}
+
 SETTINGS = (
     Setting("manifest", _paths, [], "manifest CSVs, comma-separated (repeatable)"),
     Setting("audio_dir", _path, None, "base directory for audio paths"),
@@ -115,14 +121,8 @@ SETTINGS = (
     Setting("out", _path, None, "output directory"),
     Setting("strict", _switch, False, "finetune: fail on a caption without variants"),
     Setting("checkpoint", _path, None, "checkpoint path (evaluate/rank input, train init)"),
-    Setting("batch_size", int, None),
-    Setting("lr_max", float, None),
-    Setting("lr_min", float, None),
-    Setting("finetune_lr_max", float, None),
-    Setting("swap_prob", float, None),
-    Setting("temperature", float, None),
-    Setting("out_dim", int, None),
-    Setting("warmup_epochs", int, None),
+    # a field of another type fails here, at import, rather than be misparsed
+    *(Setting(key, {int: int, float: float}[kind], None) for key, kind in _TRAIN_TYPES.items()),
     Setting("snippet_seconds", _seconds, 30.0, "longest audio kept per clip, in seconds"),
     Setting("whiten", _mean_std, None, "fixed whitening stats as 'mean,std'"),
 )
@@ -168,8 +168,7 @@ def _build_settings(args: argparse.Namespace) -> argparse.Namespace:
     if args.config:
         values.update(parse_config_file(args.config))
     values.update((key, value) for key, value in vars(args).items() if key in values)
-    train_keys = {f.name for f in fields(space.TrainConfig)} - {"seed"}
-    train = {key: values.pop(key) for key in train_keys & values.keys()}
+    train = {key: values.pop(key) for key in _TRAIN_TYPES}
     train["pretrain_epochs"] = train["finetune_epochs"] = values.pop("epochs")
     given = {key: value for key, value in train.items() if value is not None}
     return argparse.Namespace(**values, train=space.TrainConfig(seed=values["seed"], **given))

@@ -342,10 +342,10 @@ def write_embedding_dump(entries, path) -> None:
     atomic_write(path, buf)
 
 
-def _read_dump_header(fh, path: Path) -> tuple[int, int]:
-    """Check a dump's header against the open file's size; the declared (dim,
-    count), neither zero. The block is checked against the file size here, so
-    an untrusted header sizes nothing."""
+def _read_dump_index(fh, path: Path) -> tuple[int, list[str]]:
+    """A dump's dim and its ids, in row order. The header is checked against
+    the open file's size first, so an untrusted header sizes nothing; then the
+    id table, which runs from the end of the vector block to the end of the file."""
     size = os.fstat(fh.fileno()).st_size
     if size < _HEADER.size:
         raise TruncatedFile(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
@@ -361,12 +361,7 @@ def _read_dump_header(fh, path: Path) -> tuple[int, int]:
     block_end = _HEADER.size + count * dim * 4
     if block_end > size:
         raise TruncatedFile(f"{path}: {count} x {dim} vectors end at byte {block_end}, past the end at {size}")
-    return dim, count
-
-
-def _read_dump_ids(fh, path: Path, dim: int, count: int) -> list[str]:
-    """The id table, which runs from the end of the vector block to the end of the file."""
-    fh.seek(_HEADER.size + count * dim * 4)
+    fh.seek(block_end)
     table = fh.read()
     ids: dict[str, None] = {}  # insertion-ordered, and a duplicate costs one lookup
     pos = 0
@@ -385,7 +380,7 @@ def _read_dump_ids(fh, path: Path, dim: int, count: int) -> list[str]:
         ids[entry_id] = None
     if pos != len(table):
         raise CorruptHeader(f"{path}: {len(table) - pos} trailing bytes")
-    return list(ids)
+    return dim, list(ids)
 
 
 def _read_rows(fh, path: Path, ids: list[str], dim: int, start: int, stop: int) -> np.ndarray:
@@ -418,9 +413,8 @@ def read_embedding_dump(path) -> EmbeddingDump:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        dim, count = _read_dump_header(fh, path)
-        ids = _read_dump_ids(fh, path, dim, count)
-        matrix = _read_rows(fh, path, ids, dim, 0, count)
+        dim, ids = _read_dump_index(fh, path)
+        matrix = _read_rows(fh, path, ids, dim, 0, len(ids))
     return EmbeddingDump(dim=dim, entries=tuple(zip(ids, matrix)))
 
 
@@ -446,11 +440,10 @@ class DumpReader:
         # buffer filled by an earlier read
         self._fh = open(self.path, "rb", buffering=0)
         try:
-            self.dim, count = _read_dump_header(self._fh, self.path)
-            self.ids = _read_dump_ids(self._fh, self.path, self.dim, count)
+            self.dim, self.ids = _read_dump_index(self._fh, self.path)
             step = max(1, CHECK_BLOCK_BYTES // (4 * self.dim))
-            for start in range(0, count, step):
-                _read_rows(self._fh, self.path, self.ids, self.dim, start, min(start + step, count))
+            for start in range(0, len(self.ids), step):
+                _read_rows(self._fh, self.path, self.ids, self.dim, start, min(start + step, len(self.ids)))
         except BaseException:
             self._fh.close()
             raise

@@ -47,6 +47,8 @@ class RetrievalIndex:
     vectors: np.ndarray  # (n, d), rows unit-norm
 
     def __post_init__(self):
+        if len(self.ids) == 0:
+            raise EmptyIndex("cannot build an empty index")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("index ids must be unique")
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.ids):
@@ -57,8 +59,6 @@ class RetrievalIndex:
 
     @classmethod
     def build(cls, ids: Sequence[str], vectors: np.ndarray) -> "RetrievalIndex":
-        if len(ids) == 0:
-            raise EmptyIndex("cannot build an empty index")
         return cls(ids=tuple(ids), vectors=l2_normalize(vectors))
 
 
@@ -75,8 +75,6 @@ def rank(query_vec: np.ndarray, index: RetrievalIndex, target_id: str | None = N
     Ties break on ascending clip id so results are reproducible. The result
     carries each clip's similarity alongside its id.
     """
-    if len(index) == 0:
-        raise EmptyIndex("cannot rank against an empty index")
     if np.shape(query_vec) != (index.vectors.shape[1],):
         raise DimMismatch(f"query dim {np.shape(query_vec)} != index dim {index.vectors.shape[1]}")
     sims = index.vectors @ l2_normalize(query_vec)
@@ -130,8 +128,6 @@ def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
     ordered = sorted(queries, key=lambda q: q.query_id)
     if not ordered:
         raise ValueError("no queries")
-    if len(index) == 0:
-        raise EmptyIndex("cannot rank against an empty index")
     dim = index.vectors.shape[1]
     column = {clip_id: j for j, clip_id in enumerate(index.ids)}
     for q in ordered:

@@ -540,6 +540,8 @@ def train(
         )
     elif (init[0].d_in, init[1].d_in) != (d_a, d_t):
         raise DimMismatch(f"init heads expect dims ({init[0].d_in}, {init[1].d_in}), dataset has ({d_a}, {d_t})")
+    elif (init[0].d_out, init[1].d_out) != (cfg.out_dim, cfg.out_dim):
+        raise DimMismatch(f"init heads project to dims ({init[0].d_out}, {init[1].d_out}), out_dim is {cfg.out_dim}")
     # training runs in float32: one copy of each head, and Adam's moments follow it
     audio_head, text_head = (ProjectionHead(h.weight.astype(np.float32), h.bias.astype(np.float32)) for h in init)
     params = _named_arrays(audio_head, text_head)

@@ -511,6 +511,18 @@ def test_finetune_fails_closed_on_variants_rewritten_after_the_check(tmp_path, m
     assert not (tmp_path / "out").exists()
 
 
+def test_finetune_refuses_a_checkpoint_of_another_out_dim(tmp_path, capsys):
+    _, argv = finetune_dumps(tmp_path, 16, 10, audio_dim=12)
+    given = [*argv[1:5], "--epochs", "1", "--batch-size", "16"]  # --manifest and --encoder, then the run
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    assert run(["train", *given, "--out", str(pre), "--out-dim", "8"]) == 0
+    capsys.readouterr()
+    argv = ["finetune", *given, "--checkpoint", str(pre / "checkpoint.ackp"), "--out", str(fine), "--out-dim", "256"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: DimMismatch: init heads project to dims (8, 8), out_dim is 256\n"
+    assert not (fine / "checkpoint.ackp").exists()
+
+
 def duplicate_last_id(raw):
     # 400 rows of 8 floats, then ids of 12 bytes each, 'c000.wav#0@0' to 'c015.wav#4@4'
     table = 20 + 400 * 32

@@ -541,15 +541,15 @@ def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
 def test_dump_read_refuses_rows_cut_short_after_the_checks(tmp_path, monkeypatch):
     p = tmp_path / "d.embd"
     p.write_bytes(hand_dump(THREE))
-    read_ids = ingest._read_dump_ids
+    read_index = ingest._read_dump_index
 
-    def read_ids_then_cut(fh, path, dim, count):
-        ids = read_ids(fh, path, dim, count)
+    def read_index_then_cut(fh, path):
+        index = read_index(fh, path)
         with open(path, "r+b") as out:  # in place, as a writer that does not rename would
             out.truncate(20 + 8 + 4)
-        return ids
+        return index
 
-    monkeypatch.setattr(ingest, "_read_dump_ids", read_ids_then_cut)
+    monkeypatch.setattr(ingest, "_read_dump_index", read_index_then_cut)
     with pytest.raises(ingest.TruncatedFile) as short:
         ingest.read_embedding_dump(p)
     assert str(short.value) == f"{p}: entry 'b' reads 4 of 8 bytes; the file changed after it was checked"

@@ -58,6 +58,8 @@ def test_rank_errors():
         retrieval.rank(np.ones(3), index, target_id="nope")
     with pytest.raises(retrieval.EmptyIndex):
         retrieval.RetrievalIndex.build([], np.zeros((0, 3)))
+    with pytest.raises(retrieval.EmptyIndex):
+        retrieval.RetrievalIndex(ids=(), vectors=np.zeros((0, 3)))
 
 
 def test_index_rows_are_unit_norm():
@@ -316,9 +318,9 @@ def test_evaluate_errors(case, error):
         "wrong dim": [good, retrieval.Query("q1", np.ones(4), "a")],
         "zero norm": [good, retrieval.Query("q1", np.zeros(3), "a")],
     }[case]
-    if case == "empty index":
-        index = retrieval.RetrievalIndex(ids=(), vectors=np.zeros((0, 3)))
     with pytest.raises(error):
+        if case == "empty index":  # refused when built, so evaluate never sees one
+            index = retrieval.RetrievalIndex(ids=(), vectors=np.zeros((0, 3)))
         retrieval.evaluate(queries, index)
 
 

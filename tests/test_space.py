@@ -670,6 +670,15 @@ def test_train_zero_epochs_returns_initialization():
     assert result.curve == ()
 
 
+def test_train_refuses_init_heads_of_another_out_dim():
+    pairs = tiny_pairs(6, n=16)
+    cfg = small_cfg(batch_size=8, pretrain_epochs=1, out_dim=8)
+    rng = np.random.default_rng(0)
+    heads = (space.ProjectionHead.initialize(12, 8, rng), space.ProjectionHead.initialize(10, 16, rng))
+    with pytest.raises(space.DimMismatch, match=r"^init heads project to dims \(8, 16\), out_dim is 8$"):
+        space.train(pairs, cfg, init=heads)
+
+
 def test_train_resumes_from_init_heads():
     pairs = tiny_pairs(6, n=16)
     cfg = small_cfg(batch_size=8, pretrain_epochs=1)
