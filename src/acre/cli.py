@@ -314,6 +314,8 @@ def cmd_embed(settings: argparse.Namespace) -> int:
         variant_entries = _embed_texts(_variant_texts(aug_sets), settings)
         ingest.write_embedding_dump(variant_entries, out / "variants.embd")
         n_variants = len(variant_entries)
+    else:  # a variants.embd left by an earlier embed would pair another run's vectors with these captions
+        (out / "variants.embd").unlink(missing_ok=True)
     print(
         f"embedded {len(audio_entries)} clips, {len(caption_entries)} captions, "
         f"{n_variants} variants -> {out} (whiten mean={stats.mean!r} std={stats.std!r})"
@@ -323,15 +325,12 @@ def cmd_embed(settings: argparse.Namespace) -> int:
 
 def _run_training(settings: argparse.Namespace, command: str) -> int:
     phase = "pretrain" if command == "train" else "finetune"
-    space.check_phase(settings.train, phase)
+    init = None if settings.checkpoint is None else space.load_checkpoint(settings.checkpoint)
+    space.check_phase(settings.train, phase, init)
     variants = None if settings.encoder is None else settings.encoder / "variants.embd"
     has_variants = phase == "finetune" and variants is not None and variants.exists()
     if phase == "finetune" and settings.strict and not has_variants:
         raise space.MissingAugmentation("finetune --strict requires variants.embd in the --encoder directory")
-    init = None
-    if settings.checkpoint is not None:
-        ckpt = space.load_checkpoint(settings.checkpoint)
-        init = (ckpt.audio_head, ckpt.text_head)
     out = _require_out(settings)
     records = _load_records(settings)
     # variants.embd is checked whole before the other dumps are read, and stays open while training draws from it
@@ -339,7 +338,7 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
         pairs = _train_pairs(records, settings, command, reader)
         result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
     checkpoint = out / "checkpoint.ackp"
-    space.save_checkpoint(checkpoint, result.audio_head, result.text_head, result.total_steps, settings.train)
+    space.save_checkpoint(checkpoint, result.audio_head, result.text_head)
     ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))
     first = result.curve[0].loss if result.curve else float("nan")
     last = result.curve[-1].loss if result.curve else float("nan")

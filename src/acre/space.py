@@ -15,13 +15,12 @@ oracles check it against central finite differences.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +42,9 @@ ADAM_EPS = 1e-8
 FD_STEP = 1e-4
 
 CHECKPOINT_MAGIC = b"ACKP"
-_CHECKPOINT_VERSION = 2
-# magic, version, d_out, audio d_in, text d_in, step, config digest
-_CHECKPOINT_HEADER = struct.Struct("<4sIIIIQ8s")
+_CHECKPOINT_VERSION = 3
+# magic, version, d_out, audio d_in, text d_in
+_CHECKPOINT_HEADER = struct.Struct("<4sIIII")
 
 
 class SpaceError(Exception):
@@ -418,16 +417,19 @@ class TrainConfig:
             raise ValueError(f"out_dim must be >= 1, got {self.out_dim}")
 
 
-def check_phase(cfg: TrainConfig, phase: str) -> None:
-    """Refuse a phase this config cannot train, before any data is read. Each
-    check holds for one phase only, so none is in TrainConfig: a pretrain-only
-    config may set lr_min above finetune_lr_max, and finetune has no warmup."""
+def check_phase(cfg: TrainConfig, phase: str, init: tuple[ProjectionHead, ProjectionHead] | None = None) -> None:
+    """Refuse a phase this config cannot train, or init heads it cannot start
+    from, before any data is read. Each config check holds for one phase only,
+    so none is in TrainConfig: a pretrain-only config may set lr_min above
+    finetune_lr_max, and finetune has no warmup."""
     if phase not in ("pretrain", "finetune"):
         raise ValueError(f"unknown phase {phase!r}")
     if phase == "finetune" and cfg.lr_min >= cfg.finetune_lr_max:
         raise ValueError(f"lr_min ({cfg.lr_min}) must be below finetune_lr_max ({cfg.finetune_lr_max})")
     if phase == "pretrain" and 0 < cfg.pretrain_epochs < cfg.warmup_epochs:
         raise ValueError(f"warmup_epochs ({cfg.warmup_epochs}) must not exceed pretrain_epochs ({cfg.pretrain_epochs})")
+    if init is not None and (init[0].d_out, init[1].d_out) != (cfg.out_dim, cfg.out_dim):
+        raise DimMismatch(f"init heads project to dims ({init[0].d_out}, {init[1].d_out}), out_dim is {cfg.out_dim}")
 
 
 @dataclass(frozen=True)
@@ -498,7 +500,7 @@ def train(
     their variants with probability cfg.swap_prob and uses the finetune
     learning rate with no warmup; strict requires a variant for every caption.
     """
-    check_phase(cfg, phase)
+    check_phase(cfg, phase, init)
     pairs = list(pairs)
     if not pairs:
         raise EmptyDataset("no training pairs")
@@ -540,8 +542,6 @@ def train(
         )
     elif (init[0].d_in, init[1].d_in) != (d_a, d_t):
         raise DimMismatch(f"init heads expect dims ({init[0].d_in}, {init[1].d_in}), dataset has ({d_a}, {d_t})")
-    elif (init[0].d_out, init[1].d_out) != (cfg.out_dim, cfg.out_dim):
-        raise DimMismatch(f"init heads project to dims ({init[0].d_out}, {init[1].d_out}), out_dim is {cfg.out_dim}")
     # training runs in float32: one copy of each head, and Adam's moments follow it
     audio_head, text_head = (ProjectionHead(h.weight.astype(np.float32), h.bias.astype(np.float32)) for h in init)
     params = _named_arrays(audio_head, text_head)
@@ -569,20 +569,14 @@ def train(
     return TrainResult(audio_head, text_head, tuple(curve), total_steps)
 
 
-def config_digest(cfg: TrainConfig) -> bytes:
-    """Stable 8-byte digest of a config, stored in checkpoints."""
-    return hashlib.sha256(repr(cfg).encode("utf-8")).digest()[:8]
+class Checkpoint(NamedTuple):
+    """The two heads a checkpoint holds, in the (audio, text) order of train's init."""
 
-
-@dataclass
-class Checkpoint:
     audio_head: ProjectionHead
     text_head: ProjectionHead
-    step: int
-    digest: bytes
 
 
-def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead, step: int, cfg: TrainConfig) -> None:
+def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead) -> None:
     """Serialize both heads as little-endian float32, atomically.
 
     The file is the trainable state and nothing else: a header, then the four
@@ -597,8 +591,6 @@ def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead,
             audio_head.d_out,
             audio_head.d_in,
             text_head.d_in,
-            step,
-            config_digest(cfg),
         )
     )
     for key, array in _named_arrays(audio_head, text_head).items():
@@ -616,7 +608,7 @@ def load_checkpoint(path) -> Checkpoint:
     raw = path.read_bytes()
     if len(raw) < _CHECKPOINT_HEADER.size:
         raise SpaceError(f"{path}: truncated checkpoint header")
-    magic, version, d_out, d_in_a, d_in_t, step, digest = _CHECKPOINT_HEADER.unpack_from(raw)
+    magic, version, d_out, d_in_a, d_in_t = _CHECKPOINT_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise SpaceError(f"{path}: bad checkpoint magic {magic!r}")
     if version != _CHECKPOINT_VERSION:
@@ -635,6 +627,4 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         audio_head=ProjectionHead(audio.weight, audio.bias),
         text_head=ProjectionHead(text.weight, text.bias),
-        step=step,
-        digest=digest,
     )

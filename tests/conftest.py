@@ -46,6 +46,14 @@ def write_v1_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:
     Path(path).write_bytes(header + np.zeros(3 * head_params, dtype="<f4").tobytes())
 
 
+def write_v2_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:
+    """A zero-valued checkpoint in the version-2 layout: magic, version, dims,
+    step, config digest, then the heads."""
+    header = struct.pack("<4sIIIIQ8s", b"ACKP", 2, d_out, d_in_audio, d_in_text, 3, bytes(8))
+    head_params = d_out * (d_in_audio + d_in_text + 2)
+    Path(path).write_bytes(header + np.zeros(head_params, dtype="<f4").tobytes())
+
+
 def run_at_blas_threads(threads: str, *args: str) -> tuple[str, str]:
     """Runs ``python *args`` with acre importable and OPENBLAS_NUM_THREADS set,
     and asserts it exits 0. Returns its stdout and the OpenBLAS kernel it

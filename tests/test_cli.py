@@ -14,7 +14,7 @@ import pytest
 
 from acre import cli, dsp, encoder, ingest, space
 from acre.seeding import derive_seed
-from conftest import run_at_blas_threads, write_v1_checkpoint, write_wav_float32, write_wav_pcm16
+from conftest import run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint, write_wav_float32, write_wav_pcm16
 
 
 def run(args):
@@ -134,6 +134,21 @@ def test_embed_variants(wav_dataset, tmp_path):
     assert run(args) == 0
     variants = ingest.read_embedding_dump(out / "variants.embd")
     assert len(variants.entries) == 6 * 5 * 5
+
+
+def test_embed_without_variants_removes_an_earlier_variants_dump(wav_dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    flagged = ["--seed", "1", "--augmented-captions", str(wav_dataset["augmented"])]
+    assert run(["embed", *common(wav_dataset, out, flagged)]) == 0
+    assert (out / "variants.embd").exists()
+    assert run(["embed", *common(wav_dataset, out, ["--seed", "2"])]) == 0
+    assert not (out / "variants.embd").exists()
+    capsys.readouterr()
+    finetune = [*dump_encoder(out), "--seed", "2", "--epochs", "1", "--batch-size", "3", "--strict"]
+    assert run(["finetune", *common(wav_dataset, tmp_path / "ft", finetune)]) == 2
+    assert capsys.readouterr().err == (
+        "error: MissingAugmentation: finetune --strict requires variants.embd in the --encoder directory\n"
+    )
 
 
 def test_embed_preset_changes_the_audio_not_its_width(wav_dataset, tmp_path):
@@ -284,7 +299,7 @@ def test_commands_without_dumps_point_at_acre_embed(tmp_path, capsys, command):
     ckpt = tmp_path / "init.ackp"
     rng = np.random.default_rng(0)
     heads = (space.ProjectionHead.initialize(4, 8, rng), space.ProjectionHead.initialize(3, 8, rng))
-    space.save_checkpoint(ckpt, *heads, 0, space.TrainConfig())
+    space.save_checkpoint(ckpt, *heads)
     extra = {"evaluate": ["--checkpoint", str(ckpt)], "rank": ["--checkpoint", str(ckpt), "--query", "a tone"]}
     assert run([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"), *extra.get(command, [])]) == 2
     assert capsys.readouterr().err == (
@@ -308,7 +323,6 @@ def test_train_zero_epochs_equals_initialization(wav_dataset, wav_dumps, tmp_pat
     out = tmp_path / "run"
     assert run(["train", *common(wav_dataset, out, dump_encoder(wav_dumps)), "--epochs", "0", "--batch-size", "3"]) == 0
     ckpt = space.load_checkpoint(out / "checkpoint.ackp")
-    assert ckpt.step == 0
     from acre.seeding import derive_seed
 
     expected = space.ProjectionHead.initialize(64, 1024, np.random.default_rng(derive_seed(5, "audio-head")))
@@ -511,12 +525,18 @@ def test_finetune_fails_closed_on_variants_rewritten_after_the_check(tmp_path, m
     assert not (tmp_path / "out").exists()
 
 
-def test_finetune_refuses_a_checkpoint_of_another_out_dim(tmp_path, capsys):
+def test_finetune_refuses_a_checkpoint_of_another_out_dim(tmp_path, capsys, monkeypatch):
     _, argv = finetune_dumps(tmp_path, 16, 10, audio_dim=12)
     given = [*argv[1:5], "--epochs", "1", "--batch-size", "16"]  # --manifest and --encoder, then the run
     pre, fine = tmp_path / "pre", tmp_path / "fine"
     assert run(["train", *given, "--out", str(pre), "--out-dim", "8"]) == 0
     capsys.readouterr()
+
+    def no_dump(path, *args):  # the checkpoint is refused before any dump is opened
+        raise AssertionError(f"{path} was opened")
+
+    monkeypatch.setattr(ingest, "DumpReader", no_dump)
+    monkeypatch.setattr(ingest, "read_embedding_dump", no_dump)
     argv = ["finetune", *given, "--checkpoint", str(pre / "checkpoint.ackp"), "--out", str(fine), "--out-dim", "256"]
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: DimMismatch: init heads project to dims (8, 8), out_dim is 256\n"
@@ -601,14 +621,14 @@ def test_evaluate_missing_checkpoint_exits_2(wav_dataset, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_evaluate_rejects_version_1_checkpoint(wav_dataset, tmp_path, capsys):
+@pytest.mark.parametrize("version, write", [(1, write_v1_checkpoint), (2, write_v2_checkpoint)], ids=["v1", "v2"])
+def test_evaluate_rejects_older_checkpoint_versions(wav_dataset, tmp_path, capsys, version, write):
     old = tmp_path / "old.ackp"
-    write_v1_checkpoint(old)
+    write(old)
     code = run(["evaluate", *common(wav_dataset, tmp_path / "eval"), "--checkpoint", str(old)])
     assert code == 2
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: SpaceError: ") and "unsupported checkpoint version 1" in err
+    assert err == f"error: SpaceError: {old}: unsupported checkpoint version {version}, expected 3\n"
 
 
 @pytest.mark.parametrize(

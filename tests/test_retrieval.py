@@ -289,7 +289,7 @@ def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_pat
     captions = [(f"{c}#{k}", latent[i] + rng.normal(size=256)) for i, c in enumerate(ids) for k in range(5)]
     ingest.write_embedding_dump(captions, dumps / "captions.embd")
     heads = [space.ProjectionHead.initialize(256, 1024, np.random.default_rng(seed)) for seed in (1, 2)]
-    space.save_checkpoint(tmp_path / "ckpt.ackp", *heads, 0, space.TrainConfig())
+    space.save_checkpoint(tmp_path / "ckpt.ackp", *heads)
     outs = [tmp_path / "t1", tmp_path / "t2"]
     for threads, out in zip(("1", "2"), outs):
         args = ["evaluate", "--manifest", str(manifest), "--encoder", f"dump:{dumps}"]

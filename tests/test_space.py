@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from acre import ingest, retrieval, space
 from acre.seeding import derive_seed
-from conftest import make_latent_pairs, run_at_blas_threads, write_v1_checkpoint
+from conftest import make_latent_pairs, run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint
 
 
 # ---------------------------------------------------------------- projection
@@ -696,16 +696,14 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     result = space.train(pairs, cfg)
     p1 = tmp_path / "a.ackp"
     p2 = tmp_path / "b.ackp"
-    space.save_checkpoint(p1, result.audio_head, result.text_head, result.total_steps, cfg)
+    space.save_checkpoint(p1, result.audio_head, result.text_head)
     ckpt = space.load_checkpoint(p1)
-    space.save_checkpoint(p2, ckpt.audio_head, ckpt.text_head, ckpt.step, cfg)
+    space.save_checkpoint(p2, ckpt.audio_head, ckpt.text_head)
     assert p1.read_bytes() == p2.read_bytes()
-    # header (magic, version, three dims, step, digest) then the two heads, nothing else
+    # header (magic, version, three dims) then the two heads, nothing else
     head_params = sum(h.weight.size + h.bias.size for h in (result.audio_head, result.text_head))
-    assert p1.stat().st_size == struct.calcsize("<4sIIIIQ8s") + 4 * head_params
-    assert ckpt.step == result.total_steps
+    assert p1.stat().st_size == struct.calcsize("<4sIIII") + 4 * head_params
     assert np.array_equal(ckpt.audio_head.weight, result.audio_head.weight.astype(np.float32).astype(np.float64))
-    assert ckpt.digest == space.config_digest(cfg)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -715,10 +713,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
         space.load_checkpoint(p)
 
 
-def test_checkpoint_rejects_version_1(tmp_path):
+@pytest.mark.parametrize("version, write", [(1, write_v1_checkpoint), (2, write_v2_checkpoint)], ids=["v1", "v2"])
+def test_checkpoint_rejects_older_versions(tmp_path, version, write):
     p = tmp_path / "old.ackp"
-    write_v1_checkpoint(p)
-    with pytest.raises(space.SpaceError, match="version 1"):
+    write(p)
+    with pytest.raises(space.SpaceError, match=f"unsupported checkpoint version {version}, expected 3$"):
         space.load_checkpoint(p)
 
 
@@ -731,5 +730,5 @@ def test_checkpoint_refuses_values_beyond_float32(tmp_path, name):
     arrays = {"audio.weight": audio.weight, "text.bias": text.bias}
     arrays[name].flat[0] = 1e39  # finite in float64, inf in float32
     with pytest.raises(space.NonFiniteValue, match=name):
-        space.save_checkpoint(tmp_path / "x.ackp", audio, text, result.total_steps, cfg)
+        space.save_checkpoint(tmp_path / "x.ackp", audio, text)
     assert list(tmp_path.iterdir()) == []
