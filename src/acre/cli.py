@@ -257,20 +257,19 @@ def _train_pairs(
     variants: ingest.DumpReader | None = None,
 ) -> list[space.TrainPair]:
     """A pair per record. Given finetune's open variants.embd, each caption
-    also gets the rows whose id is '<caption id>@<j>', in file order; a row is
-    read only when training draws it."""
+    also gets the numbers of the rows whose id is '<caption id>@<j>', in file
+    order: train reads a row from the reader only when it draws it."""
     audio = _raw_vectors(settings, command, "audio.embd")
     captions = _raw_vectors(settings, command, "captions.embd")
     rows: dict[str, list[int]] = {}
     for row, key in enumerate(variants.ids if variants is not None else ()):
         rows.setdefault(key.rpartition("@")[0], []).append(row)
-    groups = {key: ingest.DumpRows(variants, tuple(group)) for key, group in rows.items()}
     return [
         space.TrainPair(
             rec.clip_id,
             _embedding(audio, rec.clip_id, "audio"),
             tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
-            tuple(groups.get(f"{rec.clip_id}#{k}", ()) for k in range(len(rec.captions))),
+            tuple(tuple(rows.get(f"{rec.clip_id}#{k}", ())) for k in range(len(rec.captions))),
         )
         for rec in records
     ]
@@ -336,7 +335,7 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
     # variants.embd is checked whole before the other dumps are read, and stays open while training draws from it
     with ingest.DumpReader(variants) if has_variants else contextlib.nullcontext() as reader:
         pairs = _train_pairs(records, settings, command, reader)
-        result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init)
+        result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init, variants=reader)
     checkpoint = out / "checkpoint.ackp"
     space.save_checkpoint(checkpoint, result.audio_head, result.text_head)
     ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))

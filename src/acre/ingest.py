@@ -427,11 +427,12 @@ class DumpReader:
 
     Opening checks the whole file in one streaming pass, with the errors and
     messages of read_embedding_dump: the header, the id table and every row
-    finite. A row is then read with one seek and readinto only when indexed,
-    so the reader holds the ids, never the matrix. A row that reads short or
-    non-finite later (the file was rewritten in place after the check) is a
-    TruncatedFile or NonFiniteValue naming its entry. Use it as a context
-    manager: the file handle closes on exit, and on any error while opening.
+    finite. reader[i] then reads row i with one seek and readinto, so the
+    reader holds the ids, never the matrix; its shape is the matrix's. A row
+    that reads short or non-finite later (the file was rewritten in place
+    after the check) is a TruncatedFile or NonFiniteValue naming its entry.
+    Use it as a context manager: the file handle closes on exit, and on any
+    error while opening.
     """
 
     def __init__(self, path):
@@ -457,25 +458,12 @@ class DumpReader:
     def close(self) -> None:
         self._fh.close()
 
-    def row(self, i: int) -> np.ndarray:
-        """Entry i's vector, read from the file now, as a fresh read-only array."""
-        return _read_rows(self._fh, self.path, self.ids, self.dim, i, i + 1)[0]
-
-
-@dataclass(frozen=True)
-class DumpRows:
-    """Some rows of an open DumpReader as a sequence of vectors: its length
-    and width come from the reader, and a row is read only when indexed."""
-
-    reader: DumpReader
-    rows: tuple[int, ...]
-
     @property
-    def dim(self) -> int:
-        return self.reader.dim
+    def shape(self) -> tuple[int, int]:
+        return len(self.ids), self.dim
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.reader.row(self.rows[j])
+    def __getitem__(self, i: int) -> np.ndarray:
+        """Row i's vector, read from the file now, as a fresh read-only array."""
+        if not 0 <= i < len(self.ids):
+            raise IndexError(f"{self.path}: row {i} outside 0..{len(self.ids) - 1}")
+        return _read_rows(self._fh, self.path, self.ids, self.dim, i, i + 1)[0]

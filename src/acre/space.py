@@ -435,16 +435,15 @@ def check_phase(cfg: TrainConfig, phase: str, init: tuple[ProjectionHead, Projec
 @dataclass(frozen=True)
 class TrainPair:
     """One clip's frozen encoder outputs: an audio vector, its caption vectors
-    and, for finetuning, variants[k], the augmented variants of captions[k]
-    (empty when it has none). Vectors are kept as given; a batch of them
-    takes the head's dtype in project and loss_gradients: float32 in train.
-    A variant group is any sequence of vectors; one with a ``dim`` attribute
-    (ingest.DumpRows) declares its width, so train reads only the rows it draws."""
+    and, for finetuning, variants[k], the row numbers of captions[k]'s
+    augmented variants in the variant source given to train (empty when it
+    has none). Vectors are kept as given; a batch of them takes the head's
+    dtype in project and loss_gradients: float32 in train."""
 
     clip_id: str
     audio: np.ndarray
     captions: tuple[np.ndarray, ...]
-    variants: tuple[Sequence[np.ndarray], ...] = ()
+    variants: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if not self.captions:
@@ -455,16 +454,17 @@ class TrainPair:
             )
 
 
-def sample_caption(pair: TrainPair, rng: np.random.Generator, swap_prob: float = 0.0) -> np.ndarray:
+def sample_caption(pair: TrainPair, rng: np.random.Generator, swap_prob: float = 0.0, variants=None) -> np.ndarray:
     """Draw one caption vector for a batch appearance of this clip.
 
     A caption index is drawn uniformly; with probability swap_prob the caption
-    is replaced by one of its variants (uniform among them). Captions without
-    variants are used as-is.
+    is replaced by one of its variants (uniform among them), read as a row of
+    variants: a 2-D array, or an open ingest.DumpReader, which reads the row
+    from its file now. Captions without variants are used as-is.
     """
     idx = int(rng.integers(len(pair.captions)))
     if swap_prob > 0.0 and rng.random() < swap_prob and pair.variants and pair.variants[idx]:
-        return pair.variants[idx][int(rng.integers(len(pair.variants[idx])))]
+        return variants[pair.variants[idx][int(rng.integers(len(pair.variants[idx])))]]
     return pair.captions[idx]
 
 
@@ -491,6 +491,7 @@ def train(
     phase: str = "pretrain",
     strict: bool = False,
     init: tuple[ProjectionHead, ProjectionHead] | None = None,
+    variants=None,
 ) -> TrainResult:
     """Run one training phase over frozen encoder outputs.
 
@@ -499,6 +500,9 @@ def train(
     captions uniformly. The finetune phase additionally swaps captions for
     their variants with probability cfg.swap_prob and uses the finetune
     learning rate with no warmup; strict requires a variant for every caption.
+    variants, a 2-D array or an open ingest.DumpReader, holds the rows the
+    pairs' variant row numbers index; a row outside it, or a width other than
+    the captions', is refused before step 0.
     """
     check_phase(cfg, phase, init)
     pairs = list(pairs)
@@ -507,12 +511,15 @@ def train(
 
     d_a = pairs[0].audio.size
     d_t = pairs[0].captions[0].size
+    n_rows, width = (0, d_t) if variants is None else variants.shape
+    if width != d_t:
+        raise DimMismatch(f"variant dim {width} != caption dim {d_t}")
     for pair in pairs:
-        widths = {t.size for t in pair.captions}
-        for group in pair.variants:
-            widths.update([group.dim] if hasattr(group, "dim") else (v.size for v in group))
-        if pair.audio.size != d_a or widths != {d_t}:
+        if pair.audio.size != d_a or {t.size for t in pair.captions} != {d_t}:
             raise DimMismatch(f"clip {pair.clip_id!r}: inconsistent embedding dims")
+        rows = [row for group in pair.variants for row in group]
+        if rows and not 0 <= min(rows) <= max(rows) < n_rows:
+            raise ValueError(f"clip {pair.clip_id!r}: variant rows outside the {n_rows} rows of the variant source")
 
     finetune = phase == "finetune"
     swap_prob = cfg.swap_prob if finetune else 0.0
@@ -558,7 +565,7 @@ def train(
             for b in range(steps_per_epoch):
                 batch = [pairs[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
                 A = np.stack([pair.audio for pair in batch])
-                T = np.stack([sample_caption(pair, rng, swap_prob) for pair in batch])
+                T = np.stack([sample_caption(pair, rng, swap_prob, variants) for pair in batch])
                 lr = lr_at(step, total_steps, warmup_steps, lr_max, cfg.lr_min)
                 loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
                 if not math.isfinite(loss.value):
@@ -582,8 +589,11 @@ def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead)
     The file is the trainable state and nothing else: a header, then the four
     head arrays. Values are quantized to float32 on save; save -> load -> save
     is byte-identical. An array that is not finite in float32 (NaN, or beyond
-    float32 range) raises NonFiniteValue and nothing is written.
+    float32 range) raises NonFiniteValue, and heads of two output dims raise
+    DimMismatch; either way nothing is written.
     """
+    if audio_head.d_out != text_head.d_out:
+        raise DimMismatch(f"heads project to dims ({audio_head.d_out}, {text_head.d_out}); a checkpoint holds one")
     buf = bytearray(
         _CHECKPOINT_HEADER.pack(
             CHECKPOINT_MAGIC,

@@ -54,17 +54,31 @@ def write_v2_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:
     Path(path).write_bytes(header + np.zeros(head_params, dtype="<f4").tobytes())
 
 
+def _blas_core(stderr: str) -> str:
+    """The OpenBLAS kernel a child named: OPENBLAS_VERBOSE=2 prints 'Core: <name>'."""
+    core = re.search(r"^Core: (\S+)", stderr, re.MULTILINE)
+    return core[1] if core else "unknown"
+
+
 def run_at_blas_threads(threads: str, *args: str) -> tuple[str, str]:
     """Runs ``python *args`` with acre importable and OPENBLAS_NUM_THREADS set,
     and asserts it exits 0. Returns its stdout and the OpenBLAS kernel it
-    loaded (OPENBLAS_VERBOSE=2 prints 'Core: <name>' on stderr), so a byte
-    comparison across thread counts can say which kernel it was made on."""
+    loaded, so a byte comparison across thread counts can say which kernel it
+    was made on."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OPENBLAS_VERBOSE": "2"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    core = re.search(r"^Core: (\S+)", result.stderr, re.MULTILINE)
-    return result.stdout, core[1] if core else "unknown"
+    return result.stdout, _blas_core(result.stderr)
+
+
+@pytest.fixture(scope="session")
+def blas_core() -> str:
+    """The OpenBLAS kernel this process's environment loads, named by one child
+    that imports numpy, so an in-process byte pin can say which kernel it failed on."""
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
+    args = [sys.executable, "-c", "import numpy"]
+    return _blas_core(subprocess.run(args, env=env, capture_output=True, text=True, timeout=120).stderr)
 
 
 def make_latent_pairs(seed, n_train=200, n_eval=50, latent_dim=32, d_audio=48, d_text=40, noise=0.05):

@@ -241,10 +241,10 @@ def test_criterion_7_schedule_and_swap():
     midpoint = warmup + (total - warmup) // 2
     assert abs(space.lr_at(midpoint, total, warmup, lr_max, lr_min) - (lr_max + lr_min) / 2) < 1e-12
 
-    marker = np.full(8, 5555.0)
-    pair = space.TrainPair("clip", np.zeros(8), (np.zeros(8),), ((marker,),))
+    marker = np.full((1, 8), 5555.0)
+    pair = space.TrainPair("clip", np.zeros(8), (np.zeros(8),), ((0,),))
     rng = np.random.default_rng(derive_seed(0, "acceptance-swap"))
-    swapped = sum(space.sample_caption(pair, rng, swap_prob=0.3)[0] == 5555.0 for _ in range(10_000))
+    swapped = sum(space.sample_caption(pair, rng, 0.3, marker)[0] == 5555.0 for _ in range(10_000))
     assert 0.28 <= swapped / 10_000 <= 0.32, f"swap rate {swapped / 10_000}"
     ok(f"criterion 7 schedule-and-swap (swap rate {swapped / 10_000:.4f})")
 

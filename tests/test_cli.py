@@ -449,7 +449,29 @@ def test_finetune_refuses_variants_of_another_width(tmp_path, capsys):
         "--epochs", "1", "--batch-size", "2",
     ]
     assert run(argv) == 2
-    assert capsys.readouterr().err == "error: DimMismatch: clip 'c0.wav': inconsistent embedding dims\n"
+    assert capsys.readouterr().err == "error: DimMismatch: variant dim 7 != caption dim 5\n"
+    assert not out.exists()
+
+
+def test_train_refuses_a_non_finite_gradient_on_the_last_step(tmp_path, monkeypatch, capsys):
+    # Adam turns the inf into NaN parameters, and save_checkpoint refuses them
+    _, argv = finetune_dumps(tmp_path, 16, 8)
+    exact = space.loss_gradients
+    calls = []
+
+    def inf_gradient_at_the_last_step(*args, **kwargs):
+        loss, ga, gt = exact(*args, **kwargs)
+        calls.append(loss)
+        if len(calls) == 4:
+            ga.weight[0, 0] = np.inf
+        return loss, ga, gt
+
+    monkeypatch.setattr(space, "loss_gradients", inf_gradient_at_the_last_step)
+    out = tmp_path / "out"
+    assert run(["train", *argv[1:5], "--out", str(out), "--epochs", "1", "--batch-size", "4"]) == 2
+    assert len(calls) == 4 and all(math.isfinite(loss.value) for loss in calls)
+    err = "error: NonFiniteValue: audio.weight is not finite as float32; checkpoint not written\n"
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 

@@ -185,7 +185,7 @@ def test_waveform_names_what_is_wrong_with_a_sample(bad, message):
         dsp.Waveform(x, 32000)
 
 
-def test_logmel_is_pinned_to_the_byte():
+def test_logmel_is_pinned_to_the_byte(blas_core):
     # sha256 of the float32 bytes of a log-mel and of the filterbank; a change
     # to the front end's arithmetic that moves any cell by one bit moves these
     rng = np.random.default_rng(9)
@@ -197,11 +197,11 @@ def test_logmel_is_pinned_to_the_byte():
     assert [hashlib.sha256(a.astype(np.float32).tobytes()).hexdigest() for a in arrays] == [
         "baf05427ca6fe2b562c7f3d6fec59c1f986e2cee4701e95692d39e77e910fd36",
         "222e1d8b0613cc529da5357837722e1af805e55dbc86a9492cb85fe60e42f3cf",
-    ]
+    ], f"OpenBLAS core {blas_core}"
     # the float64 bytes too, at any BLAS thread count: the one-shot product's at one thread
     assert hashlib.sha256(spec.values.tobytes()).hexdigest() == (
         "77772eb2119d3d8a0ab563ec38a42f9bdce8a0c2ada897b3ed5f6808a1fa9230"
-    )
+    ), f"OpenBLAS core {blas_core}"
 
 
 def test_filterbank_is_exactly_zero_at_0_hz_and_nyquist():

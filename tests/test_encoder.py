@@ -361,7 +361,7 @@ def test_float32_stack_stays_within_1e5_of_float64(n):
     assert np.linalg.norm(out - ref) <= 1e-5 * np.linalg.norm(ref)
 
 
-def test_encoder_outputs_are_pinned_to_the_byte(vocab):
+def test_encoder_outputs_are_pinned_to_the_byte(vocab, blas_core):
     # sha256 of the float32 bytes a dump would hold; a change to the encoder's
     # arithmetic that moves any dump by one bit moves these digests
     p = encoder.EncoderParams(seed=3)
@@ -371,4 +371,4 @@ def test_encoder_outputs_are_pinned_to_the_byte(vocab):
     assert [hashlib.sha256(v.astype(np.float32).tobytes()).hexdigest() for v in (audio, text)] == [
         "bb88823fc7b576d507e154a1aef1f8646aa423c5c6f41f0b0973250ee9ba7125",
         "61c80516993dcd26860cf78a9bef2aef1609b0b070c79e607e25bf116f857278",
-    ]
+    ], f"OpenBLAS core {blas_core}"

@@ -615,14 +615,17 @@ def test_dump_reader_reads_only_the_rows_asked_for(tmp_path):
     tracemalloc.start()
     try:
         with ingest.DumpReader(p) as reader:
-            rows = ingest.DumpRows(reader, (2730, 0, 1366))
-            got = [rows[j] for j in range(len(rows))]
+            rows = (2730, 0, 1366)
+            got = [reader[i] for i in rows]
+            for outside in (-1, n):  # a negative row would seek into the header
+                with pytest.raises(IndexError, match=rf"row {outside} outside 0\.\.{n - 1}$"):
+                    reader[outside]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (reader.dim, rows.dim, len(reader.ids)) == (dim, dim, n)
+    assert (reader.shape, reader.dim, len(reader.ids)) == ((n, dim), dim, n)
     assert reader.ids[:2] == ["clip00000", "clip00001"]
-    assert all(v.tobytes() == vectors[i].tobytes() and not v.flags.writeable for v, i in zip(got, rows.rows))
+    assert all(v.tobytes() == vectors[i].tobytes() and not v.flags.writeable for v, i in zip(got, rows))
     # one check block, the id table and the ids; the matrix would be 8.4 MB
     assert peak < 0.5 * vectors.nbytes
 
@@ -637,12 +640,12 @@ def test_dump_reader_fails_closed_on_a_file_rewritten_after_the_check(tmp_path):
                 fh.seek(20 + 8)
                 fh.write(np.array([np.nan, 1.0], dtype="<f4").tobytes())
             with pytest.raises(ingest.NonFiniteValue) as nan:
-                reader.row(1)
+                reader[1]
             with open(p, "r+b") as fh:
                 fh.truncate(20 + 8 + 4)
             with pytest.raises(ingest.TruncatedFile) as short:
-                reader.row(1)
-            assert reader.row(0).tobytes() == np.array([1.0, 2.0], dtype="<f4").tobytes()
+                reader[1]
+            assert reader[0].tobytes() == np.array([1.0, 2.0], dtype="<f4").tobytes()
         del reader
         gc.collect()
     assert str(nan.value) == f"{p}: entry 'b' contains non-finite values"

@@ -242,7 +242,7 @@ def test_blocked_evaluate_ranks_agree_with_rank_exactly(monkeypatch, extra):
     assert retrieval.evaluate(queries, index) == report
 
 
-def test_build_eval_projects_in_blocks_bitwise(monkeypatch):
+def test_build_eval_projects_in_blocks_bitwise(monkeypatch, blas_core):
     rng = np.random.default_rng(26)
     n = 2 * retrieval.EVAL_BLOCK + 3
     pairs = [
@@ -256,7 +256,7 @@ def test_build_eval_projects_in_blocks_bitwise(monkeypatch):
     queries, _ = retrieval.build_eval(pairs, audio_head, text_head)
     assert blocks == [n, retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # the index, then the captions
     whole = exact(np.stack([p.captions[0] for p in pairs]), text_head)
-    assert np.stack([q.vector for q in queries]).tobytes() == whole.tobytes()
+    assert np.stack([q.vector for q in queries]).tobytes() == whole.tobytes(), f"OpenBLAS core {blas_core}"
 
 
 def test_evaluate_holds_less_than_the_score_matrix():

@@ -482,23 +482,22 @@ def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
                 p.clip_id,
                 p.audio.astype(dtype),
                 tuple(c.astype(dtype) for c in p.captions),
-                tuple(tuple(v.astype(dtype) for v in vs) for vs in p.variants),
+                p.variants,
             )
             for p in pairs
         ]
 
     sources = make_latent_pairs(13, n_train=48, n_eval=20, d_audio=12, d_text=10)
     train32, eval32 = (as_dtype(pairs, np.float32) for pairs in sources)
-    train32 = [
-        space.TrainPair(p.clip_id, p.audio, p.captions, ((p.captions[0] + np.float32(1.0), -p.captions[0]),))
-        for p in train32
-    ]
+    variants32 = np.stack([v for p in train32 for v in (p.captions[0] + np.float32(1.0), -p.captions[0])])
+    train32 = [space.TrainPair(p.clip_id, p.audio, p.captions, ((2 * i, 2 * i + 1),)) for i, p in enumerate(train32)]
     cfg = small_cfg(seed=3, swap_prob=0.5)
     outcomes = []
     for dtype in (np.float32, np.float64):
         pairs = as_dtype(train32, dtype)
-        pre = space.train(pairs, cfg, phase="pretrain")
-        fine = space.train(pairs, cfg, phase="finetune", init=(pre.audio_head, pre.text_head))
+        variants = variants32.astype(dtype)
+        pre = space.train(pairs, cfg, phase="pretrain", variants=variants)
+        fine = space.train(pairs, cfg, phase="finetune", init=(pre.audio_head, pre.text_head), variants=variants)
         queries, index = retrieval.build_eval(as_dtype(eval32, dtype), fine.audio_head, fine.text_head)
         arrays = [a for r in (pre, fine) for h in (r.audio_head, r.text_head) for a in (h.weight, h.bias)]
         arrays += [index.vectors] + [q.vector for q in queries]
@@ -509,50 +508,53 @@ def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
 
 def test_finetune_swaps_alter_stream():
     pairs = tiny_pairs(5)
-    with_variants = [
-        space.TrainPair(p.clip_id, p.audio, p.captions, tuple((c + 1.0,) for c in p.captions)) for p in pairs
-    ]
+    with_variants = [space.TrainPair(p.clip_id, p.audio, p.captions, ((i,),)) for i, p in enumerate(pairs)]
+    variants = np.stack([p.captions[0] + 1.0 for p in pairs])
     cfg = small_cfg(seed=7, warmup_epochs=0)
     plain = space.train(pairs, cfg, phase="pretrain")
-    swapped = space.train(with_variants, cfg, phase="finetune")
+    swapped = space.train(with_variants, cfg, phase="finetune", variants=variants)
     assert [p.loss for p in plain.curve] != [p.loss for p in swapped.curve]
 
 
 def test_swap_always_uses_single_variant():
-    marker = np.full(10, 123.0)
-    pairs = [space.TrainPair(p.clip_id, p.audio, p.captions, ((marker,),)) for p in tiny_pairs(2, n=16)]
+    marker = np.full((1, 10), 123.0)
+    pairs = [space.TrainPair(p.clip_id, p.audio, p.captions, ((0,),)) for p in tiny_pairs(2, n=16)]
     rng = np.random.default_rng(0)
     for p in pairs:
-        vec = space.sample_caption(p, rng, swap_prob=1.0)
-        assert np.array_equal(vec, marker)
+        vec = space.sample_caption(p, rng, swap_prob=1.0, variants=marker)
+        assert np.array_equal(vec, marker[0])
 
 
 def test_swap_rate_concentrates_around_p():
-    marker = np.full(10, 777.0)
-    pairs = [space.TrainPair(p.clip_id, p.audio, p.captions, ((marker,),)) for p in tiny_pairs(9, n=20)]
+    marker = np.full((1, 10), 777.0)
+    pairs = [space.TrainPair(p.clip_id, p.audio, p.captions, ((0,),)) for p in tiny_pairs(9, n=20)]
     rng = np.random.default_rng(derive_seed(0, "swap-rate"))
     draws = 10_000
     swapped = 0
     for k in range(draws):
         pair = pairs[k % len(pairs)]
-        vec = space.sample_caption(pair, rng, swap_prob=0.3)
+        vec = space.sample_caption(pair, rng, swap_prob=0.3, variants=marker)
         swapped += vec[0] == 777.0
     assert 0.28 <= swapped / draws <= 0.32
 
 
-def swap_stream_pairs(partial: bool) -> list[space.TrainPair]:
-    """Twelve clips of three captions; caption k of clip i has 1 + (i + k) % 3
-    variants, and with partial a quarter of the captions have none."""
+def swap_stream_pairs(partial: bool) -> tuple[list[space.TrainPair], np.ndarray]:
+    """Twelve clips of three captions, and the float64 matrix their variant
+    rows index. Caption k of clip i has 1 + (i + k) % 3 variants, and with
+    partial a quarter of the captions have none (their rows stay unused)."""
     rng = np.random.default_rng(derive_seed(17, "swap-stream"))
-    pairs = []
+    pairs, rows = [], []
     for i in range(12):
         audio = rng.normal(size=12)
         captions = tuple(rng.normal(size=10) for _ in range(3))
-        variants = tuple(tuple(rng.normal(size=10) for _ in range(1 + (i + k) % 3)) for k in range(3))
+        groups = []
+        for k in range(3):
+            groups.append(tuple(range(len(rows), len(rows) + 1 + (i + k) % 3)))
+            rows += [rng.normal(size=10) for _ in groups[-1]]
         if partial:
-            variants = tuple(() if (i + 2 * k) % 4 == 0 else vs for k, vs in enumerate(variants))
-        pairs.append(space.TrainPair(f"clip{i:02d}", audio, captions, variants))
-    return pairs
+            groups = [() if (i + 2 * k) % 4 == 0 else g for k, g in enumerate(groups)]
+        pairs.append(space.TrainPair(f"clip{i:02d}", audio, captions, tuple(groups)))
+    return pairs, np.stack(rows)
 
 
 @pytest.mark.parametrize(
@@ -560,45 +562,42 @@ def swap_stream_pairs(partial: bool) -> list[space.TrainPair]:
     [(False, "ef5e641ab4fce552", "8efaf7a3e6dc33b2"), (True, "3ed72b9738fe4eb4", "5131f9f337c3d95b")],
     ids=["every-caption", "three-quarters"],
 )
-def test_finetune_swap_stream_is_pinned(partial, heads_sha, curve_sha):
+def test_finetune_swap_stream_is_pinned(blas_core, partial, heads_sha, curve_sha):
     # the caption index, the swap coin (only when swap_prob > 0) and the variant
     # index (only when that caption has variants) are drawn in this order; the
     # digests fix the float32 heads and the (lr, loss) curve that order yields
     cfg = small_cfg(batch_size=4, finetune_epochs=3, swap_prob=0.5, seed=4)
-    result = space.train(swap_stream_pairs(partial), cfg, phase="finetune", strict=not partial)
+    pairs, variants = swap_stream_pairs(partial)
+    result = space.train(pairs, cfg, phase="finetune", strict=not partial, variants=variants)
     heads = b"".join(
         np.asarray(a, dtype="<f4").tobytes() for h in (result.audio_head, result.text_head) for a in (h.weight, h.bias)
     )
     curve = np.array([(p.lr, p.loss) for p in result.curve]).tobytes()
     assert len(result.curve) == 9
-    assert hashlib.sha256(heads).hexdigest()[:16] == heads_sha
-    assert hashlib.sha256(curve).hexdigest()[:16] == curve_sha
+    assert hashlib.sha256(heads).hexdigest()[:16] == heads_sha, f"OpenBLAS core {blas_core}"
+    assert hashlib.sha256(curve).hexdigest()[:16] == curve_sha, f"OpenBLAS core {blas_core}"
 
 
 @pytest.mark.parametrize("partial", [False, True], ids=["every-caption", "three-quarters"])
 def test_finetune_over_dump_rows_draws_the_same_stream(tmp_path, partial):
-    # the swap stream's variants as rows of a dump: the same heads and curve,
+    # the swap stream's variant matrix as a dump: the same heads and curve,
     # and only the rows drawn are read
-    eager = swap_stream_pairs(partial)
-    variants = [(f"{p.clip_id}#{k}@{j}", v) for p in eager for k, vs in enumerate(p.variants) for j, v in enumerate(vs)]
-    ingest.write_embedding_dump(variants, tmp_path / "variants.embd")
+    pairs, matrix = swap_stream_pairs(partial)
+    ingest.write_embedding_dump(((f"v{i}", v) for i, v in enumerate(matrix)), tmp_path / "variants.embd")
     read = []
-    with ingest.DumpReader(tmp_path / "variants.embd") as reader:
-        row = reader.row
-        reader.row = lambda i: read.append(i) or row(i)
-        rows = iter(range(len(variants)))
-        lazy = [
-            space.TrainPair(
-                p.clip_id,
-                p.audio,
-                p.captions,
-                tuple(ingest.DumpRows(reader, tuple(next(rows) for _ in vs)) for vs in p.variants),
-            )
-            for p in eager
+
+    class CountingReader(ingest.DumpReader):
+        def __getitem__(self, i):
+            read.append(i)
+            return super().__getitem__(i)
+
+    cfg = small_cfg(batch_size=4, finetune_epochs=3, swap_prob=0.5, seed=4)
+    with CountingReader(tmp_path / "variants.embd") as reader:
+        results = [
+            space.train(pairs, cfg, phase="finetune", strict=not partial, variants=source)
+            for source in (matrix, reader)
         ]
-        cfg = small_cfg(batch_size=4, finetune_epochs=3, swap_prob=0.5, seed=4)
-        results = [space.train(pairs, cfg, phase="finetune", strict=not partial) for pairs in (eager, lazy)]
-    assert 0 < len(read) < len(variants)
+    assert 0 < len(read) < len(matrix)
     for a, b in zip(*((r.audio_head, r.text_head) for r in results)):
         assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
     assert results[0].curve == results[1].curve
@@ -606,9 +605,9 @@ def test_finetune_over_dump_rows_draws_the_same_stream(tmp_path, partial):
 
 def test_train_pair_needs_one_variant_set_per_caption():
     vec = np.zeros(3)
-    space.TrainPair("clip", vec, (vec, vec), ((vec,), ()))
+    space.TrainPair("clip", vec, (vec, vec), ((0,), ()))
     with pytest.raises(ValueError, match=r"^clip 'clip': 1 variant sets for 2 captions$"):
-        space.TrainPair("clip", vec, (vec, vec), ((vec,),))
+        space.TrainPair("clip", vec, (vec, vec), ((0,),))
 
 
 def test_train_errors():
@@ -624,11 +623,25 @@ def test_train_errors():
 @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
 def test_train_refuses_variants_of_another_width(monkeypatch, phase):
     pairs = tiny_pairs(0, n=4)
-    caption = pairs[2].captions[0]
-    pairs[2] = space.TrainPair(pairs[2].clip_id, pairs[2].audio, (caption,), ((caption, np.zeros(caption.size + 1)),))
+    pairs[2] = space.TrainPair(pairs[2].clip_id, pairs[2].audio, pairs[2].captions, ((0, 1),))
     monkeypatch.setattr(space, "loss_gradients", None)  # refused before step 0
-    with pytest.raises(space.DimMismatch, match=r"^clip 'train0002': inconsistent embedding dims$"):
-        space.train(pairs, small_cfg(batch_size=2), phase=phase)
+    with pytest.raises(space.DimMismatch, match=r"^variant dim 11 != caption dim 10$"):
+        space.train(pairs, small_cfg(batch_size=2), phase=phase, variants=np.zeros((2, 11)))
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+@pytest.mark.parametrize(
+    "rows, source, n_rows",
+    [((0, 2), np.ones((2, 10)), 2), ((-1,), np.ones((2, 10)), 2), ((0,), None, 0)],
+    ids=["past-the-end", "negative", "no-source"],
+)
+def test_train_refuses_variant_rows_outside_the_source(monkeypatch, phase, rows, source, n_rows):
+    pairs = tiny_pairs(0, n=4)
+    pairs[2] = space.TrainPair(pairs[2].clip_id, pairs[2].audio, pairs[2].captions, (rows,))
+    monkeypatch.setattr(space, "loss_gradients", None)  # refused before step 0
+    message = rf"^clip 'train0002': variant rows outside the {n_rows} rows of the variant source$"
+    with pytest.raises(ValueError, match=message):
+        space.train(pairs, small_cfg(batch_size=2), phase=phase, variants=source)
 
 
 def test_train_stops_on_first_non_finite_loss(monkeypatch):
@@ -646,6 +659,25 @@ def test_train_stops_on_first_non_finite_loss(monkeypatch):
     with pytest.raises(space.NonFiniteValue, match="step 3"):
         space.train(tiny_pairs(2, n=32), small_cfg(batch_size=8, pretrain_epochs=2))
     assert len(calls) == 4
+
+
+def test_train_fails_closed_one_step_after_a_non_finite_gradient(monkeypatch):
+    # Adam turns an inf gradient into NaN parameters (inf / inf), so the next
+    # step's loss check refuses the run; no gradient check is needed
+    exact = space.loss_gradients
+    calls = []
+
+    def inf_gradient_at_step_2(*args, **kwargs):
+        loss, ga, gt = exact(*args, **kwargs)
+        calls.append(loss)
+        if len(calls) == 3:
+            ga.weight[0, 0] = np.inf
+        return loss, ga, gt
+
+    monkeypatch.setattr(space, "loss_gradients", inf_gradient_at_step_2)
+    with pytest.raises(space.NonFiniteValue, match=r"^pretrain step 3: loss is nan$"):
+        space.train(tiny_pairs(2, n=32), small_cfg(batch_size=8, pretrain_epochs=2))
+    assert [math.isfinite(loss.value) for loss in calls] == [True, True, True, False]
 
 
 def test_train_warns_without_augmentations():
@@ -719,6 +751,14 @@ def test_checkpoint_rejects_older_versions(tmp_path, version, write):
     write(p)
     with pytest.raises(space.SpaceError, match=f"unsupported checkpoint version {version}, expected 3$"):
         space.load_checkpoint(p)
+
+
+def test_checkpoint_refuses_heads_of_two_output_dims(tmp_path):
+    rng = np.random.default_rng(0)
+    audio, text = space.ProjectionHead.initialize(3, 8, rng), space.ProjectionHead.initialize(2, 16, rng)
+    with pytest.raises(space.DimMismatch, match=r"^heads project to dims \(8, 16\); a checkpoint holds one$"):
+        space.save_checkpoint(tmp_path / "x.ackp", audio, text)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["audio.weight", "text.bias"])
