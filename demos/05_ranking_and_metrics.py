@@ -21,20 +21,22 @@ print("target rank:", result.rank_of_target)
 for r in (1, 2, 3, 10, 11):
     print(f"  rank {r:>2} -> AP@10 {retrieval.average_precision_at_10(r):.3f}")
 
-# evaluate() aggregates mAP@10 and R@k over many queries. Feed it queries whose
-# target ranks are known and the numbers are easy to verify by hand:
+# evaluate() aggregates mAP@10 and R@k over many queries, given as three
+# parallel parts: the query ids, one matrix with query i in row i, and each
+# query's relevant clip id. Feed it queries whose target ranks are known and
+# the numbers are easy to verify by hand:
 # ranks {1, 2, 11, 20} -> mAP@10 = (1 + 1/2 + 0 + 0) / 4 = 0.375.
 m = 24
 ortho = retrieval.RetrievalIndex.build([f"c{i:03d}" for i in range(m)], np.eye(m))
-queries = []
-for qi, r in enumerate((1, 2, 11, 20)):
-    v = np.zeros(m)
+ranks = (1, 2, 11, 20)
+vectors = np.zeros((len(ranks), m))
+targets = []
+for qi, r in enumerate(ranks):
     target = m - 1 - qi
-    v[target] = 0.5
-    for d in [i for i in range(m) if i != target][: r - 1]:
-        v[d] = 1.0
-    queries.append(retrieval.Query(f"q{qi}", v, f"c{target:03d}"))
-report = retrieval.evaluate(queries, ortho)
+    vectors[qi, target] = 0.5
+    vectors[qi, [i for i in range(m) if i != target][: r - 1]] = 1.0
+    targets.append(f"c{target:03d}")
+report = retrieval.evaluate(([f"q{qi}" for qi in range(len(ranks))], vectors, targets), ortho)
 print()
 print(retrieval.format_metrics_table(report))
 print()

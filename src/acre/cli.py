@@ -6,8 +6,9 @@ fields): its flag, config key, parser and default. Every command is
 deterministic for a fixed seed: all module seeds derive from the global one,
 and output files are written atomically (temp + rename).
 
-Exit codes: 0 success, 1 check failure, 2 input error. Errors print one
-machine-parseable line: ``error: <Kind>: <message>``.
+Exit codes: 0 success, 1 check failure, 2 input error. Input errors (the
+kinds in ``_ERROR_KINDS``) print one machine-parseable line: ``error: <Kind>:
+<message>``. Any other exception, a KeyError say, is a bug: a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from .seeding import derive_seed
 GRADCHECK_SHAPES = ((8, 16, 12), (4, 32, 8), (64, 24, 16))
 GRADCHECK_TOLERANCE = 1e-4
 
+
+class UsageError(Exception):
+    pass
+
+
 _ERROR_KINDS = (
+    UsageError,
     ingest.IngestError,
     dsp.DspError,
     encoder.EncoderError,
@@ -35,12 +42,7 @@ _ERROR_KINDS = (
     retrieval.RetrievalError,
     OSError,
     ValueError,
-    KeyError,
 )
-
-
-class CliError(Exception):
-    pass
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
@@ -134,29 +136,34 @@ def parse_config_file(path) -> dict[str, Any]:
     Every key must name a setting, and its value goes through the parser its
     flag uses; an unknown key, a key set twice or a value that does not parse
     is a usage error naming the line, so no setting is ever silently dropped,
-    overwritten or misread.
+    overwritten or misread. So is a file that is not UTF-8.
     """
     parsers = {s.key: s.parse for s in SETTINGS}
     out: dict[str, Any] = {}
     set_on: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    try:
+        with ingest.open_text(path) as fh:
+            text = fh.read()
+    except ingest.IngestError as exc:
+        raise UsageError(str(exc)) from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"{path}: line {lineno}: expected key = value")
+            raise UsageError(f"{path}: line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key not in parsers:
-            raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
+            raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in set_on:
-            raise CliError(f"{path}: line {lineno}: {key} already set on line {set_on[key]}")
+            raise UsageError(f"{path}: line {lineno}: {key} already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
             out[key] = parsers[key](value)
         except argparse.ArgumentTypeError as exc:
-            raise CliError(f"{path}: line {lineno}: {key} {exc}") from None
+            raise UsageError(f"{path}: line {lineno}: {key} {exc}") from None
         except ValueError:
-            raise CliError(f"{path}: line {lineno}: {key} must be {parsers[key].__name__}, got {value!r}") from None
+            raise UsageError(f"{path}: line {lineno}: {key} must be {parsers[key].__name__}, got {value!r}") from None
     return out
 
 
@@ -176,7 +183,7 @@ def _build_settings(args: argparse.Namespace) -> argparse.Namespace:
 
 def _load_records(settings: argparse.Namespace) -> list[ingest.ClipRecord]:
     if not settings.manifest:
-        raise CliError("no manifest given (use --manifest or the config file)")
+        raise UsageError("no manifest given (use --manifest or the config file)")
     records: list[ingest.ClipRecord] = []
     seen: set[str] = set()
     for path in settings.manifest:
@@ -241,14 +248,14 @@ def _raw_vectors(settings: argparse.Namespace, command: str, dump_name: str) -> 
     """Raw (pre-projection) vectors by id, from the named file of the --encoder
     dump directory; only embed runs the encoders, every other command reads its dumps."""
     if settings.encoder is None:
-        raise CliError(f"{command} reads embedding dumps: pass --encoder dump:<dir> (written by acre embed)")
+        raise UsageError(f"{command} reads embedding dumps: pass --encoder dump:<dir> (written by acre embed)")
     return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
 
 
 def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarray:
     """vectors[key]; a missing id is a usage error naming the kind and the id."""
     if key not in vectors:
-        raise CliError(f"no {kind} embedding for {key!r}")
+        raise UsageError(f"no {kind} embedding for {key!r}")
     return vectors[key]
 
 
@@ -279,7 +286,7 @@ def _require_out(settings: argparse.Namespace) -> Path:
     """The --out directory; it is created by the first write into it, so a
     command that fails before writing leaves none behind."""
     if settings.out is None:
-        raise CliError("no output directory given (use --out)")
+        raise UsageError("no output directory given (use --out)")
     return settings.out
 
 
@@ -291,11 +298,11 @@ def _loss_csv(curve) -> str:
 
 def cmd_embed(settings: argparse.Namespace) -> int:
     if settings.encoder is not None:
-        raise CliError("embed runs the encoders and writes dumps; it takes no --encoder")
+        raise UsageError("embed runs the encoders and writes dumps; it takes no --encoder")
     try:  # a snippet shorter than one FFT window would make every clip too short
         dsp.frame_count(int(round(settings.snippet_seconds * dsp.SAMPLE_RATE)))
     except dsp.TooShort as exc:
-        raise CliError(f"snippet_seconds (--snippet-seconds) {settings.snippet_seconds!r} is below one FFT window: {exc}")
+        raise UsageError(f"snippet_seconds (--snippet-seconds) {settings.snippet_seconds!r} is below one FFT window: {exc}")
     out = _require_out(settings)
     records = _load_records(settings)
     aug_sets = None
@@ -351,7 +358,7 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
 def cmd_evaluate(settings: argparse.Namespace) -> int:
     out = _require_out(settings)
     if settings.checkpoint is None:
-        raise CliError("evaluate requires --checkpoint")
+        raise UsageError("evaluate requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
     queries, index = retrieval.build_eval(_train_pairs(records, settings, "evaluate"), ckpt.audio_head, ckpt.text_head)
@@ -365,9 +372,9 @@ def cmd_evaluate(settings: argparse.Namespace) -> int:
 
 def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
     if top < 1:
-        raise CliError(f"--top must be >= 1, got {top}")
+        raise UsageError(f"--top must be >= 1, got {top}")
     if settings.checkpoint is None:
-        raise CliError("rank requires --checkpoint")
+        raise UsageError("rank requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
     audio = _raw_vectors(settings, "rank", "audio.embd")
@@ -435,9 +442,6 @@ def main(argv=None) -> int:
         if args.command == "rank":
             return cmd_rank(settings, args.query, args.top)
         return _run_training(settings, args.command)
-    except CliError as exc:
-        print(f"error: UsageError: {exc}", file=sys.stderr)
-        return 2
     except _ERROR_KINDS as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -24,6 +24,7 @@ length and the UTF-8 id. Round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -115,6 +116,19 @@ class EmbeddingDump:
         return dict(self.entries)
 
 
+def open_text(path) -> io.TextIOWrapper:
+    """A UTF-8 text file opened as open(path, newline="") would, a leading byte-order mark skipped.
+    It is decoded whole first, so bytes that are not UTF-8 are an IngestError
+    naming the file and the line, raised here rather than from a later read."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the input after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{path}: line {line}: not UTF-8 (byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+
+
 def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
     """Parse a manifest CSV into ClipRecords, preserving row order.
 
@@ -124,40 +138,42 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
     """
     path = Path(path)
     base = Path(audio_dir) if audio_dir is not None else path.parent
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty manifest")
-        col = {name.strip(): i for i, name in enumerate(header)}
-        for name in _REQUIRED_COLUMNS:
-            if name not in col:
-                raise MissingColumn(f"{path}: missing column {name!r}")
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise MissingColumn(f"{path}: empty manifest")
+    col = {name.strip(): i for i, name in enumerate(rows[0])}
+    for name in _REQUIRED_COLUMNS:
+        if name not in col:
+            raise MissingColumn(f"{path}: missing column {name!r}")
 
-        records: list[ClipRecord] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            name_idx = col["file_name"]
-            clip_id = row[name_idx].strip() if name_idx < len(row) else ""
-            if not clip_id:
-                raise MissingColumn(f"{path}: row {lineno}: empty file_name")
-            if clip_id in seen:
-                raise DuplicateClipId(f"{path}: row {lineno}: duplicate clip id {clip_id!r}")
-            seen.add(clip_id)
+    records: list[ClipRecord] = []
+    seen: set[str] = set()
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        name_idx = col["file_name"]
+        clip_id = row[name_idx].strip() if name_idx < len(row) else ""
+        if not clip_id:
+            raise MissingColumn(f"{path}: row {lineno}: empty file_name")
+        if clip_id in seen:
+            raise DuplicateClipId(f"{path}: row {lineno}: duplicate clip id {clip_id!r}")
+        seen.add(clip_id)
 
-            captions = []
-            for k in range(CAPTIONS_PER_CLIP):
-                idx = col[f"caption_{k + 1}"]
-                if idx >= len(row) or not row[idx].strip():
-                    raise WrongCaptionCount(
-                        f"{path}: row {lineno} (clip {clip_id!r}): expected "
-                        f"{CAPTIONS_PER_CLIP} non-empty captions"
-                    )
-                captions.append(row[idx])
+        captions = []
+        for k in range(CAPTIONS_PER_CLIP):
+            idx = col[f"caption_{k + 1}"]
+            if idx >= len(row) or not row[idx].strip():
+                raise WrongCaptionCount(
+                    f"{path}: row {lineno} (clip {clip_id!r}): expected {CAPTIONS_PER_CLIP} non-empty captions"
+                )
+            captions.append(row[idx])
 
-            records.append(ClipRecord(clip_id, base / clip_id, tuple(captions)))
+        records.append(ClipRecord(clip_id, base / clip_id, tuple(captions)))
     if not records:
         raise IngestError(f"{path}: no clip rows after the header")
     return records
@@ -172,14 +188,14 @@ def load_augmented_captions(path) -> list[AugmentedCaptionSet]:
     path = Path(path)
     sets: list[AugmentedCaptionSet] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer past 4300 digits, deep nesting
                 raise IngestError(f"{path}: line {lineno}: invalid JSON record: {exc}") from None
             if not isinstance(rec, dict):
                 raise IngestError(f"{path}: line {lineno}: record must be a JSON object, got {type(rec).__name__}")

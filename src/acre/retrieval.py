@@ -11,7 +11,7 @@ query-id order so independent recomputations can match bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,39 +110,35 @@ class MetricsReport:
             raise ValueError("mAP@10 cannot exceed R@10")
 
 
-@dataclass(frozen=True)
-class Query:
-    query_id: str
-    vector: np.ndarray
-    target_id: str
-
-
-def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
+def evaluate(queries: tuple[Sequence[str], np.ndarray, Sequence[str]], index: RetrievalIndex) -> MetricsReport:
     """Mean AP@10 and R@{1,5,10} over the queries, summed in query-id order.
 
-    The similarity matrix is scored EVAL_BLOCK query rows at a time. A
-    target's rank is 1 + #(sim > s_target) + #(sim == s_target and id <
-    target id), which is the order `rank` defines: descending cosine, ties on
-    ascending clip id.
+    ``queries`` is ``(query_ids, vectors, target_ids)``, as build_eval returns
+    it: row i of the 2-D ``vectors`` is query i, whose relevant clip is
+    ``target_ids[i]``. The similarity matrix is scored EVAL_BLOCK query rows
+    at a time, in query-id order. A target's rank is 1 + #(sim > s_target) +
+    #(sim == s_target and id < target id), which is the order `rank` defines:
+    descending cosine, ties on ascending clip id.
     """
-    ordered = sorted(queries, key=lambda q: q.query_id)
-    if not ordered:
+    query_ids, vectors, target_ids = queries
+    n = len(query_ids)
+    if n == 0:
         raise ValueError("no queries")
     dim = index.vectors.shape[1]
+    if np.shape(vectors) != (n, dim) or len(target_ids) != n:
+        raise DimMismatch(f"queries: {n} ids, {len(target_ids)} targets, vectors {np.shape(vectors)}; index dim {dim}")
     column = {clip_id: j for j, clip_id in enumerate(index.ids)}
-    for q in ordered:
-        if np.shape(q.vector) != (dim,):
-            raise DimMismatch(f"query dim {np.shape(q.vector)} != index dim {dim}")
-    for q in ordered:
-        if q.target_id not in column:
-            raise UnknownTargetId(f"target {q.target_id!r} not in index")
-    targets = np.array([column[q.target_id] for q in ordered])
+    unknown = set(target_ids).difference(column)
+    if unknown:
+        raise UnknownTargetId(f"target {min(unknown)!r} not in index")
+    order = np.array(sorted(range(n), key=query_ids.__getitem__))
+    targets = np.array([column[target] for target in target_ids])[order]
     id_order = np.empty(len(index), dtype=np.int64)
     id_order[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
 
-    ranks = np.empty(len(ordered), dtype=np.int64)
-    for rows in dsp.row_blocks(len(ordered), EVAL_BLOCK):
-        sims = l2_normalize(np.stack([q.vector for q in ordered[rows]])) @ index.vectors.T
+    ranks = np.empty(n, dtype=np.int64)
+    for rows in dsp.row_blocks(n, EVAL_BLOCK):
+        sims = l2_normalize(vectors[order[rows]]) @ index.vectors.T
         block_targets = targets[rows]
         s_target = sims[np.arange(len(block_targets)), block_targets][:, None]
         ahead = (sims > s_target) | ((sims == s_target) & (id_order < id_order[block_targets][:, None]))
@@ -152,7 +148,6 @@ def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
     ap_sum = 0.0
     for r in ranks.tolist():
         ap_sum += average_precision_at_10(r)
-    n = len(ordered)
     return MetricsReport(
         map_at_10=ap_sum / n,
         r_at_1=int(np.count_nonzero(ranks <= 1)) / n,
@@ -163,38 +158,27 @@ def evaluate(queries: Sequence[Query], index: RetrievalIndex) -> MetricsReport:
 
 
 def format_metrics_table(report: MetricsReport) -> str:
-    rows = [
-        ("mAP@10", report.map_at_10),
-        ("R@1", report.r_at_1),
-        ("R@5", report.r_at_5),
-        ("R@10", report.r_at_10),
-    ]
+    """The four metrics, labelled in MetricsReport field order, then the query count."""
     lines = [f"{'metric':<8}{'value':>8}"]
-    lines += [f"{name:<8}{value:>8.4f}" for name, value in rows]
+    lines += [f"{name:<8}{value:>8.4f}" for name, value in zip(("mAP@10", "R@1", "R@5", "R@10"), astuple(report))]
     lines.append(f"queries: {report.n_queries}")
     return "\n".join(lines)
 
 
 def metrics_csv(report: MetricsReport) -> str:
-    return "\n".join(
-        [
-            "metric,value",
-            f"map_at_10,{report.map_at_10!r}",
-            f"r_at_1,{report.r_at_1!r}",
-            f"r_at_5,{report.r_at_5!r}",
-            f"r_at_10,{report.r_at_10!r}",
-            f"n_queries,{report.n_queries}",
-        ]
-    )
+    """One `<field>,<repr of its value>` line per MetricsReport field, in field order."""
+    return "\n".join(["metric,value"] + [f"{f.name},{v!r}" for f, v in zip(fields(report), astuple(report))])
 
 
 def build_eval(
     pairs: Sequence[TrainPair],
     audio_head: ProjectionHead,
     text_head: ProjectionHead,
-) -> tuple[list[Query], RetrievalIndex]:
+) -> tuple[tuple[list[str], np.ndarray, list[str]], RetrievalIndex]:
     """Project held-out pairs into the shared space: one index entry per clip,
-    one query per caption."""
+    and the queries as evaluate takes them, one per caption: ids
+    ``<clip>#<k>``, a (captions, d_out) matrix of projected captions in the
+    same order, and each caption's clip id as its target."""
     index = RetrievalIndex.build(
         [pair.clip_id for pair in pairs],
         project(np.stack([pair.audio for pair in pairs]), audio_head),
@@ -206,8 +190,7 @@ def build_eval(
     vectors = np.empty((len(captions), text_head.d_out), dtype=text_head.weight.dtype)
     for rows in dsp.row_blocks(len(captions), EVAL_BLOCK):
         vectors[rows] = project(np.stack([cap for _, _, cap in captions[rows]]), text_head)
-    queries = [Query(query_id, vec, target) for (query_id, target, _), vec in zip(captions, vectors)]
-    return queries, index
+    return ([query_id for query_id, _, _ in captions], vectors, [target for _, target, _ in captions]), index
 
 
 @dataclass(frozen=True)
@@ -222,18 +205,14 @@ def ablation_run(
     eval_pairs: Sequence[TrainPair],
     cfg: TrainConfig,
 ) -> list[AblationRow]:
-    """Train one model per dataset combination and evaluate all on one held-out set."""
+    """Train one model per dataset combination and evaluate all on one held-out
+    set. A name that is not a key of datasets raises the mapping's KeyError."""
     rows = []
     for combo in combos:
         names = tuple(combo)
         if not names:
             raise ValueError("each combination needs at least one dataset")
-        merged: list[TrainPair] = []
-        for name in names:
-            if name not in datasets:
-                raise KeyError(f"unknown dataset {name!r}")
-            merged.extend(datasets[name])
-        result = train(merged, cfg, phase="pretrain")
+        result = train([pair for name in names for pair in datasets[name]], cfg, phase="pretrain")
         queries, index = build_eval(eval_pairs, result.audio_head, result.text_head)
         rows.append(AblationRow(datasets=names, map_at_10=evaluate(queries, index).map_at_10))
     return rows

@@ -81,6 +81,13 @@ def blas_core() -> str:
     return _blas_core(subprocess.run(args, env=env, capture_output=True, text=True, timeout=120).stderr)
 
 
+def query_set(triples):
+    """(query id, vector, target id) triples as evaluate's queries: the ids,
+    the vectors stacked one row per query, and the targets."""
+    query_ids, vectors, target_ids = zip(*triples)
+    return list(query_ids), np.stack(vectors), list(target_ids)
+
+
 def make_latent_pairs(seed, n_train=200, n_eval=50, latent_dim=32, d_audio=48, d_text=40, noise=0.05):
     """Two random linear views of shared latents, plus Gaussian noise."""
     rng = np.random.default_rng(derive_seed(seed, "synthetic-latents"))

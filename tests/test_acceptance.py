@@ -13,7 +13,7 @@ import pytest
 
 from acre import cli, dsp, encoder, ingest, retrieval, space
 from acre.seeding import derive_seed
-from conftest import make_latent_pairs
+from conftest import make_latent_pairs, query_set
 
 
 def ok(name):
@@ -125,17 +125,17 @@ def queries_with_ranks(ranks, m):
         decoys = [i for i in range(m) if i != t_idx][: r - 1]
         for d in decoys:
             v[d] = 1.0
-        queries.append(retrieval.Query(f"q{qi:03d}", v, ids[t_idx]))
-    return queries, index
+        queries.append((f"q{qi:03d}", v, ids[t_idx]))
+    return query_set(queries), index
 
 
 def brute_force_metrics(queries, index):
     per_query = {}
-    for q in queries:
-        qv = q.vector / np.linalg.norm(q.vector)
+    for query_id, vector, target_id in zip(*queries):
+        qv = vector / np.linalg.norm(vector)
         sims = [(float(np.dot(vec, qv)), cid) for cid, vec in zip(index.ids, index.vectors)]
         ordered = [cid for _, cid in sorted(sims, key=lambda t: (-t[0], t[1]))]
-        per_query[q.query_id] = ordered.index(q.target_id) + 1
+        per_query[query_id] = ordered.index(target_id) + 1
     ap = 0.0
     h1 = h5 = h10 = 0
     for qid in sorted(per_query):

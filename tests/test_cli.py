@@ -695,6 +695,56 @@ def test_failed_command_leaves_no_out_directory(wav_dataset, tmp_path, capsys, c
     assert not out.exists()
 
 
+# each case's error line starts with this, {file} naming the broken file
+UNREADABLE_TEXT = {
+    "manifest field past the csv limit": "IngestError: {file}: line 3: field larger than field limit (131072)",
+    "manifest not UTF-8": "IngestError: {file}: line 3: not UTF-8 (byte 0xff: invalid start byte)",
+    "variants nested 100000 deep": "IngestError: {file}: line 2: invalid JSON record: maximum recursion depth",
+    "variants index of 5000 digits": "IngestError: {file}: line 2: invalid JSON record: Exceeds the limit",
+    "variants not UTF-8": "IngestError: {file}: line 2: not UTF-8 (byte 0xff: invalid start byte)",
+    "config not UTF-8": "UsageError: {file}: line 2: not UTF-8 (byte 0xff: invalid start byte)",
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_TEXT)
+def test_unreadable_text_input_is_one_error_line_naming_its_file(wav_dataset, tmp_path, capsys, case):
+    out = tmp_path / "never"
+    argv = ["embed", *common(wav_dataset, out), "--augmented-captions", str(wav_dataset["augmented"])]
+    kind = case.split()[0]
+    if kind == "config":
+        file = tmp_path / "run.cfg"
+        file.write_bytes(b"seed = 5\n# run\n")
+        argv = ["embed", "--config", str(file), *argv[1:]]
+    else:
+        file = wav_dataset["augmented" if kind == "variants" else "manifest"]
+    lines = file.read_bytes().splitlines(keepends=True)
+    if case == "manifest field past the csv limit":
+        lines[2] = b"clip1.wav," + b"x" * (131072 + 1) + b",b,c,d,e\n"
+    elif case == "variants nested 100000 deep":
+        lines[1] = b"[" * 100000 + b"\n"
+    elif case == "variants index of 5000 digits":
+        index = b"7" * 5000
+        lines[1] = b'{"clip_id": "clip0.wav", "caption_index": ' + index + b', "variants": ["a", "b", "c", "d", "e"]}\n'
+    else:  # 0xff occurs nowhere in UTF-8
+        row = 2 if kind == "manifest" else 1
+        lines[row] = b"\xff" + lines[row]
+    file.write_bytes(b"".join(lines))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + UNREADABLE_TEXT[case].format(file=file)) and len(err.splitlines()) == 1, err[:300]
+    assert not out.exists()
+
+
+def test_a_key_error_inside_a_command_propagates_as_a_bug(wav_dataset, tmp_path, monkeypatch):
+    # no input reaches a KeyError, so one is a bug: a traceback, not an input error's exit 2
+    def broken(settings):
+        raise KeyError("clip0.wav")
+
+    monkeypatch.setattr(cli, "cmd_evaluate", broken)
+    with pytest.raises(KeyError, match="clip0.wav"):
+        run(["evaluate", *common(wav_dataset, tmp_path / "eval")])
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "abc"])
 def test_bad_snippet_seconds_is_refused_before_any_audio_is_read(wav_dataset, tmp_path, capsys, value):
     (wav_dataset["audio_dir"] / "clip0.wav").unlink()

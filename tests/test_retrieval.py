@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acre import dsp, encoder, ingest, retrieval, space
-from conftest import make_latent_pairs, run_at_blas_threads
+from conftest import make_latent_pairs, query_set, run_at_blas_threads
 
 
 def unit(v):
@@ -90,8 +90,8 @@ def orthogonal_queries_with_ranks(ranks):
         decoys = [i for i in range(m) if i != t_idx][: r - 1]
         for d in decoys:
             v[d] = 1.0
-        queries.append(retrieval.Query(f"q{qi}", v, target))
-    return queries, index
+        queries.append((f"q{qi}", v, target))
+    return query_set(queries), index
 
 
 def test_evaluate_hand_case():
@@ -107,7 +107,7 @@ def test_evaluate_hand_case():
 def test_evaluate_all_rank_one():
     ids = ["a", "b", "c"]
     index = retrieval.RetrievalIndex.build(ids, np.eye(3))
-    queries = [retrieval.Query(f"q{i}", np.eye(3)[i], ids[i]) for i in range(3)]
+    queries = ([f"q{i}" for i in range(3)], np.eye(3), ids)
     report = retrieval.evaluate(queries, index)
     assert (report.map_at_10, report.r_at_1, report.r_at_5, report.r_at_10) == (1.0, 1.0, 1.0, 1.0)
 
@@ -115,10 +115,10 @@ def test_evaluate_all_rank_one():
 def brute_force_report(queries, index):
     """Independent recomputation of every metric from raw similarities."""
     per_query = {}
-    for q in queries:
-        sims = [(float(np.dot(unit(v), unit(q.vector))), cid) for cid, v in zip(index.ids, index.vectors)]
+    for query_id, vector, target_id in zip(*queries):
+        sims = [(float(np.dot(unit(v), unit(vector))), cid) for cid, v in zip(index.ids, index.vectors)]
         ordered = sorted(sims, key=lambda t: (-t[0], t[1]))
-        per_query[q.query_id] = [cid for _, cid in ordered].index(q.target_id) + 1
+        per_query[query_id] = [cid for _, cid in ordered].index(target_id) + 1
     ap = 0.0
     h1 = h5 = h10 = 0
     for qid in sorted(per_query):
@@ -135,9 +135,7 @@ def test_evaluate_matches_brute_force_oracle_exactly():
     rng = np.random.default_rng(99)
     ids = [f"c{i:03d}" for i in range(30)]
     index = retrieval.RetrievalIndex.build(ids, rng.normal(size=(30, 12)))
-    queries = [
-        retrieval.Query(f"q{k:03d}", rng.normal(size=12), ids[int(rng.integers(30))]) for k in range(50)
-    ]
+    queries = query_set((f"q{k:03d}", rng.normal(size=12), ids[int(rng.integers(30))]) for k in range(50))
     report = retrieval.evaluate(queries, index)
     expected = brute_force_report(queries, index)
     assert (report.map_at_10, report.r_at_1, report.r_at_5, report.r_at_10) == expected
@@ -147,11 +145,11 @@ def test_evaluate_invariant_to_query_and_index_order():
     rng = np.random.default_rng(5)
     ids = [f"c{i:02d}" for i in range(12)]
     vecs = rng.normal(size=(12, 7))
-    queries = [retrieval.Query(f"q{k}", rng.normal(size=7), ids[k]) for k in range(12)]
-    a = retrieval.evaluate(queries, retrieval.RetrievalIndex.build(ids, vecs))
+    queries = [(f"q{k}", rng.normal(size=7), ids[k]) for k in range(12)]
+    a = retrieval.evaluate(query_set(queries), retrieval.RetrievalIndex.build(ids, vecs))
     perm = rng.permutation(12)
     shuffled_index = retrieval.RetrievalIndex.build([ids[i] for i in perm], vecs[perm])
-    b = retrieval.evaluate(list(reversed(queries)), shuffled_index)
+    b = retrieval.evaluate(query_set(reversed(queries)), shuffled_index)
     assert a == b
 
 
@@ -159,9 +157,9 @@ def assert_evaluate_agrees_with_rank(queries, index):
     # with at most ten clips every rank is inside the AP@10 cut, so a
     # one-query mAP@10 of 1/r recovers the rank r exactly
     assert len(index) <= 10
-    for q in queries:
-        r = retrieval.rank(q.vector, index, target_id=q.target_id).rank_of_target
-        assert retrieval.evaluate([q], index).map_at_10 == 1.0 / r
+    for query_id, vector, target_id in zip(*queries):
+        r = retrieval.rank(vector, index, target_id=target_id).rank_of_target
+        assert retrieval.evaluate(([query_id], vector[None], [target_id]), index).map_at_10 == 1.0 / r
 
 
 def test_evaluate_agrees_with_rank_on_duplicated_clips():
@@ -169,9 +167,9 @@ def test_evaluate_agrees_with_rank_on_duplicated_clips():
     base = rng.normal(size=(5, 6))
     ids = [f"c{i}" for i in range(10)]
     index = retrieval.RetrievalIndex.build(ids, np.vstack([base, base]))
-    queries = [retrieval.Query(f"q{i}", base[i % 5] + 0.3 * rng.normal(size=6), ids[i]) for i in range(10)]
-    queries += [retrieval.Query(f"x{i}", base[i % 5], ids[i]) for i in range(10)]
-    assert_evaluate_agrees_with_rank(queries, index)
+    queries = [(f"q{i}", base[i % 5] + 0.3 * rng.normal(size=6), ids[i]) for i in range(10)]
+    queries += [(f"x{i}", base[i % 5], ids[i]) for i in range(10)]
+    assert_evaluate_agrees_with_rank(query_set(queries), index)
 
 
 def test_evaluate_agrees_with_rank_on_orthonormal_ties():
@@ -183,8 +181,8 @@ def test_evaluate_agrees_with_rank_on_orthonormal_ties():
         for weight in (0.5, 1.0, 2.0):
             v = np.ones(m)
             v[target] = weight
-            queries.append(retrieval.Query(f"q{target}w{weight}", v, ids[target]))
-    assert_evaluate_agrees_with_rank(queries, index)
+            queries.append((f"q{target}w{weight}", v, ids[target]))
+    assert_evaluate_agrees_with_rank(query_set(queries), index)
 
 
 def test_evaluate_agrees_with_rank_on_shuffled_storage_order():
@@ -194,9 +192,9 @@ def test_evaluate_agrees_with_rank_on_shuffled_storage_order():
     perm = rng.permutation(9)
     index = retrieval.RetrievalIndex.build([ids[i] for i in perm], vecs[perm])
     assert list(index.ids) != sorted(index.ids)
-    queries = [retrieval.Query(f"q{i}", vecs[i] + 0.2 * rng.normal(size=4), ids[i]) for i in range(9)]
-    queries += [retrieval.Query(f"x{i}", vecs[i], ids[i]) for i in range(9)]
-    assert_evaluate_agrees_with_rank(queries, index)
+    queries = [(f"q{i}", vecs[i] + 0.2 * rng.normal(size=4), ids[i]) for i in range(9)]
+    queries += [(f"x{i}", vecs[i], ids[i]) for i in range(9)]
+    assert_evaluate_agrees_with_rank(query_set(queries), index)
 
 
 def test_evaluate_agrees_with_rank_with_several_captions_per_clip():
@@ -207,7 +205,7 @@ def test_evaluate_agrees_with_rank_with_several_captions_per_clip():
     audio_head = space.ProjectionHead.initialize(7, 6, rng)
     text_head = space.ProjectionHead.initialize(5, 6, rng)
     queries, index = retrieval.build_eval(pairs, audio_head, text_head)
-    assert len(queries) == 40
+    assert len(queries[0]) == len(queries[2]) == 40 and queries[1].shape == (40, 6)
     assert_evaluate_agrees_with_rank(queries, index)
 
 
@@ -221,15 +219,15 @@ def tied_queries(n, rng):
     for k in range(n):
         target = int(rng.integers(30))
         v = vecs[target] if k % 7 == 0 else vecs[target] + 0.8 * rng.normal(size=6)
-        queries.append(retrieval.Query(f"q{k:05d}", v, ids[target]))
-    return queries, retrieval.RetrievalIndex.build(ids, vecs)
+        queries.append((f"q{k:05d}", v, ids[target]))
+    return query_set(queries), retrieval.RetrievalIndex.build(ids, vecs)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, retrieval.EVAL_BLOCK + 3], ids=["block-1", "block", "block+1", "2block+3"])
 def test_blocked_evaluate_ranks_agree_with_rank_exactly(monkeypatch, extra):
     n = retrieval.EVAL_BLOCK + extra
     queries, index = tied_queries(n, np.random.default_rng(n))
-    expected = [retrieval.rank(q.vector, index, target_id=q.target_id).rank_of_target for q in queries]
+    expected = [retrieval.rank(v, index, target_id=t).rank_of_target for _, v, t in zip(*queries)]
     ranks, blocks = [], []
     exact_ap, exact_normalize = retrieval.average_precision_at_10, retrieval.l2_normalize
     monkeypatch.setattr(retrieval, "average_precision_at_10", lambda r: ranks.append(r) or exact_ap(r))
@@ -256,7 +254,7 @@ def test_build_eval_projects_in_blocks_bitwise(monkeypatch, blas_core):
     queries, _ = retrieval.build_eval(pairs, audio_head, text_head)
     assert blocks == [n, retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # the index, then the captions
     whole = exact(np.stack([p.captions[0] for p in pairs]), text_head)
-    assert np.stack([q.vector for q in queries]).tobytes() == whole.tobytes(), f"OpenBLAS core {blas_core}"
+    assert queries[1].tobytes() == whole.tobytes(), f"OpenBLAS core {blas_core}"
 
 
 def test_evaluate_holds_less_than_the_score_matrix():
@@ -265,7 +263,7 @@ def test_evaluate_holds_less_than_the_score_matrix():
     ids = [f"c{i:04d}" for i in range(n_clips)]
     index = retrieval.RetrievalIndex.build(ids, rng.normal(size=(n_clips, 32)))
     vectors = rng.normal(size=(n_queries, 32))
-    queries = [retrieval.Query(f"q{k:05d}", v, ids[k % n_clips]) for k, v in enumerate(vectors)]
+    queries = ([f"q{k:05d}" for k in range(n_queries)], vectors, [ids[k % n_clips] for k in range(n_queries)])
     tracemalloc.start()
     try:
         retrieval.evaluate(queries, index)
@@ -306,17 +304,24 @@ def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_pat
         ("unknown target", retrieval.UnknownTargetId),
         ("wrong dim", space.DimMismatch),
         ("zero norm", space.ZeroNormVector),
+        ("fewer rows than ids", space.DimMismatch),
+        ("more rows than ids", space.DimMismatch),
+        ("fewer targets than ids", space.DimMismatch),
+        ("more targets than ids", space.DimMismatch),
     ],
 )
 def test_evaluate_errors(case, error):
     index = retrieval.RetrievalIndex.build(["a", "b"], np.eye(3)[:2])
-    good = retrieval.Query("q0", np.ones(3), "a")
     queries = {
-        "no queries": [],
-        "empty index": [good],
-        "unknown target": [good, retrieval.Query("q1", np.ones(3), "nope")],
-        "wrong dim": [good, retrieval.Query("q1", np.ones(4), "a")],
-        "zero norm": [good, retrieval.Query("q1", np.zeros(3), "a")],
+        "no queries": ([], np.zeros((0, 3)), []),
+        "empty index": (["q0"], np.ones((1, 3)), ["a"]),
+        "unknown target": (["q0", "q1"], np.ones((2, 3)), ["a", "nope"]),
+        "wrong dim": (["q0", "q1"], np.ones((2, 4)), ["a", "a"]),
+        "zero norm": (["q0", "q1"], np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), ["a", "a"]),
+        "fewer rows than ids": (["q0", "q1"], np.ones((1, 3)), ["a", "a"]),
+        "more rows than ids": (["q0", "q1"], np.ones((3, 3)), ["a", "a"]),
+        "fewer targets than ids": (["q0", "q1"], np.ones((2, 3)), ["a"]),
+        "more targets than ids": (["q0", "q1"], np.ones((2, 3)), ["a", "a", "b"]),
     }[case]
     with pytest.raises(error):
         if case == "empty index":  # refused when built, so evaluate never sees one
@@ -338,9 +343,11 @@ def test_build_eval_batched_queries_match_per_caption_projection():
         for pair in pairs
         for k, cap in enumerate(pair.captions)
     ]
-    assert [(q.query_id, q.target_id) for q in queries] == [(qid, target) for qid, target, _ in expected]
-    for q, (_, _, vec) in zip(queries, expected):
-        assert np.linalg.norm(q.vector - vec) <= 1e-12 * np.linalg.norm(vec)
+    query_ids, vectors, target_ids = queries
+    assert list(zip(query_ids, target_ids)) == [(qid, target) for qid, target, _ in expected]
+    assert len(vectors) == len(expected)
+    for got, (_, _, vec) in zip(vectors, expected):
+        assert np.linalg.norm(got - vec) <= 1e-12 * np.linalg.norm(vec)
 
 
 def test_build_eval_rejects_caption_of_wrong_dim():
@@ -488,8 +495,6 @@ def test_sweep_full_length_equals_unsegmented(sweep_setup):
         assert spec.frames == 1500 and dsp.seconds_to_frames(15.0) == 1500
         vecs.append(encoder.audio_encode(encoder.extract_patches(spec, geometry), params))
     index = retrieval.RetrievalIndex.build([c.clip_id for c in clips], space.project(np.stack(vecs), audio_head))
-    queries = [
-        retrieval.Query(f"{c.clip_id}#0", space.project(c.caption_vecs[0], text_head), c.clip_id) for c in clips
-    ]
+    queries = query_set((f"{c.clip_id}#0", space.project(c.caption_vecs[0], text_head), c.clip_id) for c in clips)
     baseline = retrieval.evaluate(queries, index)
     assert abs(rows[0].map_at_10 - baseline.map_at_10) < 1e-9

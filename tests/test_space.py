@@ -500,7 +500,7 @@ def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
         fine = space.train(pairs, cfg, phase="finetune", init=(pre.audio_head, pre.text_head), variants=variants)
         queries, index = retrieval.build_eval(as_dtype(eval32, dtype), fine.audio_head, fine.text_head)
         arrays = [a for r in (pre, fine) for h in (r.audio_head, r.text_head) for a in (h.weight, h.bias)]
-        arrays += [index.vectors] + [q.vector for q in queries]
+        arrays += [index.vectors, queries[1]]
         outcomes.append(([a.tobytes() for a in arrays], pre.curve, fine.curve, retrieval.evaluate(queries, index)))
     assert pairs[0].audio.dtype == np.float64 and train32[0].audio.dtype == np.float32
     assert outcomes[0] == outcomes[1]
