@@ -23,7 +23,6 @@ from typing import Any, Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from . import dsp, encoder, ingest, retrieval, space
-from .seeding import derive_seed
 
 GRADCHECK_SHAPES = ((8, 16, 12), (4, 32, 8), (64, 24, 16))
 GRADCHECK_TOLERANCE = 1e-4
@@ -54,13 +53,20 @@ def _switch(text: str) -> bool:
     return _BOOLEANS[text.lower()]
 
 
+def _file_path(text: str) -> Path:
+    """A path open() can take: a NUL byte would fail there, naming no setting."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"must not hold a NUL byte, got {text!r}")
+    return Path(text)
+
+
 def _path(text: str) -> Path | None:
     """An empty value means unset; a bare Path('') would be the working directory."""
-    return Path(text) if text else None
+    return _file_path(text) if text else None
 
 
 def _paths(text: str) -> list[Path]:
-    return [Path(part.strip()) for part in text.split(",") if part.strip()]
+    return [_file_path(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _preset(text: str) -> encoder.PatchGeometry:
@@ -73,7 +79,7 @@ def _dump_dir(text: str) -> Path:
     """'dump:<dir>' -> the embedding-dump directory."""
     if not text.startswith("dump:") or text == "dump:":
         raise argparse.ArgumentTypeError(f"must be 'dump:<dir>', got {text!r}")
-    return Path(text[len("dump:") :])
+    return _file_path(text[len("dump:") :])
 
 
 def _mean_std(text: str) -> dsp.WhiteningStats:
@@ -195,55 +201,6 @@ def _load_records(settings: argparse.Namespace) -> list[ingest.ClipRecord]:
     return records
 
 
-def _embed_audio(
-    records: list[ingest.ClipRecord], settings: argparse.Namespace
-) -> tuple[list[tuple[str, np.ndarray]], dsp.WhiteningStats]:
-    """Audio vectors by clip id, and the whitening stats used. Fixed stats
-    (--whiten) let each clip be encoded as soon as its log-mel exists; without
-    them every log-mel is kept, because the stats need all of them first."""
-    params = encoder.EncoderParams(seed=derive_seed(settings.seed, "audio-encoder"))
-
-    def spectrograms():
-        for rec in records:
-            rng = np.random.default_rng(derive_seed(settings.seed, f"snippet:{rec.clip_id}"))
-            try:  # no waveform outlives its log-mel into the next clip's decode
-                spec = dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(rec.audio_path), settings.snippet_seconds, rng))
-            except dsp.DspError as exc:  # the same kind, naming the clip among thousands
-                raise type(exc)(f"{rec.audio_path}: {exc}") from None
-            yield rec.clip_id, spec
-
-    specs = spectrograms()
-    stats = settings.whiten
-    if stats is None:
-        specs = list(specs)
-        stats = dsp.compute_whitening_stats(s for _, s in specs)
-    seg_frames = dsp.seconds_to_frames(settings.preset.max_input_seconds)
-    entries = [
-        (clip_id, encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, settings.preset, params))
-        for clip_id, spec in specs
-    ]
-    return entries, stats
-
-
-def _caption_texts(records: list[ingest.ClipRecord]) -> list[tuple[str, str]]:
-    return [(f"{rec.clip_id}#{k}", cap) for rec in records for k, cap in enumerate(rec.captions)]
-
-
-def _variant_texts(aug_sets: list[ingest.AugmentedCaptionSet]) -> list[tuple[str, str]]:
-    return [
-        (f"{aug.clip_id}#{aug.caption_index}@{j}", v) for aug in aug_sets for j, v in enumerate(aug.variants)
-    ]
-
-
-def _embed_texts(texts: list[tuple[str, str]], settings: argparse.Namespace) -> list[tuple[str, np.ndarray]]:
-    """Toy text-encoder vectors for (id, text) pairs, encoded in one batch."""
-    vocab = encoder.Vocabulary.default()
-    params = encoder.EncoderParams(seed=derive_seed(settings.seed, "text-encoder"))
-    seqs = [encoder.tokenize(encoder.normalize_text(text), vocab) for _, text in texts]
-    vectors = encoder.text_encode_batch(seqs, params, len(vocab))
-    return [(key, vector) for (key, _), vector in zip(texts, vectors)]
-
-
 def _raw_vectors(settings: argparse.Namespace, command: str, dump_name: str) -> dict[str, np.ndarray]:
     """Raw (pre-projection) vectors by id, from the named file of the --encoder
     dump directory; only embed runs the encoders, every other command reads its dumps."""
@@ -297,6 +254,8 @@ def _loss_csv(curve) -> str:
 
 
 def cmd_embed(settings: argparse.Namespace) -> int:
+    from . import embedding  # its process machinery is embed's alone; the other commands skip its import
+
     if settings.encoder is not None:
         raise UsageError("embed runs the encoders and writes dumps; it takes no --encoder")
     try:  # a snippet shorter than one FFT window would make every clip too short
@@ -311,20 +270,23 @@ def cmd_embed(settings: argparse.Namespace) -> int:
         aug_sets = [a for a in ingest.load_augmented_captions(settings.augmented_captions) if a.clip_id in known]
         if not aug_sets:
             raise ingest.IngestError(f"{settings.augmented_captions}: no record names a clip of the manifest")
-    audio_entries, stats = _embed_audio(records, settings)
-    caption_entries = _embed_texts(_caption_texts(records), settings)
-    ingest.write_embedding_dump(audio_entries, out / "audio.embd")
-    ingest.write_embedding_dump(caption_entries, out / "captions.embd")
-    n_variants = 0
+    captions = [(f"{rec.clip_id}#{k}", cap) for rec in records for k, cap in enumerate(rec.captions)]
+    variants = [(f"{a.clip_id}#{a.caption_index}@{j}", v) for a in aug_sets or () for j, v in enumerate(a.variants)]
+    job = embedding.Share(
+        settings.seed, settings.preset, settings.snippet_seconds, settings.whiten,
+        [(rec.clip_id, rec.audio_path) for rec in records], [text for _, text in captions + variants],
+    )
+    audio, text_rows, stats = embedding.embed(job)
+    ingest.write_embedding_dump([(rec.clip_id, row) for rec, row in zip(records, audio)], out / "audio.embd")
+    ingest.write_embedding_dump([(key, row) for (key, _), row in zip(captions, text_rows)], out / "captions.embd")
     if aug_sets is not None:
-        variant_entries = _embed_texts(_variant_texts(aug_sets), settings)
-        ingest.write_embedding_dump(variant_entries, out / "variants.embd")
-        n_variants = len(variant_entries)
+        rows = text_rows[len(captions) :]
+        ingest.write_embedding_dump([(key, row) for (key, _), row in zip(variants, rows)], out / "variants.embd")
     else:  # a variants.embd left by an earlier embed would pair another run's vectors with these captions
         (out / "variants.embd").unlink(missing_ok=True)
     print(
-        f"embedded {len(audio_entries)} clips, {len(caption_entries)} captions, "
-        f"{n_variants} variants -> {out} (whiten mean={stats.mean!r} std={stats.std!r})"
+        f"embedded {len(records)} clips, {len(captions)} captions, "
+        f"{len(variants)} variants -> {out} (whiten mean={stats.mean!r} std={stats.std!r})"
     )
     return 0
 
@@ -382,7 +344,7 @@ def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
     index = retrieval.RetrievalIndex.build(
         ids, space.project(np.stack([_embedding(audio, i, "audio") for i in ids]), ckpt.audio_head)
     )
-    [(_, qvec)] = _embed_texts([("query", query)], settings)
+    [qvec] = encoder.text_vectors([query], settings.seed)
     result = retrieval.rank(space.project(qvec, ckpt.text_head), index)
     for position, (clip_id, score) in enumerate(zip(result.ranked_ids[:top], result.scores), start=1):
         print(f"{position:>3}  {score:+.4f}  {clip_id}")

@@ -222,16 +222,22 @@ def whiten(s: Spectrogram, stats: WhiteningStats) -> Spectrogram:
     return Spectrogram((s.values - stats.mean) / stats.std)
 
 
-def compute_whitening_stats(specs: Iterable[Spectrogram]) -> WhiteningStats:
-    """Streaming global mean/std (population) over all cells of all spectrograms."""
+def cell_sums(s: Spectrogram) -> tuple[int, float, float]:
+    """(cell count, sum, sum of squares) of one spectrogram's cells."""
+    v = s.values
+    return v.size, float(v.sum()), float((v * v).sum())
+
+
+def stats_from_sums(sums: Iterable[tuple[int, float, float]]) -> WhiteningStats:
+    """Global mean/std (population) from spectrograms' cell_sums, added in
+    order: the same order gives the same statistics to the last bit."""
     count = 0
     total = 0.0
     total_sq = 0.0
-    for s in specs:
-        v = s.values
-        count += v.size
-        total += float(v.sum())
-        total_sq += float((v * v).sum())
+    for n, s, sq in sums:
+        count += n
+        total += s
+        total_sq += sq
     if count == 0:
         raise DspError("no spectrograms supplied")
     mean = total / count
@@ -239,6 +245,11 @@ def compute_whitening_stats(specs: Iterable[Spectrogram]) -> WhiteningStats:
     if var == 0.0:
         raise DspError("spectrogram cells have zero variance; whitening undefined")
     return WhiteningStats(mean=mean, std=math.sqrt(var))
+
+
+def compute_whitening_stats(specs: Iterable[Spectrogram]) -> WhiteningStats:
+    """Streaming global mean/std (population) over all cells of all spectrograms."""
+    return stats_from_sums(map(cell_sums, specs))
 
 
 def snippet_or_pad(w: Waveform, max_seconds: float, rng: np.random.Generator) -> Waveform:

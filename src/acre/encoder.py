@@ -334,6 +334,8 @@ class Vocabulary:
         self.index = {piece: i for i, piece in enumerate(pieces)}
         self.unk_id = self.index[UNK_TOKEN]
         self.cls_id = self.index[CLS_TOKEN]
+        # the most characters of a word one piece can cover, '##' not counted
+        self.longest = max(len(piece.removeprefix("##")) for piece in pieces)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -368,7 +370,7 @@ def _wordpiece(word: str, vocab: Vocabulary) -> list[str] | None:
     pieces = []
     start = 0
     while start < len(word):
-        end = len(word)
+        end = min(len(word), start + vocab.longest)  # no longer candidate is in the vocabulary
         match = None
         while start < end:
             candidate = word[start:end]
@@ -430,6 +432,15 @@ def text_encode_batch(
         tokens = table[idx] + _sinusoid(np.arange(length), WIDTH).astype(np.float32)
         out[rows] = _encode_tokens(tokens, blocks)[:, 0]
     return out
+
+
+def text_vectors(texts: list[str], seed: int) -> np.ndarray:
+    """The text encoder of global seed ``seed`` on raw texts: normalized,
+    tokenized with the shipped vocabulary and encoded in one batch, a row per
+    text. embed's captions and variants and rank's query all come this way."""
+    vocab = Vocabulary.default()
+    params = EncoderParams(seed=derive_seed(seed, "text-encoder"))
+    return text_encode_batch([tokenize(normalize_text(text), vocab) for text in texts], params, len(vocab))
 
 
 def text_encode(t: TokenSeq, p: EncoderParams = EncoderParams(), vocab_size: int | None = None) -> np.ndarray:

@@ -160,6 +160,8 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
         clip_id = row[name_idx].strip() if name_idx < len(row) else ""
         if not clip_id:
             raise MissingColumn(f"{path}: row {lineno}: empty file_name")
+        if "\0" in clip_id:  # open() would refuse it, naming neither the manifest nor the row
+            raise IngestError(f"{path}: row {lineno}: file_name {clip_id!r} holds a NUL byte")
         if clip_id in seen:
             raise DuplicateClipId(f"{path}: row {lineno}: duplicate clip id {clip_id!r}")
         seen.add(clip_id)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -106,10 +107,10 @@ def make_latent_pairs(seed, n_train=200, n_eval=50, latent_dim=32, d_audio=48, d
     return draw(n_train, "train"), draw(n_eval, "eval")
 
 
-@pytest.fixture
-def wav_dataset(tmp_path):
-    """Six one-second tones plus a manifest and an augmented-captions file."""
-    audio_dir = tmp_path / "audio"
+def write_wav_dataset(root: Path) -> dict:
+    """Six one-second tones plus a manifest and an augmented-captions file
+    under root; the same bytes on every call."""
+    audio_dir = root / "audio"
     audio_dir.mkdir()
     rng = np.random.default_rng(42)
     rate = 32000
@@ -120,7 +121,7 @@ def wav_dataset(tmp_path):
         names.append(f"clip{i}.wav")
         write_wav_pcm16(audio_dir / names[-1], np.clip(x, -0.99, 0.99), rate)
 
-    manifest = tmp_path / "manifest.csv"
+    manifest = root / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file_name"] + [f"caption_{k}" for k in range(1, 6)] + ["keywords"])
@@ -128,7 +129,7 @@ def wav_dataset(tmp_path):
             caps = [f"a tone of kind {i} sounds {adj}" for adj in ("loud", "soft", "distant", "near", "steady")]
             writer.writerow([name] + caps + ["tone;synthetic"])
 
-    augmented = tmp_path / "augmented.jsonl"
+    augmented = root / "augmented.jsonl"
     with open(augmented, "w") as fh:
         for name in names:
             for ci in range(5):
@@ -142,16 +143,34 @@ def wav_dataset(tmp_path):
                     )
                     + "\n"
                 )
-    return {"dir": tmp_path, "audio_dir": audio_dir, "manifest": manifest, "augmented": augmented, "names": names}
+    return {"dir": root, "audio_dir": audio_dir, "manifest": manifest, "augmented": augmented, "names": names}
 
 
 @pytest.fixture
-def wav_dumps(wav_dataset):
-    """acre embed's dumps of wav_dataset at seed 5, variants included: the
-    directory every train, finetune, evaluate and rank reads with --encoder dump:."""
-    out = wav_dataset["dir"] / "wav-dumps"
-    argv = ["embed", "--manifest", str(wav_dataset["manifest"]), "--audio-dir", str(wav_dataset["audio_dir"])]
-    argv += ["--augmented-captions", str(wav_dataset["augmented"]), "--out", str(out), "--seed", "5"]
+def wav_dataset(tmp_path):
+    return write_wav_dataset(tmp_path)
+
+
+def embed_wav_dumps(ds: dict, out: Path) -> Path:
+    """acre embed's dumps of a wav dataset at seed 5, variants included."""
+    argv = ["embed", "--manifest", str(ds["manifest"]), "--audio-dir", str(ds["audio_dir"])]
+    argv += ["--augmented-captions", str(ds["augmented"]), "--out", str(out), "--seed", "5"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     return out
+
+
+@pytest.fixture(scope="session")
+def embedded_wav_dataset(tmp_path_factory) -> Path:
+    """embed_wav_dumps of a session copy of wav_dataset, run once per session:
+    each embed starts worker processes that import numpy."""
+    ds = write_wav_dataset(tmp_path_factory.mktemp("wav-dataset"))
+    return embed_wav_dumps(ds, ds["dir"] / "wav-dumps")
+
+
+@pytest.fixture
+def wav_dumps(wav_dataset, embedded_wav_dataset):
+    """A copy of acre embed's dumps of wav_dataset at seed 5, variants included:
+    the directory every train, finetune, evaluate and rank reads with --encoder
+    dump:. test_cached_wav_dumps_are_a_fresh_embed checks the copy is a fresh embed's bytes."""
+    return Path(shutil.copytree(embedded_wav_dataset, wav_dataset["dir"] / "wav-dumps"))

@@ -1,10 +1,13 @@
 import gc
 import math
 import os
+import pickle
 import re
 import struct
 import subprocess
 import sys
+import time
+import traceback
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acre import cli, dsp, encoder, ingest, space
+from acre import cli, dsp, embedding, encoder, ingest, space
 from acre.seeding import derive_seed
-from conftest import run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint, write_wav_float32, write_wav_pcm16
+from conftest import embed_wav_dumps, run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint, write_wav_float32, write_wav_pcm16
 
 
 def run(args):
@@ -95,6 +98,26 @@ def test_embed_dsp_error_names_the_clip(wav_dataset, tmp_path, capsys, rate, sam
     assert not out.exists()
 
 
+# argv: audio dir, seed, whitening mean and std, clip ids. Prints each clip's
+# id, segment count and library-path vector, as hex of its float32 bytes.
+LIBRARY_PATH = """
+import math, sys
+import numpy as np
+from acre import dsp, encoder, ingest
+from acre.seeding import derive_seed
+audio_dir, seed, mean, std, *clips = sys.argv[1:]
+seed, stats = int(seed), dsp.WhiteningStats(float(mean), float(std))
+preset = encoder.PRESETS["passt-n"]
+seg_frames = dsp.seconds_to_frames(preset.max_input_seconds)
+params = encoder.EncoderParams(seed=derive_seed(seed, "audio-encoder"))
+for clip_id in clips:
+    rng = np.random.default_rng(derive_seed(seed, f"snippet:{clip_id}"))
+    spec = dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(f"{audio_dir}/{clip_id}"), 30.0, rng))
+    vector = encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, preset, params)
+    print(clip_id, math.ceil(spec.frames / seg_frames), vector.astype("<f4").tobytes().hex())
+"""
+
+
 def test_embed_runs_the_library_path_bitwise(tmp_path, capsys):
     # a 35-s clip goes through the 30-s snippet draw, and a 12-s clip is two
     # 10-s passt-n segments averaged
@@ -112,20 +135,15 @@ def test_embed_runs_the_library_path_bitwise(tmp_path, capsys):
     argv = ["embed", "--manifest", str(manifest), "--audio-dir", str(audio_dir), "--out", str(out)]
     assert run([*argv, "--seed", str(seed)]) == 0
     mean, std = re.search(r"whiten mean=(\S+) std=(\S+)\)$", capsys.readouterr().out.strip()).groups()
-    stats = dsp.WhiteningStats(float(mean), float(std))
-    preset = encoder.PRESETS["passt-n"]
-    seg_frames = dsp.seconds_to_frames(preset.max_input_seconds)
-    params = encoder.EncoderParams(seed=derive_seed(seed, "audio-encoder"))
+    # the library path runs at one BLAS thread, as embed's workers do: under
+    # OpenBLAS's Haswell kernels the encoders' bytes depend on the thread count
+    stdout, core = run_at_blas_threads("1", "-c", LIBRARY_PATH, str(audio_dir), str(seed), mean, std, *seconds)
+    expected = [line.split() for line in stdout.splitlines()]
+    assert [(clip_id, segments) for clip_id, segments, _ in expected] == [("long.wav", "3"), ("mid.wav", "2")]
     dump = ingest.read_embedding_dump(out / "audio.embd")
     assert [clip_id for clip_id, _ in dump.entries] == list(seconds)
-    segments = []
-    for clip_id, row in dump.entries:
-        rng = np.random.default_rng(derive_seed(seed, f"snippet:{clip_id}"))
-        spec = dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(audio_dir / clip_id), 30.0, rng))
-        segments.append(math.ceil(spec.frames / seg_frames))
-        expected = encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, preset, params)
-        assert np.array_equal(row, expected.astype(np.float32))
-    assert segments == [3, 2]
+    for (_, row), (_, _, vector) in zip(dump.entries, expected):
+        assert row.astype("<f4").tobytes().hex() == vector, f"OpenBLAS core {core}"
 
 
 def test_embed_variants(wav_dataset, tmp_path):
@@ -171,27 +189,27 @@ def test_embed_with_its_printed_whitening_is_byte_identical(wav_dataset, tmp_pat
 
 
 def test_embed_with_fixed_whitening_holds_one_log_mel_at_a_time(tmp_path):
-    # a 30-s clip's float64 log-mel is 3 MB; with --whiten none is kept past its encode
+    # a 30-s clip's float64 log-mel is 3 MB; with --whiten a worker keeps none
+    # past its encode. The log-mels live in the workers, so their share
+    # function runs here, in process, where tracemalloc can see it.
     audio = tmp_path / "audio"
     audio.mkdir()
     x = 0.3 * np.sin(np.arange(30 * 32000) / 7.0) + 0.05 * np.random.default_rng(1).normal(size=30 * 32000)
     write_wav_pcm16(audio / "clip0.wav", x)
     peaks = {}
     for copies in (2, 2, 8):  # the first run fills the encoders' caches
-        manifest = tmp_path / f"manifest{copies}.csv"
-        rows = ["file_name,caption_1,caption_2,caption_3,caption_4,caption_5"]
-        for i in range(copies):
-            if i:
-                (audio / f"clip{i}.wav").write_bytes((audio / "clip0.wav").read_bytes())
-            rows.append(f"clip{i}.wav,a hum,a low hum,a steady hum,a hum indoors,a quiet hum")
-        manifest.write_text("\n".join(rows) + "\n")
-        args = ["embed", "--manifest", str(manifest), "--audio-dir", str(audio), "--whiten", "0.5,2"]
+        for i in range(1, copies):
+            (audio / f"clip{i}.wav").write_bytes((audio / "clip0.wav").read_bytes())
+        clips = [(f"clip{i}.wav", audio / f"clip{i}.wav") for i in range(copies)]
+        texts = ["a hum", "a low hum", "a steady hum", "a hum indoors", "a quiet hum"] * copies
+        share = embedding.Share(0, encoder.PRESETS["passt-n"], 30.0, dsp.WhiteningStats(0.5, 2.0), clips, texts)
         tracemalloc.start()
         try:
-            assert run([*args, "--out", str(tmp_path / f"out{copies}")]) == 0
+            audio_rows, _ = embedding.run_share(share)
             _, peaks[copies] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert audio_rows.shape == (copies, encoder.WIDTH)
     assert peaks[8] < peaks[2] + 1_000_000, peaks
 
 
@@ -210,6 +228,139 @@ def test_embed_is_bitwise_the_same_at_one_and_two_blas_threads(wav_dataset, tmp_
         _, core = run_at_blas_threads(threads, "-m", "acre.cli", *args)
     for name in ("audio.embd", "captions.embd", "variants.embd"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), f"OpenBLAS core {core}"
+
+
+def test_cached_wav_dumps_are_a_fresh_embed(wav_dataset, wav_dumps, tmp_path):
+    fresh = embed_wav_dumps(wav_dataset, tmp_path / "fresh")
+    for name in ("audio.embd", "captions.embd", "variants.embd"):
+        assert (fresh / name).read_bytes() == (wav_dumps / name).read_bytes(), name
+
+
+@pytest.fixture
+def started_workers(monkeypatch):
+    """Every process embed starts, recorded."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(embedding.subprocess, "Popen", Recorded)
+    return started
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(embedding.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_embed_bytes_do_not_depend_on_the_worker_count(wav_dataset, wav_dumps, tmp_path, monkeypatch, started_workers, n):
+    cpus(monkeypatch, n)
+    out = embed_wav_dumps(wav_dataset, tmp_path / "run")
+    assert len(started_workers) == min(n, 6)  # never more workers than clips
+    assert all(worker.returncode == 0 for worker in started_workers)
+    for name in ("audio.embd", "captions.embd", "variants.embd"):
+        assert (out / name).read_bytes() == (wav_dumps / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("whiten", [[], ["--whiten", "0.5,2"]], ids=["computed", "fixed"])
+def test_embed_names_the_first_failing_clip_in_manifest_order(
+    wav_dataset, tmp_path, capsys, monkeypatch, started_workers, whiten
+):
+    # with two workers clip1 is the first clip of worker 1's share and clip4
+    # the third of worker 0's: the error names clip1, as one process would
+    cpus(monkeypatch, 2)
+    for name in ("clip1.wav", "clip4.wav"):
+        write_wav_pcm16(wav_dataset["audio_dir"] / name, np.zeros(500, dtype=np.int16))
+    out = tmp_path / "run"
+    assert run(["embed", *common(wav_dataset, out, whiten)]) == 2
+    bad = wav_dataset["audio_dir"] / "clip1.wav"
+    assert capsys.readouterr().err == f"error: TooShort: {bad}: need at least 1024 samples, got 500\n"
+    assert not out.exists()
+    assert len(started_workers) == 2 and all(worker.returncode is not None for worker in started_workers)
+
+
+def test_a_bug_in_a_worker_is_a_traceback_with_the_workers_traceback(
+    wav_dataset, tmp_path, capsys, monkeypatch, started_workers
+):
+    # the worker's dsp.logmel raises a KeyError: a bug, not an input error
+    broken = "import acre.dsp; acre.dsp.logmel = lambda w: {}['broken logmel']; serve()"
+    monkeypatch.setattr(embedding, "WORKER_CODE", embedding.WORKER_CODE.replace("serve()", broken))
+    out = tmp_path / "run"
+    with pytest.raises(KeyError, match="broken logmel") as info:
+        run(["embed", *common(wav_dataset, out)])
+    assert isinstance(info.value.__cause__, embedding.WorkerTraceback)
+    printed = "".join(traceback.format_exception(info.value))
+    assert "Traceback (most recent call last)" in str(info.value.__cause__)
+    assert "in run_share" in printed and "in log_mel" in printed
+    assert "error:" not in capsys.readouterr().err
+    assert not out.exists()
+    assert started_workers and all(worker.returncode is not None for worker in started_workers)
+
+
+def test_a_worker_that_dies_is_a_traceback(wav_dataset, tmp_path, capsys, monkeypatch, started_workers):
+    monkeypatch.setattr(embedding, "WORKER_CODE", "import sys; sys.exit(3)")
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run(["embed", *common(wav_dataset, out)])
+    assert "error:" not in capsys.readouterr().err
+    assert not out.exists()
+    assert started_workers and all(worker.returncode is not None for worker in started_workers)
+
+
+def start_worker():
+    return subprocess.Popen(
+        [sys.executable, "-c", embedding.WORKER_CODE], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+def test_a_worker_exits_quietly_when_its_input_ends(wav_dataset):
+    idle = start_worker()
+    assert idle.communicate(timeout=60) == (b"", b"")
+    assert idle.returncode == 0
+    # one that has sent its cell sums and waits for the statistics
+    waiting = start_worker()
+    clips = [(name, wav_dataset["audio_dir"] / name) for name in wav_dataset["names"][:2]]
+    share = embedding.Share(5, encoder.PRESETS["passt-n"], 30.0, None, clips, ["a tone"])
+    pickle.dump(share, waiting.stdin)
+    waiting.stdin.flush()
+    failure, sums = pickle.load(waiting.stdout)
+    assert failure is None and [count for count, _, _ in sums] == [97 * dsp.N_MELS] * 2
+    assert waiting.communicate(timeout=60) == (b"", b"")
+    assert waiting.returncode == 0
+
+
+def test_killing_embed_leaves_no_worker_running(wav_dataset, tmp_path):
+    rng = np.random.default_rng(3)
+    hum = 0.3 * np.sin(np.arange(30 * 32000) / 5.0) + 0.01 * rng.normal(size=30 * 32000)
+    for name in wav_dataset["names"]:  # long enough that the kill lands while the workers run
+        write_wav_pcm16(wav_dataset["audio_dir"] / name, hum)
+    code = f"from acre import cli; cli.main({['embed', *common(wav_dataset, tmp_path / 'run')]!r})"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    parent = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
+    children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+    expected, workers = min(2, len(os.sched_getaffinity(0))), []
+    deadline = time.monotonic() + 60
+    while len(workers) < expected and time.monotonic() < deadline:
+        workers = children.read_text().split() if children.exists() else []
+        time.sleep(0.05)
+    parent.kill()
+    parent.wait()
+    parent.stderr.close()
+    assert len(workers) == expected
+
+    def running(pid):
+        try:  # a zombie has exited; whoever adopted it reaps it
+            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 60
+    while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(running(pid) for pid in workers)
 
 
 def split_manifest(ds, tmp_path, parts):
@@ -959,6 +1110,35 @@ def test_config_file_rejects_unknown_key_and_bad_switch(wav_dataset, tmp_path, c
     )
     assert code == 2
     assert capsys.readouterr().err == f"error: UsageError: {cfg}: {message}\n"
+
+
+def test_nul_byte_in_a_manifest_file_name_is_one_error_line(wav_dataset, tmp_path, capsys):
+    manifest = tmp_path / "nul.csv"
+    manifest.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\nclip\x000.wav,a,b,c,d,e\n")
+    out = tmp_path / "run"
+    args = ["embed", "--manifest", str(manifest), "--audio-dir", str(wav_dataset["audio_dir"]), "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: IngestError: {manifest}: row 2: file_name 'clip\\x000.wav' holds a NUL byte\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("audio_dir", "au\0dio"), ("manifest", "a.csv,b\0.csv"), ("encoder", "dump:e\0")])
+def test_nul_byte_in_a_config_path_is_a_usage_error_naming_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run(["embed", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    nul = repr(value.removeprefix("dump:").split(",")[-1])
+    assert capsys.readouterr().err == f"error: UsageError: {cfg}: line 1: {key} must not hold a NUL byte, got {nul}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_nul_byte_in_a_path_flag_is_an_argument_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["embed", "--out", "ru\0n"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "acre embed: error: argument --out: must not hold a NUL byte, got 'ru\\x00n'"
+    )
 
 
 def test_config_file_switch_words(tmp_path):

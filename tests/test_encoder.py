@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,56 @@ def test_tokenize_greedy_prefers_longest_match():
     v = encoder.Vocabulary(["[UNK]", "[CLS]", "water", "w", "##a", "##t", "##e", "##r", "##fall", "waterfall"])
     assert encoder.tokenize("waterfall", v).pieces == ("waterfall",)
     assert encoder.tokenize("watere", v).pieces == ("water", "##e")
+
+
+def unbounded_wordpiece(word, vocab):
+    """Greedy longest-match-first WordPiece trying every end position of the
+    rest of the word: the oracle for the bounded search."""
+    pieces, start = [], 0
+    while start < len(word):
+        for end in range(len(word), start, -1):
+            candidate = ("##" if start else "") + word[start:end]
+            if candidate in vocab.index:
+                pieces.append(candidate)
+                start = end
+                break
+        else:
+            return None
+    return pieces
+
+
+def test_wordpiece_gives_the_unbounded_search_pieces(vocab):
+    rng = np.random.default_rng(26)
+    parts = [piece.removeprefix("##") for piece in vocab.pieces if not piece.startswith("[")]
+    alphabet = list("abcdefghijklmnopqrstuvwxyz0123456789#é")
+    words = ["".join(rng.choice(parts, size=rng.integers(1, 6))) for _ in range(2000)]
+    words += ["".join(rng.choice(alphabet, size=rng.integers(1, 30))) for _ in range(2000)]
+    words += ["waterfall" * 3, "9" * 25, "##dog", "a##b"]
+    for word in words:
+        assert encoder._wordpiece(word, vocab) == unbounded_wordpiece(word, vocab), word
+
+
+def test_wordpiece_looks_up_each_position_at_most_longest_times(vocab):
+    class CountingIndex(dict):
+        lookups = 0
+
+        def __contains__(self, key):
+            CountingIndex.lookups += 1
+            return super().__contains__(key)
+
+    counting = encoder.Vocabulary(vocab.pieces)
+    counting.index = CountingIndex(vocab.index)
+    word = "9" * 10_000
+    assert encoder._wordpiece(word, counting) == ["9"] + ["##9"] * (len(word) - 1)
+    assert vocab.longest == 10
+    assert CountingIndex.lookups <= vocab.longest * len(word)
+
+
+def test_tokenize_of_a_100000_character_word_is_quick(vocab):
+    t0 = time.perf_counter()
+    assert encoder.tokenize("9" * 100_000, vocab).content_length == encoder.MAX_CONTENT_TOKENS
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, elapsed  # 0.5 s on a 2-vCPU host; a search over every end position takes hours
 
 
 def test_text_encode_deterministic_and_shaped(vocab):

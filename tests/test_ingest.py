@@ -88,6 +88,14 @@ def test_load_manifest_rejects_empty_file_and_file_name(tmp_path, text, error, m
     assert str(excinfo.value) == f"{m}: {message}"
 
 
+def test_load_manifest_refuses_a_nul_byte_in_a_file_name(tmp_path):
+    m = tmp_path / "m.csv"
+    write_manifest(m, ["a.wav,1,2,3,4,5", "b\0.wav,1,2,3,4,5"])
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.load_manifest(m)
+    assert str(excinfo.value) == f"{m}: row 3: file_name 'b\\x00.wav' holds a NUL byte"
+
+
 def test_load_manifest_duplicate_clip(tmp_path):
     m = tmp_path / "m.csv"
     write_manifest(m, ["a.wav,1,2,3,4,5", "a.wav,1,2,3,4,5"])
