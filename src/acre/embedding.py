@@ -7,9 +7,10 @@ over each worker's stdin and stdout:
 
 1. parent -> worker: the share.
 2. Unless the whitening statistics are given, worker -> parent: the cell sums
-   of each of its clips' log-mels (``dsp.cell_sums``). The worker encodes its
-   texts while the parent adds the sums in manifest order, as
-   ``dsp.compute_whitening_stats`` would, and sends the statistics back.
+   of each of its clips' log-mels (``dsp.cell_sums``). The worker has spilled
+   the log-mels to one unlinked temp file, and encodes its texts while the
+   parent adds the sums in manifest order, as ``dsp.compute_whitening_stats``
+   would, and sends the statistics back.
 3. worker -> parent: its audio and text vectors, which the parent puts back
    in manifest and text order.
 
@@ -28,11 +29,13 @@ ends, so a parent that is killed leaves none running.
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 from typing import NamedTuple
@@ -84,9 +87,12 @@ def _clip(k: int):
 def run_share(share: Share, channel: _Channel | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A share's audio and text vectors, rows in share order.
 
-    With share.whiten given, each clip is encoded as soon as its log-mel
-    exists, so one log-mel is held at a time. Without it, every log-mel of the
-    share is kept while channel trades their cell sums for the statistics.
+    One log-mel is held at a time. With share.whiten given, each clip is
+    encoded as soon as its log-mel exists. Without it, pass 1 appends each
+    log-mel's float64 bytes to one unlinked temp file (102 KB per second of
+    audio, in tempfile.gettempdir()) while channel trades their cell sums for
+    the statistics; pass 2 reads each log-mel back and encodes it. The file
+    goes when the share ends or the worker dies.
     """
     params = encoder.EncoderParams(seed=derive_seed(share.seed, "audio-encoder"))
     seg_frames = dsp.seconds_to_frames(share.preset.max_input_seconds)
@@ -98,21 +104,58 @@ def run_share(share: Share, channel: _Channel | None = None) -> tuple[np.ndarray
         except dsp.DspError as exc:  # the same kind, naming the clip among thousands
             raise type(exc)(f"{path}: {exc}") from None
 
-    stats, specs = share.whiten, []
-    if stats is None:
+    def encode(spec: dsp.Spectrogram, stats: dsp.WhiteningStats) -> np.ndarray:
+        return encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, share.preset, params)
+
+    audio = np.empty((len(share.clips), encoder.WIDTH), dtype=np.float32)
+    if share.whiten is not None:
+        texts = encoder.text_vectors(share.texts, share.seed)
         for k, clip in enumerate(share.clips):
             with _clip(k):
-                specs.append(log_mel(*clip))
-        channel.send([dsp.cell_sums(spec) for spec in specs])
-    texts = encoder.text_vectors(share.texts, share.seed)
-    if stats is None:
+                audio[k] = encode(log_mel(*clip), share.whiten)
+        return audio, texts
+    with _spilling():
+        spill = tempfile.TemporaryFile()
+    with spill:
+        sums, frames = [], []
+        for k, clip in enumerate(share.clips):
+            with _clip(k):
+                spec = log_mel(*clip)
+            sums.append(dsp.cell_sums(spec))
+            frames.append(spec.frames)
+            with _spilling():
+                spill.write(spec.values)
+            del spec  # else it sits beside the next clip's decode
+        channel.send(sums)
+        texts = encoder.text_vectors(share.texts, share.seed)
         stats = channel.receive()
-    audio = np.empty((len(share.clips), encoder.WIDTH), dtype=np.float32)
-    for k, clip in enumerate(share.clips):
-        with _clip(k):
-            spec = specs[k] if specs else log_mel(*clip)
-            audio[k] = encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, share.preset, params)
+        with _spilling():
+            spill.seek(0)
+        for k, n in enumerate(frames):
+            spec = _read_back(spill, n)
+            with _clip(k):
+                audio[k] = encode(spec, stats)
+            del spec
     return audio, texts
+
+
+@contextlib.contextmanager
+def _spilling():
+    """An OSError of the spill, raised again naming the directory it is in."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, f"log-mel spill in {tempfile.gettempdir()}: {exc.strerror or exc}") from exc
+
+
+def _read_back(spill, frames: int) -> dsp.Spectrogram:
+    """The next log-mel of frames frames in spill; a short read is an error."""
+    values = np.empty((frames, dsp.N_MELS))
+    with _spilling():
+        got = spill.readinto(values)
+        if got != values.nbytes:
+            raise OSError(errno.EIO, f"read {got} of the {values.nbytes} bytes of a log-mel")
+    return dsp.Spectrogram(values)
 
 
 class _Channel:
@@ -202,10 +245,17 @@ def _workers(n: int):
             worker.wait()
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; all of them where the OS cannot say (not Linux)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def embed(job: Share) -> tuple[np.ndarray, np.ndarray, dsp.WhiteningStats]:
     """The audio vectors (a row per clip) and text vectors (a row per text) of
     job, and the whitening statistics they used, from one worker per CPU."""
-    n = min(len(os.sched_getaffinity(0)), len(job.clips))
+    n = min(_cpus(), len(job.clips))
     with _workers(n) as workers:
         for w, worker in enumerate(workers):
             _send(worker, job._replace(clips=job.clips[w::n], texts=job.texts[w::n]))

@@ -1,3 +1,4 @@
+import errno
 import gc
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import traceback
 import tracemalloc
@@ -188,29 +190,107 @@ def test_embed_with_its_printed_whitening_is_byte_identical(wav_dataset, tmp_pat
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_embed_with_fixed_whitening_holds_one_log_mel_at_a_time(tmp_path):
-    # a 30-s clip's float64 log-mel is 3 MB; with --whiten a worker keeps none
-    # past its encode. The log-mels live in the workers, so their share
-    # function runs here, in process, where tracemalloc can see it.
-    audio = tmp_path / "audio"
-    audio.mkdir()
-    x = 0.3 * np.sin(np.arange(30 * 32000) / 7.0) + 0.05 * np.random.default_rng(1).normal(size=30 * 32000)
-    write_wav_pcm16(audio / "clip0.wav", x)
+class StubChannel:
+    """A worker's channel that records the cell sums sent and answers with fixed statistics."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, value):
+        self.sent.append(value)
+
+    def receive(self):
+        return dsp.WhiteningStats(0.5, 2.0)
+
+
+def hum_share(audio: Path, copies: int, whiten: dsp.WhiteningStats | None) -> embedding.Share:
+    """A share of copies 30-s clips of one hum, and five captions per clip."""
+    audio.mkdir(exist_ok=True)
+    if not (audio / "clip0.wav").exists():
+        x = 0.3 * np.sin(np.arange(30 * 32000) / 7.0) + 0.05 * np.random.default_rng(1).normal(size=30 * 32000)
+        write_wav_pcm16(audio / "clip0.wav", x)
+    for i in range(1, copies):
+        (audio / f"clip{i}.wav").write_bytes((audio / "clip0.wav").read_bytes())
+    clips = [(f"clip{i}.wav", audio / f"clip{i}.wav") for i in range(copies)]
+    texts = ["a hum", "a low hum", "a steady hum", "a hum indoors", "a quiet hum"] * copies
+    return embedding.Share(0, encoder.PRESETS["passt-n"], 30.0, whiten, clips, texts)
+
+
+def share_peaks(audio: Path, whiten: dsp.WhiteningStats | None) -> dict[int, int]:
+    """run_share's tracemalloc peak at 2 and at 8 copies of a 30-s clip. The
+    log-mels live in embed's workers, so their share function runs here, in
+    process, where tracemalloc can see it."""
     peaks = {}
     for copies in (2, 2, 8):  # the first run fills the encoders' caches
-        for i in range(1, copies):
-            (audio / f"clip{i}.wav").write_bytes((audio / "clip0.wav").read_bytes())
-        clips = [(f"clip{i}.wav", audio / f"clip{i}.wav") for i in range(copies)]
-        texts = ["a hum", "a low hum", "a steady hum", "a hum indoors", "a quiet hum"] * copies
-        share = embedding.Share(0, encoder.PRESETS["passt-n"], 30.0, dsp.WhiteningStats(0.5, 2.0), clips, texts)
+        share, channel = hum_share(audio, copies, whiten), StubChannel()
         tracemalloc.start()
         try:
-            audio_rows, _ = embedding.run_share(share)
+            audio_rows, _ = embedding.run_share(share, channel)
             _, peaks[copies] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert audio_rows.shape == (copies, encoder.WIDTH)
+        assert [len(sums) for sums in channel.sent] == ([] if whiten else [copies])  # one message of cell sums
+    return peaks
+
+
+def test_embed_with_fixed_whitening_holds_one_log_mel_at_a_time(tmp_path):
+    # a 30-s clip's float64 log-mel is 3 MB; with --whiten a worker keeps none past its encode
+    peaks = share_peaks(tmp_path / "audio", dsp.WhiteningStats(0.5, 2.0))
     assert peaks[8] < peaks[2] + 1_000_000, peaks
+
+
+def test_embed_with_computed_whitening_holds_one_log_mel_at_a_time(tmp_path):
+    # without --whiten a worker spills each log-mel to disk until the statistics arrive
+    peaks = share_peaks(tmp_path / "audio", None)
+    assert peaks[8] < peaks[2] + 1_000_000, peaks
+
+
+class FullDisk:
+    """A temp file whose writes fail as on a full disk."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class Emptied(FullDisk):
+    """A temp file that has lost its bytes by the time they are read back."""
+
+    def write(self, data):
+        return memoryview(data).nbytes
+
+    def seek(self, offset):
+        return offset
+
+    def readinto(self, buffer):
+        return 0
+
+
+@pytest.mark.parametrize("spill, reason", [(FullDisk, "No space left on device"), (Emptied, "read 0 of the ")])
+def test_a_spill_that_fails_is_an_os_error_naming_the_temp_directory(tmp_path, monkeypatch, spill, reason):
+    monkeypatch.setattr(embedding.tempfile, "TemporaryFile", spill)
+    with pytest.raises(OSError) as info:
+        embedding.run_share(hum_share(tmp_path, 2, None), StubChannel())
+    assert not isinstance(info.value, embedding.ClipFailed)
+    assert str(info.value).startswith(f"[Errno {info.value.errno}] log-mel spill in {tempfile.gettempdir()}: {reason}")
+
+
+def test_embed_leaves_nothing_in_its_temp_directory(wav_dataset, tmp_path, monkeypatch, capsys):
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spill))  # the workers' temp directory
+    assert run(["embed", *common(wav_dataset, tmp_path / "ok")]) == 0
+    assert list(spill.iterdir()) == []
+    write_wav_pcm16(wav_dataset["audio_dir"] / "clip5.wav", np.zeros(500, dtype=np.int16))
+    assert run(["embed", *common(wav_dataset, tmp_path / "failed")]) == 2
+    assert "error: TooShort:" in capsys.readouterr().err
+    assert list(spill.iterdir()) == []
 
 
 def test_embed_is_bitwise_the_same_at_one_and_two_blas_threads(wav_dataset, tmp_path):
@@ -260,6 +340,17 @@ def test_embed_bytes_do_not_depend_on_the_worker_count(wav_dataset, wav_dumps, t
     out = embed_wav_dumps(wav_dataset, tmp_path / "run")
     assert len(started_workers) == min(n, 6)  # never more workers than clips
     assert all(worker.returncode == 0 for worker in started_workers)
+    for name in ("audio.embd", "captions.embd", "variants.embd"):
+        assert (out / name).read_bytes() == (wav_dumps / name).read_bytes(), name
+
+
+def test_embed_counts_the_cpus_where_the_os_has_no_affinity(
+    wav_dataset, wav_dumps, tmp_path, monkeypatch, started_workers
+):
+    monkeypatch.delattr(embedding.os, "sched_getaffinity")  # as on macOS and Windows
+    monkeypatch.setattr(embedding.os, "cpu_count", lambda: 3)
+    out = embed_wav_dumps(wav_dataset, tmp_path / "run")
+    assert len(started_workers) == 3
     for name in ("audio.embd", "captions.embd", "variants.embd"):
         assert (out / name).read_bytes() == (wav_dumps / name).read_bytes(), name
 
@@ -338,7 +429,9 @@ def test_killing_embed_leaves_no_worker_running(wav_dataset, tmp_path):
     for name in wav_dataset["names"]:  # long enough that the kill lands while the workers run
         write_wav_pcm16(wav_dataset["audio_dir"] / name, hum)
     code = f"from acre import cli; cli.main({['embed', *common(wav_dataset, tmp_path / 'run')]!r})"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "TMPDIR": str(spill)}
     parent = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
     children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
     expected, workers = min(2, len(os.sched_getaffinity(0))), []
@@ -361,6 +454,7 @@ def test_killing_embed_leaves_no_worker_running(wav_dataset, tmp_path):
     while any(running(pid) for pid in workers) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(running(pid) for pid in workers)
+    assert list(spill.iterdir()) == []  # the workers' log-mel spills went with them
 
 
 def split_manifest(ds, tmp_path, parts):
