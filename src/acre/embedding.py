@@ -226,7 +226,9 @@ def _replies(workers: list[subprocess.Popen]) -> list:
 @contextlib.contextmanager
 def _workers(n: int):
     """n started workers; none is left running when the block ends."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    # one BLAS thread under OpenBLAS, MKL, Accelerate and any OpenMP build
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    env = {**os.environ, **dict.fromkeys(threads, "1")}
     workers = []
     try:
         for _ in range(n):

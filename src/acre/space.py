@@ -11,6 +11,11 @@ Only the two projection heads learn. Given raw batches A, T the forward pass is
 
 loss_gradients backpropagates this chain analytically; cmd-level and test
 oracles check it against central finite differences.
+
+The trainable state is one flat vector in checkpoint order: audio weight,
+audio bias, text weight, text bias (_split). train's heads are views into it,
+and the gradient and Adam's two moments are vectors of the same layout; a
+checkpoint's body is the vector as little-endian float32.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -180,21 +185,26 @@ def nt_xent_loss(C: np.ndarray, temperature: float = 1.0) -> LossValue:
     return _nt_xent(C, temperature)[0]
 
 
-@dataclass(frozen=True)
-class HeadGrads:
-    weight: np.ndarray
-    bias: np.ndarray
+def _split(flat: np.ndarray, d_out: int, d_a: int, d_t: int):
+    """Views of a vector in checkpoint order, as ((audio weight, audio bias),
+    (text weight, text bias)); the heads' parameters, their gradient and
+    Adam's moments all have this layout."""
+    aw, ab, tw, tb = np.split(flat, np.cumsum([d_out * d_a, d_out, d_out * d_t]))
+    return (aw.reshape(d_out, d_a), ab), (tw.reshape(d_out, d_t), tb)
 
 
-def _named_arrays(audio, text) -> dict[str, np.ndarray]:
-    """The four trainable arrays of an (audio, text) pair of heads or of head
-    gradients, keyed and ordered as in a checkpoint."""
-    return {
-        "audio.weight": audio.weight,
-        "audio.bias": audio.bias,
-        "text.weight": text.weight,
-        "text.bias": text.bias,
-    }
+def _flatten(audio_head: ProjectionHead, text_head: ProjectionHead, dtype) -> np.ndarray:
+    """Both heads' parameters copied into one new vector of dtype, in checkpoint order."""
+    d_out, d_a, d_t = audio_head.d_out, audio_head.d_in, text_head.d_in
+    flat = np.empty(d_out * (d_a + d_t + 2), dtype)
+    for (weight, bias), head in zip(_split(flat, d_out, d_a, d_t), (audio_head, text_head)):
+        weight[...], bias[...] = head.weight, head.bias
+    return flat
+
+
+def _heads(flat: np.ndarray, d_out: int, d_a: int, d_t: int) -> tuple[ProjectionHead, ProjectionHead]:
+    """The (audio, text) heads whose parameters are views into flat."""
+    return tuple(ProjectionHead(weight, bias) for weight, bias in _split(flat, d_out, d_a, d_t))
 
 
 def nt_xent_from_raw(
@@ -215,8 +225,9 @@ def loss_gradients(
     audio_head: ProjectionHead,
     text_head: ProjectionHead,
     temperature: float = 1.0,
-) -> tuple[LossValue, HeadGrads, HeadGrads]:
-    """Loss plus exact analytic gradients for both heads.
+) -> tuple[LossValue, np.ndarray]:
+    """Loss plus the exact analytic gradient of both heads, as one vector in
+    checkpoint order and the heads' dtype.
 
     Backpropagates the cross-entropy through the two softmax directions, the
     row normalizations and the linear projections:
@@ -252,9 +263,12 @@ def loss_gradients(
     g_Pa = (g_Ah - (g_Ah * Ah).sum(axis=1, keepdims=True) * Ah) / na
     g_Pt = (g_Th - (g_Th * Th).sum(axis=1, keepdims=True) * Th) / nt
 
-    audio_grads = HeadGrads(weight=g_Pa.T @ A, bias=g_Pa.sum(axis=0))
-    text_grads = HeadGrads(weight=g_Pt.T @ T, bias=g_Pt.sum(axis=0))
-    return loss, audio_grads, text_grads
+    d_out, d_a, d_t = audio_head.d_out, A.shape[1], T.shape[1]
+    grad = np.empty(d_out * (d_a + d_t + 2), C.dtype)
+    for (g_W, g_b), g_P, X in zip(_split(grad, d_out, d_a, d_t), (g_Pa, g_Pt), (A, T)):
+        np.matmul(g_P.T, X, out=g_W)
+        g_P.sum(axis=0, out=g_b)
+    return loss, grad
 
 
 def gradient_check(seed: int, shape: tuple[int, int, int]) -> float:
@@ -267,32 +281,22 @@ def gradient_check(seed: int, shape: tuple[int, int, int]) -> float:
     rng = np.random.default_rng(derive_seed(seed, "gradient-check"))
     A = rng.normal(0.0, 1.0, (n, d_in))
     T = rng.normal(0.0, 1.0, (n, d_in))
-    audio_head = ProjectionHead.initialize(d_in, d_out, rng)
-    text_head = ProjectionHead.initialize(d_in, d_out, rng)
+    init = ProjectionHead.initialize(d_in, d_out, rng), ProjectionHead.initialize(d_in, d_out, rng)
+    params = _flatten(*init, np.float64)
+    audio_head, text_head = _heads(params, d_out, d_in, d_in)
+    _, analytic = loss_gradients(A, T, audio_head, text_head)
 
-    _, ga, gt = loss_gradients(A, T, audio_head, text_head)
-    analytic = _named_arrays(ga, gt)
-    arrays = _named_arrays(audio_head, text_head)
-
-    def forward() -> float:
-        return nt_xent_from_raw(A, T, audio_head, text_head).value
-
-    worst = 0.0
-    for key, arr in arrays.items():
-        flat = arr.reshape(-1)
-        fd = np.empty_like(flat)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + FD_STEP
-            up = forward()
-            flat[i] = original - FD_STEP
-            down = forward()
-            flat[i] = original
-            fd[i] = (up - down) / (2.0 * FD_STEP)
-        a = analytic[key].reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - fd) / denom)))
-    return worst
+    fd = np.empty_like(params)
+    for i in range(params.size):
+        original = params[i]
+        params[i] = original + FD_STEP
+        up = nt_xent_from_raw(A, T, audio_head, text_head).value
+        params[i] = original - FD_STEP
+        down = nt_xent_from_raw(A, T, audio_head, text_head).value
+        params[i] = original
+        fd[i] = (up - down) / (2.0 * FD_STEP)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
+    return float(np.max(np.abs(analytic - fd) / denom))
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, lr_max: float, lr_min: float) -> float:
@@ -310,76 +314,55 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, lr_max: float, lr_min:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment vectors plus the step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros_like(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def zeros_like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def _flat_view(a: np.ndarray, what: str) -> np.ndarray:
-    """a as one flat view; the flat form of a non-contiguous array would be a
-    copy, and an update written into it would be lost."""
-    if not a.flags.c_contiguous:
-        raise ShapeMismatch(f"{what} is not C-contiguous; Adam updates it in place")
-    return a.reshape(-1)
-
-
-def adam_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray], state: AdamState, lr: float) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, in place.
 
-    Each array is walked in blocks of _ADAM_BLOCK elements through two
-    block-sized scratch buffers, so every pass over a block stays in cache. The
-    floating-point operations and their order are fixed, and equal the
-    unblocked form elementwise: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps). Parameters and moments must be
-    C-contiguous; any other layout is a ShapeMismatch.
+    params, grads and both moments are 1-D vectors of one length; anything
+    else is a ShapeMismatch and updates nothing. The vector is walked in blocks
+    of _ADAM_BLOCK elements through two block-sized scratch buffers, so every
+    pass over a block stays in cache. The floating-point operations and their
+    order are fixed, and equal the unblocked form elementwise: m = b1*m +
+    (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
     """
-    if set(params) != set(grads):
-        raise ShapeMismatch(f"param/grad keys disagree: {sorted(params)} vs {sorted(grads)}")
-    flats = []
-    for key, p in params.items():
-        g = np.asarray(grads[key], dtype=p.dtype)
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"{key}: grad shape {g.shape} != param shape {p.shape}")
-        flats.append(
-            (
-                _flat_view(p, key),
-                _flat_view(state.m[key], f"{key} first moment"),
-                _flat_view(state.v[key], f"{key} second moment"),
-                g.reshape(-1),
-            )
+    g = np.asarray(grads, dtype=params.dtype)
+    if params.ndim != 1 or not params.shape == g.shape == state.m.shape == state.v.shape:
+        raise ShapeMismatch(
+            f"Adam takes 1-D vectors of one shape: params {params.shape}, grads {g.shape}, "
+            f"moments {state.m.shape} and {state.v.shape}"
         )
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for p, m, v, g in flats:
-        scratch1, scratch2 = np.empty(_ADAM_BLOCK, p.dtype), np.empty(_ADAM_BLOCK, p.dtype)
-        for start in range(0, p.size, _ADAM_BLOCK):
-            block = slice(start, start + _ADAM_BLOCK)
-            pb, mb, vb, gb = p[block], m[block], v[block], g[block]
-            s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
-            mb *= ADAM_BETA1
-            np.multiply(gb, 1.0 - ADAM_BETA1, out=s1)
-            mb += s1
-            vb *= ADAM_BETA2
-            np.multiply(gb, 1.0 - ADAM_BETA2, out=s1)
-            s1 *= gb
-            vb += s1
-            np.divide(vb, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += ADAM_EPS
-            np.divide(mb, bc1, out=s1)
-            s1 *= lr
-            s1 /= s2
-            pb -= s1
+    scratch1, scratch2 = np.empty(_ADAM_BLOCK, params.dtype), np.empty(_ADAM_BLOCK, params.dtype)
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        pb, mb, vb, gb = params[block], state.m[block], state.v[block], g[block]
+        s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
+        mb *= ADAM_BETA1
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=s1)
+        mb += s1
+        vb *= ADAM_BETA2
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=s1)
+        s1 *= gb
+        vb += s1
+        np.divide(vb, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        np.divide(mb, bc1, out=s1)
+        s1 *= lr
+        s1 /= s2
+        pb -= s1
 
 
 @dataclass(frozen=True)
@@ -549,9 +532,9 @@ def train(
         )
     elif (init[0].d_in, init[1].d_in) != (d_a, d_t):
         raise DimMismatch(f"init heads expect dims ({init[0].d_in}, {init[1].d_in}), dataset has ({d_a}, {d_t})")
-    # training runs in float32: one copy of each head, and Adam's moments follow it
-    audio_head, text_head = (ProjectionHead(h.weight.astype(np.float32), h.bias.astype(np.float32)) for h in init)
-    params = _named_arrays(audio_head, text_head)
+    # training runs in float32 on one vector; the heads are views into it, and Adam's moments follow it
+    params = _flatten(*init, np.float32)
+    audio_head, text_head = _heads(params, cfg.out_dim, d_a, d_t)
     state = AdamState.zeros_like(params)
 
     # one role for both phases: finetune with swap_prob 0 replays the pretrain stream
@@ -567,10 +550,10 @@ def train(
                 A = np.stack([pair.audio for pair in batch])
                 T = np.stack([sample_caption(pair, rng, swap_prob, variants) for pair in batch])
                 lr = lr_at(step, total_steps, warmup_steps, lr_max, cfg.lr_min)
-                loss, ga, gt = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
+                loss, grad = loss_gradients(A, T, audio_head, text_head, cfg.temperature)
                 if not math.isfinite(loss.value):
                     raise NonFiniteValue(f"{phase} step {step}: loss is {loss.value}")
-                adam_step(params, _named_arrays(ga, gt), state, lr)
+                adam_step(params, grad, state, lr)
                 curve.append(LossPoint(step, lr, loss.value, loss.text_to_audio, loss.audio_to_text))
                 step += 1
     return TrainResult(audio_head, text_head, tuple(curve), total_steps)
@@ -586,29 +569,24 @@ class Checkpoint(NamedTuple):
 def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead) -> None:
     """Serialize both heads as little-endian float32, atomically.
 
-    The file is the trainable state and nothing else: a header, then the four
-    head arrays. Values are quantized to float32 on save; save -> load -> save
-    is byte-identical. An array that is not finite in float32 (NaN, or beyond
-    float32 range) raises NonFiniteValue, and heads of two output dims raise
-    DimMismatch; either way nothing is written.
+    The file is the trainable state and nothing else: a header, then the
+    parameter vector in checkpoint order (_split). Values are quantized to
+    float32 on save; save -> load -> save is byte-identical. A part that is not
+    finite in float32 (NaN, or beyond float32 range) raises NonFiniteValue,
+    and heads of two output dims raise DimMismatch; either way nothing is
+    written.
     """
-    if audio_head.d_out != text_head.d_out:
-        raise DimMismatch(f"heads project to dims ({audio_head.d_out}, {text_head.d_out}); a checkpoint holds one")
-    buf = bytearray(
-        _CHECKPOINT_HEADER.pack(
-            CHECKPOINT_MAGIC,
-            _CHECKPOINT_VERSION,
-            audio_head.d_out,
-            audio_head.d_in,
-            text_head.d_in,
-        )
-    )
-    for key, array in _named_arrays(audio_head, text_head).items():
-        with np.errstate(over="ignore"):
-            values = np.asarray(array, dtype="<f4")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteValue(f"{key} is not finite as float32; checkpoint not written")
-        buf += values.tobytes()
+    d_out, d_a, d_t = audio_head.d_out, audio_head.d_in, text_head.d_in
+    if d_out != text_head.d_out:
+        raise DimMismatch(f"heads project to dims ({d_out}, {text_head.d_out}); a checkpoint holds one")
+    with np.errstate(over="ignore"):
+        body = _flatten(audio_head, text_head, "<f4")
+    for head, (weight, bias) in zip(("audio", "text"), _split(np.isfinite(body), d_out, d_a, d_t)):
+        for part, finite in (("weight", weight), ("bias", bias)):
+            if not finite.all():
+                raise NonFiniteValue(f"{head}.{part} is not finite as float32; checkpoint not written")
+    buf = bytearray(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, d_out, d_a, d_t))
+    buf += memoryview(body)
     atomic_write(path, buf)
 
 
@@ -623,18 +601,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise SpaceError(f"{path}: bad checkpoint magic {magic!r}")
     if version != _CHECKPOINT_VERSION:
         raise SpaceError(f"{path}: unsupported checkpoint version {version}, expected {_CHECKPOINT_VERSION}")
+    if 0 in (d_out, d_in_a, d_in_t):
+        raise SpaceError(f"{path}: zero dimension: d_out {d_out}, audio d_in {d_in_a}, text d_in {d_in_t}")
 
     # size check before any allocation, so corrupt dims cannot ask for huge arrays
     expected = _CHECKPOINT_HEADER.size + 4 * d_out * (d_in_a + d_in_t + 2)
     if len(raw) != expected:
         raise SpaceError(f"{path}: size {len(raw)} != expected {expected}")
-    # plain (weight, bias) buffers filled in checkpoint order; ProjectionHead then checks finiteness
-    audio, text = (HeadGrads(np.empty((d_out, d_in)), np.empty(d_out)) for d_in in (d_in_a, d_in_t))
-    pos = _CHECKPOINT_HEADER.size
-    for array in _named_arrays(audio, text).values():
-        array[...] = np.frombuffer(raw, dtype="<f4", count=array.size, offset=pos).reshape(array.shape)
-        pos += 4 * array.size
-    return Checkpoint(
-        audio_head=ProjectionHead(audio.weight, audio.bias),
-        text_head=ProjectionHead(text.weight, text.bias),
-    )
+    # float64 views of one vector; ProjectionHead checks finiteness
+    params = np.frombuffer(raw, dtype="<f4", offset=_CHECKPOINT_HEADER.size).astype(np.float64)
+    return Checkpoint(*_heads(params, d_out, d_in_a, d_in_t))

@@ -330,6 +330,24 @@ def started_workers(monkeypatch):
     return started
 
 
+def test_embed_workers_run_one_thread_under_every_blas(monkeypatch):
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    for name in threads:
+        monkeypatch.setenv(name, "8")  # the parent's own setting does not reach the workers
+    envs = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, env=None, **kwargs):
+            envs.append(env)
+            super().__init__(*args, env=env, **kwargs)
+
+    monkeypatch.setattr(embedding.subprocess, "Popen", Spy)
+    with embedding._workers(2) as workers:
+        assert len(workers) == 2
+    assert [{name: env[name] for name in threads} for env in envs] == [dict.fromkeys(threads, "1")] * 2
+    assert all(env["PATH"] == os.environ["PATH"] for env in envs)
+
+
 def cpus(monkeypatch, n):
     monkeypatch.setattr(embedding.os, "sched_getaffinity", lambda pid: set(range(n)))
 
@@ -705,11 +723,11 @@ def test_train_refuses_a_non_finite_gradient_on_the_last_step(tmp_path, monkeypa
     calls = []
 
     def inf_gradient_at_the_last_step(*args, **kwargs):
-        loss, ga, gt = exact(*args, **kwargs)
+        loss, grad = exact(*args, **kwargs)
         calls.append(loss)
         if len(calls) == 4:
-            ga.weight[0, 0] = np.inf
-        return loss, ga, gt
+            grad[0] = np.inf  # audio weight [0, 0]
+        return loss, grad
 
     monkeypatch.setattr(space, "loss_gradients", inf_gradient_at_the_last_step)
     out = tmp_path / "out"
@@ -896,6 +914,16 @@ def test_evaluate_rejects_older_checkpoint_versions(wav_dataset, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: SpaceError: {old}: unsupported checkpoint version {version}, expected 3\n"
+
+
+def test_evaluate_refuses_a_checkpoint_of_zero_output_dim(wav_dataset, tmp_path, capsys):
+    # a bare 20-byte header: d_out 0 makes the body empty, so the size check alone would pass it
+    empty = tmp_path / "empty.ackp"
+    empty.write_bytes(struct.pack("<4sIIII", b"ACKP", 3, 0, 4, 4))
+    assert run(["evaluate", *common(wav_dataset, tmp_path / "eval"), "--checkpoint", str(empty)]) == 2
+    err = f"error: SpaceError: {empty}: zero dimension: d_out 0, audio d_in 4, text d_in 4\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize(

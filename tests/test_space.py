@@ -162,11 +162,12 @@ def test_gradients_match_finite_differences():
     T = rng.normal(size=(n, d_in))
     audio_head = space.ProjectionHead.initialize(d_in, d_out, rng)
     text_head = space.ProjectionHead.initialize(d_in, d_out, rng)
-    _, ga, gt = space.loss_gradients(A, T, audio_head, text_head, temperature=0.7)
+    _, grad = space.loss_gradients(A, T, audio_head, text_head, temperature=0.7)
     fd = finite_difference_grads(A, T, audio_head, text_head, temperature=0.7)
-    for analytic, numeric in ((ga.weight, fd["aw"]), (ga.bias, fd["ab"]), (gt.weight, fd["tw"]), (gt.bias, fd["tb"])):
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-        assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+    # the gradient is one vector in checkpoint order
+    numeric = np.concatenate([fd[name].ravel() for name in ("aw", "ab", "tw", "tb")])
+    denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-6)
+    assert np.max(np.abs(grad - numeric) / denom) < 1e-4
 
 
 def test_gradient_check_over_seeds_and_shapes():
@@ -180,9 +181,9 @@ def test_gradients_vanish_at_saturated_optimum():
     eye = np.eye(n)
     head = space.ProjectionHead(np.eye(n), np.zeros(n))
     # C is exactly I; temperature 0.02 turns the logits into 50 * I
-    _, ga, gt = space.loss_gradients(eye, eye, head, head, temperature=0.02)
-    for g in (ga.weight, ga.bias, gt.weight, gt.bias):
-        assert np.linalg.norm(g) < 1e-4
+    _, grad = space.loss_gradients(eye, eye, head, head, temperature=0.02)
+    assert grad.shape == (2 * (n * n + n),)
+    assert np.linalg.norm(grad) < 1e-4  # bounds every part's norm
 
 
 def test_gradients_duplicated_batch_equals_single():
@@ -192,25 +193,19 @@ def test_gradients_duplicated_batch_equals_single():
     T = rng.normal(size=(n, d_in))
     audio_head = space.ProjectionHead.initialize(d_in, d_out, rng)
     text_head = space.ProjectionHead.initialize(d_in, d_out, rng)
-    _, ga1, gt1 = space.loss_gradients(A, T, audio_head, text_head)
+    _, grad1 = space.loss_gradients(A, T, audio_head, text_head)
     A2 = np.vstack([A, A])
     T2 = np.vstack([T, T])
-    _, ga2, gt2 = space.loss_gradients(A2, T2, audio_head, text_head)
-    assert np.abs(ga2.weight - ga1.weight).max() < 1e-6
-    assert np.abs(gt2.weight - gt1.weight).max() < 1e-6
-    assert np.abs(ga2.bias - ga1.bias).max() < 1e-6
+    _, grad2 = space.loss_gradients(A2, T2, audio_head, text_head)
+    assert np.abs(grad2 - grad1).max() < 1e-6
 
 
 def test_gradient_check_perturb_hook_fails(monkeypatch):
     exact = space.loss_gradients
 
     def perturbed(*args, **kwargs):
-        loss, ga, gt = exact(*args, **kwargs)
-        return (
-            loss,
-            space.HeadGrads(ga.weight + 1e-2, ga.bias + 1e-2),
-            space.HeadGrads(gt.weight + 1e-2, gt.bias + 1e-2),
-        )
+        loss, grad = exact(*args, **kwargs)
+        return loss, grad + 1e-2
 
     monkeypatch.setattr(space, "loss_gradients", perturbed)
     assert space.gradient_check(0, (4, 8, 6)) > 1e-4
@@ -230,17 +225,17 @@ def test_float32_gradients_stay_within_1e4_of_float64(shape):
     heads64 = [space.ProjectionHead.initialize(d_in, d_out, rng) for _ in range(2)]
     heads32 = [space.ProjectionHead(h.weight.astype(np.float32), h.bias.astype(np.float32)) for h in heads64]
     heads64 = [space.ProjectionHead(h.weight.astype(np.float64), h.bias.astype(np.float64)) for h in heads32]
-    _, *g32 = space.loss_gradients(A, T, *heads32)
-    _, *g64 = space.loss_gradients(A.astype(np.float64), T.astype(np.float64), *heads64)
-    grads32, grads64 = space._named_arrays(*g32), space._named_arrays(*g64)
-    for key, g in grads64.items():
-        assert grads32[key].dtype == np.float32 and g.dtype == np.float64, key
-        assert np.linalg.norm(grads32[key] - g) / np.linalg.norm(g) < 1e-4, key
-    params = space._named_arrays(*heads32)
+    _, grad32 = space.loss_gradients(A, T, *heads32)
+    _, grad64 = space.loss_gradients(A.astype(np.float64), T.astype(np.float64), *heads64)
+    assert grad32.dtype == np.float32 and grad64.dtype == np.float64
+    parts32, parts64 = (space._split(g, d_out, d_in, d_in) for g in (grad32, grad64))
+    for pair32, pair64 in zip(parts32, parts64):
+        for g32, g64 in zip(pair32, pair64):
+            assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) < 1e-4
+    params = space._flatten(*heads32, np.float32)
     state = space.AdamState.zeros_like(params)
-    space.adam_step(params, grads32, state, lr=1e-3)
-    for key, p in params.items():
-        assert p.dtype == state.m[key].dtype == state.v[key].dtype == np.float32, key
+    space.adam_step(params, grad32, state, lr=1e-3)
+    assert params.dtype == state.m.dtype == state.v.dtype == np.float32
 
 
 # ---------------------------------------------------------------- schedule
@@ -269,20 +264,20 @@ def test_lr_schedule_validates_range():
 # ---------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
+    params = np.array([1.0, -2.0])
     state = space.AdamState.zeros_like(params)
-    space.adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    space.adam_step(params, np.zeros(2), state, lr=0.1)
+    assert np.array_equal(params, [1.0, -2.0])
 
 
 def test_adam_first_step_hand_computed():
     g = 0.37
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = space.AdamState.zeros_like(params)
-    space.adam_step(params, {"w": np.array([g])}, state, lr=0.01)
+    space.adam_step(params, np.array([g]), state, lr=0.01)
     # m_hat = g, v_hat = g^2  ->  delta = -lr * g / (|g| + eps)
     expected = 1.0 - 0.01 * g / (abs(g) + 1e-8)
-    assert abs(params["w"][0] - expected) < 1e-12
+    assert abs(params[0] - expected) < 1e-12
 
 
 def scalar_adam_oracle(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -296,20 +291,18 @@ def scalar_adam_oracle(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_adam_two_steps_match_scalar_oracle():
     g = -0.8
-    params = {"w": np.array([2.0])}
+    params = np.array([2.0])
     state = space.AdamState.zeros_like(params)
-    space.adam_step(params, {"w": np.array([g])}, state, lr=0.05)
-    space.adam_step(params, {"w": np.array([g])}, state, lr=0.05)
-    assert abs(params["w"][0] - scalar_adam_oracle(2.0, [g, g], 0.05)) < 1e-10
+    space.adam_step(params, np.array([g]), state, lr=0.05)
+    space.adam_step(params, np.array([g]), state, lr=0.05)
+    assert abs(params[0] - scalar_adam_oracle(2.0, [g, g], 0.05)) < 1e-10
 
 
 def test_adam_shape_mismatch():
-    params = {"w": np.zeros(3)}
+    params = np.zeros(3)
     state = space.AdamState.zeros_like(params)
     with pytest.raises(space.ShapeMismatch):
-        space.adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
-    with pytest.raises(space.ShapeMismatch):
-        space.adam_step(params, {"q": np.zeros(3)}, state, lr=0.1)
+        space.adam_step(params, np.zeros(4), state, lr=0.1)
 
 
 def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -317,41 +310,53 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for key, p in params.items():
-        g, m, v = grads[key], state.m[key], state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g, m, v = grads, state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def test_adam_blocked_update_is_bitwise_the_reference():
-    # many blocks, a size that is no multiple of the block, and 1- and 3-element biases
-    shapes = {"audio.weight": (1024, 768), "audio.bias": (1,), "text.weight": (37, 1001), "text.bias": (3,)}
+    # the four old parts' shapes in one vector: many blocks, a size that is no
+    # multiple of the block, block edges inside parts and across part edges
+    sizes = (1024 * 768, 1, 37 * 1001, 3)
     rng = np.random.default_rng(11)
-    params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
-    expected = {key: p.copy() for key, p in params.items()}
+    params = rng.normal(size=sum(sizes))
+    expected = params.copy()
     state, expected_state = space.AdamState.zeros_like(params), space.AdamState.zeros_like(expected)
     for _ in range(40):
-        grads = {key: rng.normal(scale=10.0 ** rng.uniform(-4, 1), size=shape) for key, shape in shapes.items()}
+        grads = np.concatenate([rng.normal(scale=10.0 ** rng.uniform(-4, 1), size=n) for n in sizes])
         lr = 10.0 ** rng.uniform(-5, -1)
         space.adam_step(params, grads, state, lr)
         reference_adam_step(expected, grads, expected_state, lr)
-    for key in shapes:
-        assert np.array_equal(params[key], expected[key]), key
-        assert np.array_equal(state.m[key], expected_state.m[key]), key
-        assert np.array_equal(state.v[key], expected_state.v[key]), key
+    assert np.array_equal(params, expected)
+    assert np.array_equal(state.m, expected_state.m)
+    assert np.array_equal(state.v, expected_state.v)
     assert state.t == expected_state.t == 40
 
 
-def test_adam_refuses_non_contiguous_param():
-    # a flat view of a transposed array is a copy: its update would be lost
-    params = {"w": np.ones((4, 3)).T}
+def test_adam_refuses_a_2d_param():
+    params = np.ones((3, 4))
     state = space.AdamState.zeros_like(params)
-    with pytest.raises(space.ShapeMismatch, match="contiguous"):
-        space.adam_step(params, {"w": np.ones((3, 4))}, state, lr=0.1)
-    assert np.array_equal(params["w"], np.ones((3, 4)))
+    with pytest.raises(space.ShapeMismatch, match="1-D vectors"):
+        space.adam_step(params, np.ones((3, 4)), state, lr=0.1)
+    assert np.array_equal(params, np.ones((3, 4)))
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+
+
+def test_adam_updates_a_strided_vector_in_place():
+    # a 1-D slice of a vector is a view, so the update lands in the vector it slices
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=2 * space._ADAM_BLOCK + 7)
+    params, expected = x[::2], x[::2].copy()
+    grads = rng.normal(size=params.size)
+    state, expected_state = space.AdamState.zeros_like(params), space.AdamState.zeros_like(expected)
+    space.adam_step(params, grads, state, lr=1e-2)
+    reference_adam_step(expected, grads, expected_state, lr=1e-2)
+    assert np.shares_memory(params, x)
+    assert np.array_equal(x[::2], expected)
 
 
 # ---------------------------------------------------------------- training
@@ -649,11 +654,11 @@ def test_train_stops_on_first_non_finite_loss(monkeypatch):
     calls = []
 
     def nan_at_step_3(*args, **kwargs):
-        loss, ga, gt = exact(*args, **kwargs)
+        loss, grad = exact(*args, **kwargs)
         calls.append(loss)
         if len(calls) == 4:
             loss = space.LossValue(float("nan"), loss.text_to_audio, loss.audio_to_text)
-        return loss, ga, gt
+        return loss, grad
 
     monkeypatch.setattr(space, "loss_gradients", nan_at_step_3)
     with pytest.raises(space.NonFiniteValue, match="step 3"):
@@ -668,11 +673,11 @@ def test_train_fails_closed_one_step_after_a_non_finite_gradient(monkeypatch):
     calls = []
 
     def inf_gradient_at_step_2(*args, **kwargs):
-        loss, ga, gt = exact(*args, **kwargs)
+        loss, grad = exact(*args, **kwargs)
         calls.append(loss)
         if len(calls) == 3:
-            ga.weight[0, 0] = np.inf
-        return loss, ga, gt
+            grad[0] = np.inf  # audio weight [0, 0]
+        return loss, grad
 
     monkeypatch.setattr(space, "loss_gradients", inf_gradient_at_step_2)
     with pytest.raises(space.NonFiniteValue, match=r"^pretrain step 3: loss is nan$"):
@@ -700,6 +705,15 @@ def test_train_zero_epochs_returns_initialization():
     assert result.audio_head.weight.dtype == np.float32
     assert np.array_equal(result.audio_head.weight, expect_audio.weight.astype(np.float32))
     assert result.curve == ()
+
+
+def test_train_heads_are_views_of_one_float32_vector():
+    result = space.train(tiny_pairs(6, n=16), small_cfg(batch_size=8, pretrain_epochs=1))
+    arrays = (result.audio_head.weight, result.audio_head.bias, result.text_head.weight, result.text_head.bias)
+    assert all(a.dtype == np.float32 for a in arrays)
+    base = arrays[0].base
+    assert base is not None and base.shape == (sum(a.size for a in arrays),)
+    assert all(np.shares_memory(a, base) for a in arrays)
 
 
 def test_train_refuses_init_heads_of_another_out_dim():
@@ -736,6 +750,39 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     head_params = sum(h.weight.size + h.bias.size for h in (result.audio_head, result.text_head))
     assert p1.stat().st_size == struct.calcsize("<4sIIII") + 4 * head_params
     assert np.array_equal(ckpt.audio_head.weight, result.audio_head.weight.astype(np.float32).astype(np.float64))
+
+
+def test_checkpoint_body_is_the_parameter_vector_in_readme_order(tmp_path):
+    # distinct values in every part, so a swap of any two parts shows
+    d_out, d_a, d_t = 3, 4, 2
+    values = np.arange(1.0, 1.0 + d_out * (d_a + d_t + 2))
+    aw, ab, tw, tb = np.split(values, np.cumsum([d_out * d_a, d_out, d_out * d_t]))
+    audio = space.ProjectionHead(aw.reshape(d_out, d_a), ab)
+    text = space.ProjectionHead(tw.reshape(d_out, d_t), tb)
+    path = tmp_path / "x.ackp"
+    space.save_checkpoint(path, audio, text)
+    raw = path.read_bytes()
+    header = struct.pack("<4sIIII", b"ACKP", 3, d_out, d_a, d_t)
+    body = np.concatenate([audio.weight.ravel(), audio.bias, text.weight.ravel(), text.bias]).astype("<f4")
+    assert raw == header + body.tobytes()
+    # and a hand-built body loads into those parts
+    built = tmp_path / "built.ackp"
+    built.write_bytes(header + values.astype("<f4").tobytes())
+    ckpt = space.load_checkpoint(built)
+    for got, want in zip((ckpt.audio_head, ckpt.text_head), (audio, text)):
+        assert got.weight.dtype == got.bias.dtype == np.float64
+        assert np.array_equal(got.weight, want.weight) and np.array_equal(got.bias, want.bias)
+
+
+@pytest.mark.parametrize("dims", [(0, 4, 2), (3, 0, 2), (3, 4, 0)], ids=["d_out", "audio-d_in", "text-d_in"])
+def test_checkpoint_refuses_a_zero_dimension(tmp_path, dims):
+    d_out, d_a, d_t = dims
+    path = tmp_path / "zero.ackp"
+    header = struct.pack("<4sIIII", b"ACKP", 3, d_out, d_a, d_t)
+    path.write_bytes(header + bytes(4 * d_out * (d_a + d_t + 2)))
+    with pytest.raises(space.SpaceError) as refused:
+        space.load_checkpoint(path)
+    assert str(refused.value) == f"{path}: zero dimension: d_out {d_out}, audio d_in {d_a}, text d_in {d_t}"
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
