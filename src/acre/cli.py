@@ -18,7 +18,7 @@ import contextlib
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, get_type_hints
+from typing import Any, Callable, Mapping, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -201,19 +201,28 @@ def _load_records(settings: argparse.Namespace) -> list[ingest.ClipRecord]:
     return records
 
 
-def _raw_vectors(settings: argparse.Namespace, command: str, dump_name: str) -> dict[str, np.ndarray]:
-    """Raw (pre-projection) vectors by id, from the named file of the --encoder
-    dump directory; only embed runs the encoders, every other command reads its dumps."""
+def _read_dump(settings: argparse.Namespace, command: str, dump_name: str) -> ingest.EmbeddingDump:
+    """The raw (pre-projection) vectors in the named file of the --encoder dump
+    directory; only embed runs the encoders, every other command reads its dumps."""
     if settings.encoder is None:
         raise UsageError(f"{command} reads embedding dumps: pass --encoder dump:<dir> (written by acre embed)")
-    return ingest.read_embedding_dump(settings.encoder / dump_name).as_dict()
+    return ingest.read_embedding_dump(settings.encoder / dump_name)
 
 
-def _embedding(vectors: dict[str, np.ndarray], key: str, kind: str) -> np.ndarray:
+def _embedding(vectors: Mapping[str, Any], key: str, kind: str) -> Any:
     """vectors[key]; a missing id is a usage error naming the kind and the id."""
     if key not in vectors:
         raise UsageError(f"no {kind} embedding for {key!r}")
     return vectors[key]
+
+
+def _dump_rows(dump: ingest.EmbeddingDump, ids: list[str], kind: str) -> np.ndarray:
+    """The dump's rows for ids, in that order: its matrix itself when the two
+    orders agree, else one fancy-indexed copy."""
+    if tuple(ids) == dump.ids:
+        return dump.matrix
+    row = dict(zip(dump.ids, range(len(dump.ids))))
+    return dump.matrix[[_embedding(row, key, kind) for key in ids]]
 
 
 def _train_pairs(
@@ -223,8 +232,8 @@ def _train_pairs(
     """A pair per record. Given finetune's open variants.embd, each caption
     also gets the numbers of the rows whose id is '<caption id>@<j>', in file
     order: train reads a row from the reader only when it draws it."""
-    audio = _raw_vectors(settings, command, "audio.embd")
-    captions = _raw_vectors(settings, command, "captions.embd")
+    audio = _read_dump(settings, command, "audio.embd").as_dict()
+    captions = _read_dump(settings, command, "captions.embd").as_dict()
     rows: dict[str, list[int]] = {}
     for row, key in enumerate(variants.ids if variants is not None else ()):
         rows.setdefault(key.rpartition("@")[0], []).append(row)
@@ -339,11 +348,9 @@ def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
         raise UsageError("rank requires --checkpoint")
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
-    audio = _raw_vectors(settings, "rank", "audio.embd")
     ids = [rec.clip_id for rec in records]
-    index = retrieval.RetrievalIndex.build(
-        ids, space.project(np.stack([_embedding(audio, i, "audio") for i in ids]), ckpt.audio_head)
-    )
+    audio = _dump_rows(_read_dump(settings, "rank", "audio.embd"), ids, "audio")
+    index = retrieval.project_index(ids, audio, ckpt.audio_head)
     [qvec] = encoder.text_vectors([query], settings.seed)
     result = retrieval.rank(space.project(qvec, ckpt.text_head), index)
     for position, (clip_id, score) in enumerate(zip(result.ranked_ids[:top], result.scores), start=1):

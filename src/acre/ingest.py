@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -95,9 +96,16 @@ class TruncatedFile(IngestError):
 
 @dataclass(frozen=True)
 class ClipRecord:
+    """A manifest row: its clip id, the directory its audio file is in, and its captions."""
+
     clip_id: str
-    audio_path: Path
+    audio_dir: Path
     captions: tuple[str, ...]
+
+    @property
+    def audio_path(self) -> Path:
+        """The clip's audio file, joined when asked: only embed opens it."""
+        return self.audio_dir / self.clip_id
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,22 @@ class AugmentedCaptionSet:
 
 @dataclass(frozen=True)
 class EmbeddingDump:
-    dim: int
-    entries: tuple[tuple[str, np.ndarray], ...]
+    """A dump's ids in row order and its read-only (count, dim) float32 matrix."""
+
+    ids: tuple[str, ...]
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(id, row) pairs in row order; each row is a view of the matrix."""
+        return tuple(zip(self.ids, self.matrix))
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.entries)
+        return dict(zip(self.ids, self.matrix))
 
 
 def open_text(path) -> io.TextIOWrapper:
@@ -150,13 +169,14 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
     for name in _REQUIRED_COLUMNS:
         if name not in col:
             raise MissingColumn(f"{path}: missing column {name!r}")
+    name_idx = col["file_name"]
+    caption_cells = operator.itemgetter(*(col[f"caption_{k + 1}"] for k in range(CAPTIONS_PER_CLIP)))
 
     records: list[ClipRecord] = []
     seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        name_idx = col["file_name"]
         clip_id = row[name_idx].strip() if name_idx < len(row) else ""
         if not clip_id:
             raise MissingColumn(f"{path}: row {lineno}: empty file_name")
@@ -165,17 +185,15 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
         if clip_id in seen:
             raise DuplicateClipId(f"{path}: row {lineno}: duplicate clip id {clip_id!r}")
         seen.add(clip_id)
-
-        captions = []
-        for k in range(CAPTIONS_PER_CLIP):
-            idx = col[f"caption_{k + 1}"]
-            if idx >= len(row) or not row[idx].strip():
-                raise WrongCaptionCount(
-                    f"{path}: row {lineno} (clip {clip_id!r}): expected {CAPTIONS_PER_CLIP} non-empty captions"
-                )
-            captions.append(row[idx])
-
-        records.append(ClipRecord(clip_id, base / clip_id, tuple(captions)))
+        try:
+            captions = caption_cells(row)
+        except IndexError:  # a short row
+            captions = ()
+        if not (captions and all(map(str.strip, captions))):
+            raise WrongCaptionCount(
+                f"{path}: row {lineno} (clip {clip_id!r}): expected {CAPTIONS_PER_CLIP} non-empty captions"
+            )
+        records.append(ClipRecord(clip_id, base, captions))
     if not records:
         raise IngestError(f"{path}: no clip rows after the header")
     return records
@@ -426,14 +444,14 @@ def _read_rows(fh, path: Path, ids: list[str], dim: int, start: int, stop: int) 
 def read_embedding_dump(path) -> EmbeddingDump:
     """Read a dump written by write_embedding_dump; bit-exact round trip.
 
-    After the header and the id table, one readinto fills a read-only
-    (count, dim) float32 matrix, and each entry's vector is a view of its row.
+    After the header and the id table, one readinto fills the read-only
+    (count, dim) float32 matrix; row i belongs to ids[i].
     """
     path = Path(path)
     with open(path, "rb") as fh:
         dim, ids = _read_dump_index(fh, path)
         matrix = _read_rows(fh, path, ids, dim, 0, len(ids))
-    return EmbeddingDump(dim=dim, entries=tuple(zip(ids, matrix)))
+    return EmbeddingDump(ids=tuple(ids), matrix=matrix)
 
 
 # DumpReader checks a dump's vectors this many bytes of rows at a time

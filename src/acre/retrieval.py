@@ -17,7 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dsp, encoder
-from .space import DimMismatch, ProjectionHead, TrainConfig, TrainPair, l2_normalize, project, train
+from .space import (
+    DimMismatch, ProjectionHead, TrainConfig, TrainPair, l2_normalize, l2_normalize_in_place, project, train,
+)
 
 REFERENCE_FULL_DATA_MAP10 = 35.22  # percent scale; full-size pre-trained system, kept as context only
 
@@ -59,7 +61,15 @@ class RetrievalIndex:
 
     @classmethod
     def build(cls, ids: Sequence[str], vectors: np.ndarray) -> "RetrievalIndex":
+        """The index of normalized copies of vectors' rows; vectors is left as it is."""
         return cls(ids=tuple(ids), vectors=l2_normalize(vectors))
+
+
+def project_index(ids: Sequence[str], raw: np.ndarray, audio_head: ProjectionHead) -> RetrievalIndex:
+    """The index of raw audio rows (row i is clip ids[i]) projected by the
+    head. The projection is a new array, so it is normalized in place: the
+    rows RetrievalIndex.build would give, without a second full-size copy."""
+    return RetrievalIndex(tuple(ids), l2_normalize_in_place(np.asarray(project(raw, audio_head), np.float64)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,8 @@ def evaluate(queries: tuple[Sequence[str], np.ndarray, Sequence[str]], index: Re
 
     ranks = np.empty(n, dtype=np.int64)
     for rows in dsp.row_blocks(n, EVAL_BLOCK):
-        sims = l2_normalize(vectors[order[rows]]) @ index.vectors.T
+        # a fancy-indexed block is a new array, so it is normalized in place
+        sims = l2_normalize_in_place(np.asarray(vectors[order[rows]], np.float64)) @ index.vectors.T
         block_targets = targets[rows]
         s_target = sims[np.arange(len(block_targets)), block_targets][:, None]
         ahead = (sims > s_target) | ((sims == s_target) & (id_order < id_order[block_targets][:, None]))
@@ -179,10 +190,7 @@ def build_eval(
     and the queries as evaluate takes them, one per caption: ids
     ``<clip>#<k>``, a (captions, d_out) matrix of projected captions in the
     same order, and each caption's clip id as its target."""
-    index = RetrievalIndex.build(
-        [pair.clip_id for pair in pairs],
-        project(np.stack([pair.audio for pair in pairs]), audio_head),
-    )
+    index = project_index([pair.clip_id for pair in pairs], np.stack([pair.audio for pair in pairs]), audio_head)
     captions = [(f"{pair.clip_id}#{k}", pair.clip_id, cap) for pair in pairs for k, cap in enumerate(pair.captions)]
     for query_id, _, cap in captions:
         if cap.shape != (text_head.d_in,):

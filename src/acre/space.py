@@ -21,6 +21,7 @@ checkpoint's body is the vector as little-endian float32.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,10 @@ _ADAM_BLOCK = 32768
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# l2_normalize_in_place squares this many rows at a time: 128 rows of 1024
+# float64 are 1 MiB, and the scratch is reused instead of faulted in afresh
+_NORM_BLOCK = 128
 
 # step of gradient_check's central finite differences
 FD_STEP = 1e-4
@@ -124,13 +129,35 @@ def project(e: np.ndarray, h: ProjectionHead) -> np.ndarray:
     return out
 
 
-def l2_normalize(x: np.ndarray) -> np.ndarray:
-    """Normalize rows (or a single vector) to unit length; zero norm is an error."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, kept as a length-1 axis: the sum
+    np.linalg.norm computes, so the same bits, without its conj() copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
+def l2_normalize_in_place(x: np.ndarray) -> np.ndarray:
+    """Scale the rows (or the single vector) of a float64 array the caller
+    owns to unit length, in place, and return it; zero norm is an error.
+
+    The norms are taken _NORM_BLOCK rows at a time, so the squares are one
+    block's scratch rather than a full-size temporary; each row's sum is the
+    same whatever rows share its block.
+    """
+    if x.dtype != np.float64:
+        raise TypeError(f"normalizes float64 in place, got {x.dtype}")
+    rows = x[None] if x.ndim == 1 else x  # a view: dividing it divides x
+    norms = np.empty((*rows.shape[:-1], 1))
+    for start in range(0, len(rows), _NORM_BLOCK):
+        norms[start : start + _NORM_BLOCK] = _row_norms(rows[start : start + _NORM_BLOCK])
     if np.any(norms == 0.0):
         raise ZeroNormVector("cannot normalize a zero vector")
-    return x / norms
+    rows /= norms
+    return x
+
+
+def l2_normalize(x: np.ndarray) -> np.ndarray:
+    """A unit-length float64 copy of x's rows (or of the single vector x)."""
+    return l2_normalize_in_place(np.array(x, dtype=np.float64))
 
 
 def similarity_matrix(audio: np.ndarray, text: np.ndarray) -> np.ndarray:
@@ -245,8 +272,8 @@ def loss_gradients(
 
     Pa = project(A, audio_head)
     Pt = project(T, text_head)
-    na = np.linalg.norm(Pa, axis=1, keepdims=True)
-    nt = np.linalg.norm(Pt, axis=1, keepdims=True)
+    na = _row_norms(Pa)
+    nt = _row_norms(Pt)
     if np.any(na == 0.0) or np.any(nt == 0.0):
         raise ZeroNormVector("projected vector has zero norm")
     Ah = Pa / na
@@ -591,23 +618,32 @@ def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint; any other version is refused."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _CHECKPOINT_HEADER.size:
-        raise SpaceError(f"{path}: truncated checkpoint header")
-    magic, version, d_out, d_in_a, d_in_t = _CHECKPOINT_HEADER.unpack_from(raw)
-    if magic != CHECKPOINT_MAGIC:
-        raise SpaceError(f"{path}: bad checkpoint magic {magic!r}")
-    if version != _CHECKPOINT_VERSION:
-        raise SpaceError(f"{path}: unsupported checkpoint version {version}, expected {_CHECKPOINT_VERSION}")
-    if 0 in (d_out, d_in_a, d_in_t):
-        raise SpaceError(f"{path}: zero dimension: d_out {d_out}, audio d_in {d_in_a}, text d_in {d_in_t}")
+    """Read a checkpoint written by save_checkpoint; any other version is refused.
 
-    # size check before any allocation, so corrupt dims cannot ask for huge arrays
-    expected = _CHECKPOINT_HEADER.size + 4 * d_out * (d_in_a + d_in_t + 2)
-    if len(raw) != expected:
-        raise SpaceError(f"{path}: size {len(raw)} != expected {expected}")
+    The header and the file's size are checked before the body is read, so a
+    file that is not a checkpoint is refused without reading it; the body is
+    read with one readinto into one float32 vector.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _CHECKPOINT_HEADER.size:
+            raise SpaceError(f"{path}: truncated checkpoint header")
+        magic, version, d_out, d_in_a, d_in_t = _CHECKPOINT_HEADER.unpack(fh.read(_CHECKPOINT_HEADER.size))
+        if magic != CHECKPOINT_MAGIC:
+            raise SpaceError(f"{path}: bad checkpoint magic {magic!r}")
+        if version != _CHECKPOINT_VERSION:
+            raise SpaceError(f"{path}: unsupported checkpoint version {version}, expected {_CHECKPOINT_VERSION}")
+        if 0 in (d_out, d_in_a, d_in_t):
+            raise SpaceError(f"{path}: zero dimension: d_out {d_out}, audio d_in {d_in_a}, text d_in {d_in_t}")
+        # size check before any allocation, so corrupt dims cannot ask for huge arrays
+        body_size = d_out * (d_in_a + d_in_t + 2)
+        expected = _CHECKPOINT_HEADER.size + 4 * body_size
+        if size != expected:
+            raise SpaceError(f"{path}: size {size} != expected {expected}")
+        body = np.empty(body_size, dtype="<f4")
+        got = fh.readinto(body)
+    if got != body.nbytes:  # the file shrank after its size was taken
+        raise SpaceError(f"{path}: size {_CHECKPOINT_HEADER.size + got} != expected {expected}")
     # float64 views of one vector; ProjectionHead checks finiteness
-    params = np.frombuffer(raw, dtype="<f4", offset=_CHECKPOINT_HEADER.size).astype(np.float64)
-    return Checkpoint(*_heads(params, d_out, d_in_a, d_in_t))
+    return Checkpoint(*_heads(body.astype(np.float64), d_out, d_in_a, d_in_t))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acre import cli, dsp, embedding, encoder, ingest, space
+from acre import cli, dsp, embedding, encoder, ingest, retrieval, space
 from acre.seeding import derive_seed
 from conftest import embed_wav_dumps, run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint, write_wav_float32, write_wav_pcm16
 
@@ -1142,6 +1142,44 @@ def test_rank_rejects_clip_without_audio_embedding(wav_dataset, wav_dumps, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: UsageError: no audio embedding for 'ghost.wav'\n"
+
+
+@pytest.mark.parametrize("top", [3, 40], ids=["top-3", "top-past-the-clips"])
+@pytest.mark.parametrize("dump_order", ["manifest", "shuffled-with-extras"])
+def test_rank_prints_the_lines_of_the_rank_oracle(tmp_path, capsys, top, dump_order):
+    rng = np.random.default_rng(29)
+    ids = [f"clip{i:02d}.wav" for i in range(12)]
+    rows = {clip_id: rng.normal(size=16).astype(np.float32) for clip_id in ids}
+    rows["clip09.wav"] = rows["clip02.wav"].copy()  # an exact tie, broken by ascending id
+    if dump_order != "manifest":  # rows the manifest does not name, and another order
+        rows.update((f"extra{i}.wav", rng.normal(size=16).astype(np.float32)) for i in range(3))
+        items = list(rows.items())
+        rows = dict(items[k] for k in rng.permutation(len(items)))
+    dumps = tmp_path / "dumps"
+    ingest.write_embedding_dump(rows.items(), dumps / "audio.embd")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{i},a,b,c,d,e\n" for i in ids)
+    )
+    checkpoint = tmp_path / "checkpoint.ackp"
+    space.save_checkpoint(
+        checkpoint, space.ProjectionHead.initialize(16, 8, rng), space.ProjectionHead.initialize(encoder.WIDTH, 8, rng)
+    )
+    query = "a tone of kind 2 sounds loud"
+    argv = ["rank", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--checkpoint", str(checkpoint)]
+    assert run([*argv, "--seed", "5", "--query", query, "--top", str(top)]) == 0
+
+    ckpt = space.load_checkpoint(checkpoint)
+    audio = ingest.read_embedding_dump(dumps / "audio.embd").as_dict()
+    index = retrieval.RetrievalIndex.build(ids, space.project(np.stack([audio[i] for i in ids]), ckpt.audio_head))
+    [q] = encoder.text_vectors([query], 5)
+    result = retrieval.rank(space.project(q, ckpt.text_head), index)
+    tied = result.ranked_ids.index("clip02.wav")
+    assert result.ranked_ids[tied + 1] == "clip09.wav" and result.scores[tied] == result.scores[tied + 1]
+    ranked = list(zip(result.ranked_ids, result.scores))[:top]
+    expected = "".join(f"{k:>3}  {score:+.4f}  {clip_id}\n" for k, (clip_id, score) in enumerate(ranked, start=1))
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) == min(top, len(ids))
 
 
 @pytest.mark.parametrize("top", ["0", "-3"])

@@ -45,7 +45,8 @@ def test_load_manifest_keywords_and_audio_dir(tmp_path):
         header="file_name,caption_1,caption_2,caption_3,caption_4,caption_5,keywords",
     )
     records = ingest.load_manifest(m, audio_dir=tmp_path / "elsewhere")
-    assert records == [ingest.ClipRecord("a.wav", tmp_path / "elsewhere" / "a.wav", ("c1", "c2", "c3", "c4", "c5"))]
+    assert records == [ingest.ClipRecord("a.wav", tmp_path / "elsewhere", ("c1", "c2", "c3", "c4", "c5"))]
+    assert records[0].audio_path == tmp_path / "elsewhere" / "a.wav"
 
 
 def test_load_manifest_missing_column(tmp_path):

@@ -62,6 +62,28 @@ def test_rank_errors():
         retrieval.RetrievalIndex(ids=(), vectors=np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["checkpoint-heads", "trained-heads"])
+def test_index_builds_leave_their_input_alone_and_project_index_is_bitwise(dtype):
+    rng = np.random.default_rng(29)
+    n = 2 * space._NORM_BLOCK + 45  # two blocks of squares and a short one
+    ids = [f"c{i:03d}" for i in range(n)]
+    raw = rng.normal(size=(n, 24)).astype(np.float32)
+    raw.flags.writeable = False  # as a dump's matrix is: writing to it would raise
+    kept = raw.tobytes()
+    init = space.ProjectionHead.initialize(24, 40, rng)
+    head = space.ProjectionHead(init.weight.astype(dtype), init.bias.astype(dtype))
+    P = space.project(raw, head).astype(np.float64)
+    P.flags.writeable = False
+    retrieval.RetrievalIndex.build(ids, P)
+    space.l2_normalize(P)
+    space.similarity_matrix(P, P[:5])
+    index = retrieval.project_index(ids, raw, head)
+    assert raw.tobytes() == kept
+    assert index.ids == tuple(ids)
+    assert index.vectors.tobytes() == (P / np.linalg.norm(P, axis=-1, keepdims=True)).tobytes()
+    assert index.vectors.tobytes() == retrieval.RetrievalIndex.build(ids, P).vectors.tobytes()
+
+
 def test_index_rows_are_unit_norm():
     rng = np.random.default_rng(1)
     index = retrieval.RetrievalIndex.build(["a", "b"], rng.normal(size=(2, 5)) * 100)
@@ -229,9 +251,9 @@ def test_blocked_evaluate_ranks_agree_with_rank_exactly(monkeypatch, extra):
     queries, index = tied_queries(n, np.random.default_rng(n))
     expected = [retrieval.rank(v, index, target_id=t).rank_of_target for _, v, t in zip(*queries)]
     ranks, blocks = [], []
-    exact_ap, exact_normalize = retrieval.average_precision_at_10, retrieval.l2_normalize
+    exact_ap, exact_normalize = retrieval.average_precision_at_10, retrieval.l2_normalize_in_place
     monkeypatch.setattr(retrieval, "average_precision_at_10", lambda r: ranks.append(r) or exact_ap(r))
-    monkeypatch.setattr(retrieval, "l2_normalize", lambda x: blocks.append(len(x)) or exact_normalize(x))
+    monkeypatch.setattr(retrieval, "l2_normalize_in_place", lambda x: blocks.append(len(x)) or exact_normalize(x))
     report = retrieval.evaluate(queries, index)
     assert ranks == expected  # evaluate sums AP@10 over the ranks in query-id order
     # no block is smaller than EVAL_BLOCK unless the whole input is

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -790,6 +791,32 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"not a checkpoint at all")
     with pytest.raises(space.SpaceError):
         space.load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"JUNK" + bytes(16), "bad checkpoint magic b'JUNK'"),
+        (struct.pack("<4sIIII", b"ACKP", 3, 4, 3, 2), f"size {64 << 20} != expected {20 + 4 * 4 * (3 + 2 + 2)}"),
+    ],
+    ids=["bad-magic", "wrong-size"],
+)
+def test_checkpoint_refuses_a_large_file_without_reading_it(tmp_path, header, message):
+    # a wrong --checkpoint, a 158-MB variants.embd say, is refused from its
+    # header and its size; a sparse file holds 64 MB without using the disk
+    path = tmp_path / "big.ackp"
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(space.SpaceError) as refused:
+            space.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"{path}: {message}"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("version, write", [(1, write_v1_checkpoint), (2, write_v2_checkpoint)], ids=["v1", "v2"])
