@@ -18,7 +18,7 @@ import contextlib
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, get_type_hints
+from typing import Any, Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -201,51 +201,44 @@ def _load_records(settings: argparse.Namespace) -> list[ingest.ClipRecord]:
     return records
 
 
-def _read_dump(settings: argparse.Namespace, command: str, dump_name: str) -> ingest.EmbeddingDump:
-    """The raw (pre-projection) vectors in the named file of the --encoder dump
-    directory; only embed runs the encoders, every other command reads its dumps."""
+def _dump_rows(settings: argparse.Namespace, command: str, dump_name: str, ids: list[str], kind: str) -> np.ndarray:
+    """The raw (pre-projection) rows for ids, in that order, of the named file in
+    the --encoder dump directory: its matrix itself when the two orders agree,
+    else one fancy-indexed copy. Only embed runs the encoders; every other
+    command reads its dumps."""
     if settings.encoder is None:
         raise UsageError(f"{command} reads embedding dumps: pass --encoder dump:<dir> (written by acre embed)")
-    return ingest.read_embedding_dump(settings.encoder / dump_name)
-
-
-def _embedding(vectors: Mapping[str, Any], key: str, kind: str) -> Any:
-    """vectors[key]; a missing id is a usage error naming the kind and the id."""
-    if key not in vectors:
-        raise UsageError(f"no {kind} embedding for {key!r}")
-    return vectors[key]
-
-
-def _dump_rows(dump: ingest.EmbeddingDump, ids: list[str], kind: str) -> np.ndarray:
-    """The dump's rows for ids, in that order: its matrix itself when the two
-    orders agree, else one fancy-indexed copy."""
+    dump = ingest.read_embedding_dump(settings.encoder / dump_name)
     if tuple(ids) == dump.ids:
         return dump.matrix
     row = dict(zip(dump.ids, range(len(dump.ids))))
-    return dump.matrix[[_embedding(row, key, kind) for key in ids]]
+    try:
+        rows = [row[key] for key in ids]
+    except KeyError as exc:
+        raise UsageError(f"no {kind} embedding for {exc.args[0]!r}") from None
+    return dump.matrix[rows]
 
 
 def _train_pairs(
     records: list[ingest.ClipRecord], settings: argparse.Namespace, command: str,
     variants: ingest.DumpReader | None = None,
 ) -> list[space.TrainPair]:
-    """A pair per record. Given finetune's open variants.embd, each caption
-    also gets the numbers of the rows whose id is '<caption id>@<j>', in file
-    order: train reads a row from the reader only when it draws it."""
-    audio = _read_dump(settings, command, "audio.embd").as_dict()
-    captions = _read_dump(settings, command, "captions.embd").as_dict()
+    """A pair per record: its audio row and its captions' consecutive rows.
+    Given finetune's open variants.embd, each caption also gets the numbers of
+    the rows whose id is '<caption id>@<j>', in file order: train reads a row
+    from the reader only when it draws it."""
+    audio = _dump_rows(settings, command, "audio.embd", [rec.clip_id for rec in records], "audio")
+    keys = [f"{rec.clip_id}#{k}" for rec in records for k in range(len(rec.captions))]
+    captions = _dump_rows(settings, command, "captions.embd", keys, "caption")
     rows: dict[str, list[int]] = {}
     for row, key in enumerate(variants.ids if variants is not None else ()):
         rows.setdefault(key.rpartition("@")[0], []).append(row)
-    return [
-        space.TrainPair(
-            rec.clip_id,
-            _embedding(audio, rec.clip_id, "audio"),
-            tuple(_embedding(captions, f"{rec.clip_id}#{k}", "caption") for k in range(len(rec.captions))),
-            tuple(tuple(rows.get(f"{rec.clip_id}#{k}", ())) for k in range(len(rec.captions))),
-        )
-        for rec in records
-    ]
+    pairs, end = [], 0
+    for rec, vector in zip(records, audio):
+        start, end = end, end + len(rec.captions)
+        variant_rows = tuple(tuple(rows.get(key, ())) for key in keys[start:end])
+        pairs.append(space.TrainPair(rec.clip_id, vector, tuple(captions[start:end]), variant_rows))
+    return pairs
 
 
 def _require_out(settings: argparse.Namespace) -> Path:
@@ -349,7 +342,7 @@ def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
     ckpt = space.load_checkpoint(settings.checkpoint)
     records = _load_records(settings)
     ids = [rec.clip_id for rec in records]
-    audio = _dump_rows(_read_dump(settings, "rank", "audio.embd"), ids, "audio")
+    audio = _dump_rows(settings, "rank", "audio.embd", ids, "audio")
     index = retrieval.project_index(ids, audio, ckpt.audio_head)
     [qvec] = encoder.text_vectors([query], settings.seed)
     result = retrieval.rank(space.project(qvec, ckpt.text_head), index)
@@ -372,24 +365,23 @@ def cmd_gradcheck(seed: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the flags of the commands that take settings, built once and shared as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file; flags override it")
+    for s in SETTINGS:
+        if s.parse is _switch:
+            kind = {"action": "store_const", "const": True}
+        else:
+            kind = {"type": s.parse, "action": "extend" if isinstance(s.default, list) else "store"}
+        # an absent flag sets nothing, so it cannot mask a config value
+        common.add_argument("--" + s.key.replace("_", "-"), dest=s.key, default=argparse.SUPPRESS, help=s.help, **kind)
+
     parser = argparse.ArgumentParser(prog="acre", description="audio-caption retrieval engine")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        for s in SETTINGS:
-            if s.parse is _switch:
-                kind = {"action": "store_const", "const": True}
-            else:
-                kind = {"type": s.parse, "action": "extend" if isinstance(s.default, list) else "store"}
-            # an absent flag sets nothing, so it cannot mask a config value
-            p.add_argument("--" + s.key.replace("_", "-"), dest=s.key, default=argparse.SUPPRESS, help=s.help, **kind)
-
     for name in ("embed", "train", "finetune", "evaluate"):
-        add_common(sub.add_parser(name))
+        sub.add_parser(name, parents=[common])
 
-    rank_p = sub.add_parser("rank")
-    add_common(rank_p)
+    rank_p = sub.add_parser("rank", parents=[common])
     rank_p.add_argument("--query", required=True, help="text query")
     rank_p.add_argument("--top", type=int, default=10)
 

@@ -117,7 +117,9 @@ class AugmentedCaptionSet:
 
 @dataclass(frozen=True)
 class EmbeddingDump:
-    """A dump's ids in row order and its read-only (count, dim) float32 matrix."""
+    """A dump's ids in row order and its read-only (count, dim) float32 matrix.
+    acre itself reads the two fields; ``entries`` and ``as_dict()`` have no
+    caller in src/acre and are kept as perfbench's read API."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray
@@ -165,10 +167,13 @@ def load_manifest(path, audio_dir=None) -> list[ClipRecord]:
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise MissingColumn(f"{path}: empty manifest")
-    col = {name.strip(): i for i, name in enumerate(rows[0])}
+    header = [name.strip() for name in rows[0]]
+    col = {name: i for i, name in enumerate(header)}
     for name in _REQUIRED_COLUMNS:
         if name not in col:
             raise MissingColumn(f"{path}: missing column {name!r}")
+        if header.count(name) > 1:  # col keeps the last one; which of them is meant is unknown
+            raise IngestError(f"{path}: line 1: column {name!r} appears more than once")
     name_idx = col["file_name"]
     caption_cells = operator.itemgetter(*(col[f"caption_{k + 1}"] for k in range(CAPTIONS_PER_CLIP)))
 

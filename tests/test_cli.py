@@ -884,6 +884,54 @@ def test_train_and_evaluate_never_open_variants(wav_dataset, wav_dumps, tmp_path
         run(["finetune", *common(wav_dataset, tmp_path / "ft", ckpt), "--epochs", "1", "--batch-size", "3"])
 
 
+def fixed_checkpoint(path, audio_dim, text_dim, out_dim=16):
+    rng = np.random.default_rng(7)
+    audio, text = (space.ProjectionHead.initialize(d_in, out_dim, rng) for d_in in (audio_dim, text_dim))
+    space.save_checkpoint(path, audio, text)
+    return ["--checkpoint", str(path)]
+
+
+@pytest.mark.parametrize("command", ["train", "finetune", "evaluate"])
+@pytest.mark.parametrize(
+    "dump_name, key, kind",
+    [("audio.embd", "c005.wav", "audio"), ("captions.embd", "c005.wav#3", "caption")],
+    ids=["audio", "caption"],
+)
+def test_a_manifest_id_missing_from_its_dump_is_one_usage_error(tmp_path, capsys, command, dump_name, key, kind):
+    variants, argv = finetune_dumps(tmp_path, 8, 6)
+    path = variants.parent / dump_name
+    dump = ingest.read_embedding_dump(path)
+    ingest.write_embedding_dump([(i, row) for i, row in zip(dump.ids, dump.matrix) if i != key], path)
+    extra = {"evaluate": fixed_checkpoint(tmp_path / "fixed.ackp", 16, 6)}.get(command, [])
+    assert run([command, *argv[1:], *extra]) == 2
+    assert capsys.readouterr().err == f"error: UsageError: no {kind} embedding for {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_dumps_in_another_order_with_extra_rows_give_the_same_bytes(tmp_path):
+    # variants.embd stays in order: its per-caption '@j' file order sets the swap stream
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    dumps = variants.parent
+    evaluate = ["evaluate", *argv[1:5], *fixed_checkpoint(tmp_path / "fixed.ackp", 16, 8)]
+
+    def outputs(tag):
+        runs = {"train": ["train", *argv[1:]], "finetune": argv, "evaluate": evaluate}
+        for name, command in runs.items():
+            assert run([*command, "--out", str(tmp_path / tag / name)]) == 0
+        files = ("train/checkpoint.ackp", "train/loss.csv", "finetune/checkpoint.ackp", "finetune/loss.csv",
+                 "evaluate/metrics.csv", "evaluate/report.txt")
+        return {name: (tmp_path / tag / name).read_bytes() for name in files}
+
+    in_order = outputs("manifest")
+    rng = np.random.default_rng(11)
+    for name, extra in (("audio.embd", "extra{}.wav"), ("captions.embd", "c000.wav#{}")):
+        dump = ingest.read_embedding_dump(dumps / name)
+        rows = [*zip(dump.ids, dump.matrix), *((extra.format(5 + i), rng.normal(size=dump.dim)) for i in range(3))]
+        ingest.write_embedding_dump([rows[k] for k in rng.permutation(len(rows))], dumps / name)
+        assert ingest.read_embedding_dump(dumps / name).ids[: len(dump.ids)] != dump.ids
+    assert outputs("shuffled") == in_order
+
+
 def test_finetune_checks_variants_before_it_reads_the_other_dumps(tmp_path, capsys):
     variants, argv = finetune_dumps(tmp_path, 16, 8)
     variants.write_bytes(b"NOPE" + variants.read_bytes()[4:])
@@ -1337,15 +1385,18 @@ SETTING_VALUES = {
 }
 
 
-def test_config_line_parses_like_its_flag(tmp_path):
+@pytest.mark.parametrize(
+    "command", [["embed"], ["train"], ["finetune"], ["evaluate"], ["rank", "--query", "q"]], ids=lambda argv: argv[0]
+)
+def test_config_line_parses_like_its_flag(tmp_path, command):
     assert set(SETTING_VALUES) == {s.key for s in cli.SETTINGS}
-    default = settings_for(["train"])
+    default = settings_for(command)
     cfg = tmp_path / "run.cfg"
     for key, value in SETTING_VALUES.items():
         cfg.write_text(f"{key} = {value}\n")
         flag = "--" + key.replace("_", "-")
-        from_flag = settings_for(["train", flag] if value == "yes" else ["train", flag, value])
-        from_config = settings_for(["train", "--config", str(cfg)])
+        from_flag = settings_for([*command, flag] if value == "yes" else [*command, flag, value])
+        from_config = settings_for([*command, "--config", str(cfg)])
         assert from_config == from_flag != default, key
 
 

@@ -56,6 +56,30 @@ def test_load_manifest_missing_column(tmp_path):
         ingest.load_manifest(m)
 
 
+@pytest.mark.parametrize(
+    "header, column",
+    [
+        ("file_name,caption_1,caption_2,caption_3,caption_4,caption_5,caption_1", "caption_1"),
+        ("file_name,caption_1,caption_2,caption_3,caption_4,caption_5,file_name", "file_name"),
+        ("file_name,caption_1,caption_2,caption_3,caption_4,caption_5, caption_3 ", "caption_3"),
+    ],
+    ids=["caption", "file-name", "padded"],
+)
+def test_load_manifest_refuses_a_required_column_named_twice(tmp_path, header, column):
+    m = tmp_path / "m.csv"
+    write_manifest(m, ["a.wav,c1,c2,c3,c4,c5,SIX"], header=header)
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.load_manifest(m)
+    assert str(excinfo.value) == f"{m}: line 1: column {column!r} appears more than once"
+
+
+def test_load_manifest_keeps_a_repeated_unknown_column(tmp_path):
+    m = tmp_path / "m.csv"
+    header = "file_name,caption_1,caption_2,caption_3,caption_4,caption_5,k,k"
+    write_manifest(m, ["a.wav,c1,c2,c3,c4,c5,x,y"], header=header)
+    assert [rec.captions for rec in ingest.load_manifest(m)] == [("c1", "c2", "c3", "c4", "c5")]
+
+
 def test_load_manifest_wrong_caption_count(tmp_path):
     m = tmp_path / "m.csv"
     write_manifest(m, ["a.wav,c1,c2,c3,c4,c5", "b.wav,c1,c2,c3,c4"])
