@@ -25,12 +25,16 @@ with tempfile.TemporaryDirectory(prefix="acre-demo-") as workdir:
     wav_path = Path(workdir) / "two_tones.wav"
     wav_path.write_bytes(header + payload)
     w = ingest.read_wav(wav_path)
-print(f"decoded {wav_path.name}: {len(w)} samples at {w.sample_rate} Hz ({w.duration:.1f} s)")
+    print(f"decoded {wav_path.name}: {len(w)} samples at {w.sample_rate} Hz ({w.duration:.1f} s)")
 
-# Long recordings are cut to a random 30-second snippet before analysis.
-rng = np.random.default_rng(7)
-snippet = dsp.snippet_or_pad(w, 30.0, rng)
-print(f"snippet: {snippet.duration:.1f} s (contiguous cut, offset drawn from the generator)")
+    # Long recordings are cut to a random 30-second snippet before analysis.
+    # snippet_or_pad cuts one from a waveform in memory; read_wav cuts the same
+    # one from the file, decoding only those 30 s, as acre embed does.
+    snippet = dsp.snippet_or_pad(w, 30.0, np.random.default_rng(7))
+    windowed = ingest.read_wav(wav_path, 30.0, np.random.default_rng(7))
+assert windowed.samples.tobytes() == snippet.samples.tobytes()
+print(f"snippet: {snippet.duration:.1f} s (contiguous cut, offset drawn from the generator;")
+print("         read_wav(path, 30.0, rng) decodes the same samples and nothing else)")
 
 # 128-bin log-mel analysis: 1024-point FFT, hop 320 -> 100 frames per second.
 spec = dsp.logmel(snippet)

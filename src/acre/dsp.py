@@ -252,19 +252,30 @@ def compute_whitening_stats(specs: Iterable[Spectrogram]) -> WhiteningStats:
     return stats_from_sums(map(cell_sums, specs))
 
 
-def snippet_or_pad(w: Waveform, max_seconds: float, rng: np.random.Generator) -> Waveform:
-    """Return w unchanged if short enough, else a uniformly random contiguous snippet.
+def snippet_window(n: int, max_seconds: float, sample_rate: int, rng: np.random.Generator) -> slice:
+    """The samples of an n-sample clip that a snippet keeps.
 
-    The snippet is exactly round(max_seconds * sample_rate) samples long and
-    its start offset is drawn from the supplied generator.
+    A clip of at most max_len = round(max_seconds * sample_rate) samples is
+    kept whole, and the generator is not drawn from. A longer one keeps max_len
+    samples from a start drawn by one rng.integers(0, n - max_len + 1).
     """
     if not (math.isfinite(max_seconds) and max_seconds > 0):
         raise ValueError(f"max_seconds must be positive and finite, got {max_seconds}")
-    max_len = int(round(max_seconds * w.sample_rate))
-    if len(w) <= max_len:
+    max_len = int(round(max_seconds * sample_rate))
+    if n <= max_len:
+        return slice(0, n)
+    start = int(rng.integers(0, n - max_len + 1))
+    return slice(start, start + max_len)
+
+
+def snippet_or_pad(w: Waveform, max_seconds: float, rng: np.random.Generator) -> Waveform:
+    """Return w unchanged if short enough, else a uniformly random contiguous
+    snippet, as snippet_window cuts it. ingest.read_wav(path, max_seconds, rng)
+    gives the same snippet of a WAV file without decoding the rest."""
+    window = snippet_window(len(w), max_seconds, w.sample_rate, rng)
+    if window.stop - window.start == len(w):
         return w
-    start = int(rng.integers(0, len(w) - max_len + 1))
-    return Waveform(w.samples[start : start + max_len], w.sample_rate)
+    return Waveform(w.samples[window], w.sample_rate)
 
 
 def segment(s: Spectrogram, seg_frames: int) -> list[Spectrogram]:

@@ -100,7 +100,7 @@ def run_share(share: Share, channel: _Channel | None = None) -> tuple[np.ndarray
     def log_mel(clip_id: str, path: Path) -> dsp.Spectrogram:
         rng = np.random.default_rng(derive_seed(share.seed, f"snippet:{clip_id}"))
         try:  # no waveform outlives its log-mel into the next clip's decode
-            return dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(path), share.snippet_seconds, rng))
+            return dsp.logmel(ingest.read_wav(path, share.snippet_seconds, rng))
         except dsp.DspError as exc:  # the same kind, naming the clip among thousands
             raise type(exc)(f"{path}: {exc}") from None
 

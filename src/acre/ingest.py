@@ -15,6 +15,14 @@ Augmented captions: UTF-8 JSON lines, one record per line::
 
     {"clip_id": "...", "caption_index": 0, "variants": ["...", ...5 non-blank strings]}
 
+WAV audio: RIFF/WAVE with a ``fmt `` chunk for 16-bit PCM or 32-bit IEEE
+float (plain or WAVE_FORMAT_EXTENSIBLE), any channel count, and a ``data``
+chunk. read_wav finds the two by seeking from chunk header to chunk header,
+so other chunks may come before, between or after them, and it never holds
+the file's bytes: it reads one block of frames at a time, and only the
+snippet it is asked for (float files are read whole once, in blocks, to check
+that every sample is finite).
+
 Embedding dump (binary, little-endian): magic ``ACRE``, version u32=2,
 dim u32, count u64 (neither zero), then one count x dim block of 32-bit floats
 from byte 20, then the id table to the end of the file: per entry a u16 byte
@@ -34,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, snippet_window
 
 CAPTIONS_PER_CLIP = 5
 VARIANTS_PER_CAPTION = 5
@@ -45,8 +53,8 @@ DUMP_MAGIC = b"ACRE"
 _DUMP_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
 
-# read_wav mixes multichannel audio to mono MIX_BLOCK frames at a time, so its
-# float64 scratch is one block rather than a copy of the whole file
+# read_wav reads and mixes MIX_BLOCK frames at a time, so its raw and float64
+# scratch is one block rather than a copy of the whole file
 MIX_BLOCK = 1 << 14
 
 
@@ -253,46 +261,42 @@ def load_augmented_captions(path) -> list[AugmentedCaptionSet]:
     return sets
 
 
-def read_wav(path) -> Waveform:
-    """Decode a RIFF/WAVE file to a mono waveform in [-1, 1].
+def _wav_layout(path: Path, fh) -> tuple[np.dtype, int, int, int, int]:
+    """(sample dtype, channels, rate, data offset, frame count) of an open
+    RIFF/WAVE file, found by seeking from chunk header to chunk header.
 
-    Accepts 16-bit PCM and 32-bit IEEE float (plain or WAVE_FORMAT_EXTENSIBLE);
-    multichannel input is averaged to mono. Integer samples are scaled by
-    1/32768, the symmetric-range convention, so int16 -32768 maps to -1.0
-    exactly. Float samples must be finite (NonFiniteValue otherwise); finite
-    overshoot past +-1 is clipped.
+    Every declared chunk size is checked against the file's size. Of several
+    fmt or data chunks the last one counts, and fewer than 8 trailing bytes
+    are ignored.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    view = memoryview(raw)  # chunk bodies are slices of it, not copies
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+    end = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise CorruptHeader(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    data = None
+    chunks = {}  # chunk id -> (body offset, body size), for fmt and data
     pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = view[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+    while pos + 8 <= end:
+        fh.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", fh.read(8))
+        if pos + 8 + size > end:
             raise CorruptHeader(f"{path}: truncated {chunk_id!r} chunk")
-        if chunk_id == b"fmt ":
-            fmt = body
-        elif chunk_id == b"data":
-            data = body
+        if chunk_id in (b"fmt ", b"data"):
+            chunks[chunk_id] = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
-    if fmt is None:
+    if b"fmt " not in chunks:
         raise CorruptHeader(f"{path}: no fmt chunk")
-    if data is None:
+    if b"data" not in chunks:
         raise CorruptHeader(f"{path}: no data chunk")
-    if len(fmt) < 16:
-        raise CorruptHeader(f"{path}: fmt chunk too small ({len(fmt)} bytes)")
+    fmt_at, fmt_size = chunks[b"fmt "]
+    if fmt_size < 16:
+        raise CorruptHeader(f"{path}: fmt chunk too small ({fmt_size} bytes)")
+    fh.seek(fmt_at)
+    fmt = fh.read(min(fmt_size, 26))
 
     code, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if code == 0xFFFE:  # extensible: the real code sits in the sub-format GUID
-        if len(fmt) < 26:
+        if fmt_size < 26:
             raise CorruptHeader(f"{path}: extensible fmt chunk too small")
         (code,) = struct.unpack_from("<H", fmt, 24)
     if channels < 1 or rate < 1:
@@ -308,26 +312,69 @@ def read_wav(path) -> Waveform:
             "only 16-bit PCM and 32-bit IEEE float are handled"
         )
 
-    frame_bytes = channels * bits // 8
-    if len(data) % frame_bytes != 0:
-        raise CorruptHeader(f"{path}: data size {len(data)} not a multiple of frame size {frame_bytes}")
+    data_at, data_size = chunks[b"data"]
+    frame_bytes = channels * dtype.itemsize
+    if data_size % frame_bytes != 0:
+        raise CorruptHeader(f"{path}: data size {data_size} not a multiple of frame size {frame_bytes}")
+    return dtype, channels, rate, data_at, data_size // frame_bytes
 
-    frames = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
-    # numpy's own row sums, one block of float64 frames at a time: the same bits
-    # as a whole-file reshape(-1, channels).mean(axis=1), and mono passes through
-    # exactly (a one-element sum is the element, and dividing by 1 is exact)
-    samples = np.empty(frames.shape[0])
-    for start in range(0, samples.size, MIX_BLOCK):
-        block = slice(start, start + MIX_BLOCK)
-        np.add.reduce(frames[block].astype(np.float64), axis=1, out=samples[block])
+
+def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | None = None) -> Waveform:
+    """Decode a RIFF/WAVE file to a mono waveform in [-1, 1].
+
+    Accepts 16-bit PCM and 32-bit IEEE float (plain or WAVE_FORMAT_EXTENSIBLE);
+    multichannel input is averaged to mono. Integer samples are scaled by
+    1/32768, the symmetric-range convention, so int16 -32768 maps to -1.0
+    exactly. Float samples must be finite (NonFiniteValue otherwise); finite
+    overshoot past +-1 is clipped.
+
+    With max_seconds given, only the snippet that dsp.snippet_window cuts from
+    the file's frame count is decoded, drawing its start from rng when the clip
+    is longer: the bytes and the draw of dsp.snippet_or_pad(read_wav(path),
+    max_seconds, rng). An int16 file is read only there; a float file is read
+    whole once, in blocks, because every one of its samples must be finite.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        dtype, channels, rate, data_at, n = _wav_layout(path, fh)
+        window = slice(0, n) if max_seconds is None else snippet_window(n, max_seconds, rate, rng)
+        samples = np.empty(window.stop - window.start)
+        # (first frame, last frame + 1, the float64 rows they mix into, or None for scratch)
+        spans = [(window.start, window.stop, samples)]
+        if dtype.kind == "f":
+            spans = [(0, window.start, None), *spans, (window.stop, n, None)]
+        fh.seek(data_at + spans[0][0] * channels * dtype.itemsize)
+        raw = np.empty((MIX_BLOCK, channels), dtype)
+        scratch = np.empty(MIX_BLOCK)
+        lows, highs = [], []  # the extremes of each float block mixed
+        for first, stop, out in spans:
+            for at in range(first, stop, MIX_BLOCK):
+                block = raw[: min(MIX_BLOCK, stop - at)]
+                if fh.readinto(block) != block.nbytes:  # the file shrank since it was opened
+                    raise CorruptHeader(f"{path}: truncated {b'data'!r} chunk")
+                if out is not None:
+                    mix = out[at - first : at - first + len(block)]
+                elif np.isfinite(block.min()) and np.isfinite(block.max()):
+                    continue  # finite frames mix to finite sums, which cannot change the message
+                else:
+                    mix = scratch[: len(block)]
+                # numpy's own row sums of float64 frames: the same bits as a
+                # whole-file reshape(-1, channels).mean(axis=1), and mono passes
+                # through exactly (a one-element sum is the element, and
+                # dividing by 1 is exact)
+                np.add.reduce(block.astype(np.float64), axis=1, out=mix)
+                if dtype.kind == "f":
+                    lows.append(mix.min())
+                    highs.append(mix.max())
     samples /= channels
     if dtype.kind == "i":
         samples /= 32768.0  # exact, so it may follow the mean
-    lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
-    peak = max(-lo, hi)
-    if not np.isfinite(peak):  # NaN or +-inf: clipping would turn inf into a full-scale sample
-        raise NonFiniteValue(f"{path}: samples must be finite, got peak {peak}")
-    if peak > 1.0:
+    elif lows:
+        # np.min, not min(): min(0.0, nan) is 0.0. The sums stand in for the
+        # means: a finite sum stays finite, and dividing keeps NaN and +-inf
+        peak = max(-float(np.min(lows)), float(np.max(highs)))
+        if not np.isfinite(peak):  # NaN or +-inf: clipping would turn inf into a full-scale sample
+            raise NonFiniteValue(f"{path}: samples must be finite, got peak {peak}")
         np.clip(samples, -1.0, 1.0, out=samples)  # float files may carry headroom overshoot
     return Waveform(samples, int(rate))
 

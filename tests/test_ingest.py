@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acre import cli, ingest
+from acre import cli, dsp, ingest
 from conftest import raw_wav_bytes, write_wav_float32, write_wav_pcm16
 
 
@@ -303,20 +303,120 @@ def test_read_wav_mono_mix_is_the_interleaved_mean_bitwise(tmp_path, code, bits,
     assert ingest.read_wav(p).samples.tobytes() == expected.tobytes()
 
 
-def test_read_wav_holds_its_output_and_the_file(tmp_path):
-    p = tmp_path / "long.wav"
-    x = np.random.default_rng(0).integers(-20000, 20000, (40 * 32000, 2)).astype(np.int16)
-    write_wav_pcm16(p, x)
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        w = ingest.read_wav(p)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_read_wav_holds_its_output_and_one_block(tmp_path):
+    p = tmp_path / "long.wav"
+    x = np.random.default_rng(0).integers(-20000, 20000, (40 * 32000, 2)).astype(np.int16)
+    write_wav_pcm16(p, x)
+    w, peak = traced_peak(lambda: ingest.read_wav(p))
     assert len(w) == 40 * 32000
-    # the samples and the file's bytes, plus one float64 mix block (0.26 MB);
-    # a float64 copy of the interleaved data alone would be 20 MB
-    assert peak < w.samples.nbytes + p.stat().st_size + 500_000
+    # the samples plus one raw block (64 KB) and its float64 copy (0.26 MB);
+    # the file's bytes (5 MB) are not held, and a float64 copy of the
+    # interleaved data alone would be 20 MB
+    assert peak < w.samples.nbytes + 500_000
+
+
+def write_long_wav(path, seconds: int, channels: int, bits: int) -> None:
+    """A WAV of `seconds` repeats of one second of noise, written a second at a time."""
+    rng = np.random.default_rng(seconds)
+    if bits == 16:
+        second = rng.integers(-20000, 20000, (32000, channels)).astype("<i2")
+    else:
+        second = rng.uniform(-1.2, 1.2, (32000, channels)).astype("<f4")
+    head = raw_wav_bytes(second[:0].ravel(), 32000, channels, fmt_code=1 if bits == 16 else 3, bits=bits)
+    size = seconds * second.nbytes
+    with open(path, "wb") as fh:
+        fh.write(head[:4] + struct.pack("<I", len(head) - 8 + size) + head[8:-4] + struct.pack("<I", size))
+        for _ in range(seconds):
+            fh.write(second.tobytes())
+
+
+@pytest.mark.parametrize(
+    "channels,bits", [(2, 16), (1, 32), (2, 32)], ids=["int16-stereo", "float32-mono", "float32-stereo"]
+)
+def test_read_wav_decodes_a_long_clip_in_the_memory_of_its_window(tmp_path, channels, bits):
+    p = tmp_path / "ten-minutes.wav"
+    write_long_wav(p, 600, channels, bits)
+    w, peak = traced_peak(lambda: ingest.read_wav(p, 30.0, np.random.default_rng(3)))
+    assert len(w) == 30 * 32000
+    # the window's float64 samples, one float64 mix block and 1 MB, however long
+    # the file: decoding all of the stereo 16-bit one and then cutting took 231 MB
+    assert peak < w.samples.nbytes + ingest.MIX_BLOCK * channels * 8 + 1_000_000
+
+
+class FixedStart:
+    """A stand-in generator whose integers() returns one start and logs its bounds."""
+
+    def __init__(self, start):
+        self.start = start
+        self.calls = []
+
+    def integers(self, low, high):
+        self.calls.append((low, high))
+        return self.start
+
+
+def noise_frames(rng, n, channels, bits):
+    """int16 frames, or float32 frames with wide exponents and overshoot past +-1."""
+    if bits == 16:
+        return rng.integers(-32768, 32768, (n, channels)).astype(np.int16)
+    x = rng.uniform(-1.3, 1.3, (n, channels)) * 10.0 ** rng.integers(-20, 1, (n, channels))
+    return x.astype(np.float32)
+
+
+def mono_oracle(x, bits):
+    """The interleaved mean of int16 or float32 frames, scaled and clipped as read_wav does."""
+    mono = (x.astype(np.float64) / (32768.0 if bits == 16 else 1.0)).mean(axis=1)
+    return mono if bits == 16 else np.clip(mono, -1.0, 1.0)
+
+
+WINDOW_FRAMES = 20_000  # 0.625 s at 32 kHz: more than one mix block, not a multiple of one
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("channels", [1, 2, 6])
+@pytest.mark.parametrize("bits", [16, 32], ids=["int16", "float32"])
+def test_read_wav_window_is_decode_all_then_snippet_bitwise(tmp_path, bits, channels, where):
+    n = 3 * ingest.MIX_BLOCK + 777
+    x = noise_frames(np.random.default_rng(channels), n, channels, bits)
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=1 if bits == 16 else 3, bits=bits))
+    start = {"start": 0, "middle": 12_345, "end": n - WINDOW_FRAMES}[where]
+    seconds = WINDOW_FRAMES / 32000
+    windowed, whole = FixedStart(start), FixedStart(start)
+    got = ingest.read_wav(p, seconds, windowed)
+    expected = dsp.snippet_or_pad(ingest.read_wav(p), seconds, whole)
+    assert got.samples.tobytes() == expected.samples.tobytes()
+    assert got.samples.tobytes() == mono_oracle(x, bits)[start : start + WINDOW_FRAMES].tobytes()
+    assert windowed.calls == whole.calls == [(0, n - WINDOW_FRAMES + 1)]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["shorter", "exactly-as-long", "one-frame-longer"])
+@pytest.mark.parametrize("bits", [16, 32], ids=["int16", "float32"])
+def test_read_wav_window_draws_as_snippet_or_pad(tmp_path, bits, extra):
+    n = WINDOW_FRAMES + extra
+    x = noise_frames(np.random.default_rng(n), n, 2, bits)
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw_wav_bytes(x.ravel(), 16000, 2, fmt_code=1 if bits == 16 else 3, bits=bits))
+    seconds = WINDOW_FRAMES / 16000  # the window is counted at the file's rate
+    windowed, whole = np.random.default_rng(11), np.random.default_rng(11)
+    got = ingest.read_wav(p, seconds, windowed)
+    expected = dsp.snippet_or_pad(ingest.read_wav(p), seconds, whole)
+    assert len(got) == min(n, WINDOW_FRAMES) and got.sample_rate == expected.sample_rate == 16000
+    assert got.samples.tobytes() == expected.samples.tobytes()
+    assert windowed.bit_generator.state == whole.bit_generator.state
+    drew = windowed.bit_generator.state != np.random.default_rng(11).bit_generator.state
+    assert drew == (extra > 0)
 
 
 def test_read_wav_float32_clips_overshoot(tmp_path):
@@ -337,6 +437,39 @@ def test_read_wav_refuses_non_finite_float_samples(tmp_path, bad):
         ingest.read_wav(p)
 
 
+NON_FINITE_FRAMES = 5 * ingest.MIX_BLOCK + 100
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf + -inf, as numpy warns
+@pytest.mark.parametrize("window", ["whole", "start", "middle", "end"])
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "nan-and-inf", "inf-and--inf-in-one-frame"])
+def test_read_wav_refuses_a_non_finite_sample_in_any_block_in_or_out_of_the_window(tmp_path, bad, block, window):
+    # the message names the whole file's peak: NaN wherever a NaN is, inf else,
+    # even when the one NaN is outside the window and an inf is inside it
+    n, span = NON_FINITE_FRAMES, ingest.MIX_BLOCK
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, (n, 2)).astype(np.float32)
+    at = {"first": 7, "middle": 2 * span + 50, "last": n - 3}[block]
+    if bad == "nan-and-inf":
+        x[at, 0] = np.nan
+        x[3 * span + 9 if block != "last" else 11, 1] = np.inf  # in a block the window may hold
+    elif bad == "inf-and--inf-in-one-frame":  # no NaN on disk; the frame's mean is one
+        x[at] = np.inf, -np.inf
+    else:
+        x[at, 1] = float(bad)
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw_wav_bytes(x.ravel(), 32000, 2, fmt_code=3, bits=32))
+    peak = "nan" if "nan" in bad or "one-frame" in bad else "inf"
+    message = re.escape(f"{p}: samples must be finite, got peak {peak}") + "$"
+    if window == "whole":
+        with pytest.raises(ingest.NonFiniteValue, match=message):
+            ingest.read_wav(p)
+        return
+    start = {"start": 0, "middle": 2 * span + 5, "end": n - span}[window]
+    with pytest.raises(ingest.NonFiniteValue, match=message):
+        ingest.read_wav(p, span / 32000, FixedStart(start))
+
+
 def test_read_wav_extensible_format(tmp_path):
     # WAVE_FORMAT_EXTENSIBLE wrapping PCM16: code 0xFFFE, real code at offset 24
     pcm = np.array([100, -100], dtype="<i2")
@@ -355,8 +488,11 @@ def test_read_wav_extensible_format(tmp_path):
 def test_read_wav_unsupported_encoding(tmp_path):
     p = tmp_path / "x.wav"
     p.write_bytes(raw_wav_bytes(np.zeros(4, dtype=np.int16), 32000, 1, fmt_code=7))  # mu-law
-    with pytest.raises(ingest.UnsupportedEncoding):
+    with pytest.raises(ingest.UnsupportedEncoding) as excinfo:
         ingest.read_wav(p)
+    assert str(excinfo.value) == (
+        f"{p}: unsupported encoding (format code 7, 16-bit); only 16-bit PCM and 32-bit IEEE float are handled"
+    )
 
 
 def test_read_wav_corrupt_header(tmp_path):
@@ -369,10 +505,11 @@ def test_read_wav_corrupt_header(tmp_path):
         ingest.read_wav(p)
 
 
-def riff(*chunks):
-    """A RIFF/WAVE file of the given (id, body) chunks."""
-    body = b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
-    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+def riff(*chunks, tail=b""):
+    """A RIFF/WAVE file of the given (id, body) chunks, an odd-sized body
+    followed by its pad byte, then `tail`."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + bytes(len(data) & 1) for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body + tail
 
 
 PCM_FMT = struct.pack("<HHIIHH", 1, 1, 32000, 64000, 2, 16)
@@ -392,8 +529,14 @@ PCM_FMT = struct.pack("<HHIIHH", 1, 1, 32000, 64000, 2, 16)
          "invalid fmt fields (channels=1, rate=0)"),
         (riff((b"fmt ", struct.pack("<HHIIHH", 1, 2, 32000, 128000, 4, 16)), (b"data", b"\x00" * 6)),
          "data size 6 not a multiple of frame size 4"),
+        (riff((b"fmt ", PCM_FMT), (b"data", b"\x00" * 8))[:-1], "truncated b'data' chunk"),
+        (riff((b"LIST", b"\x00" * 10), (b"fmt ", PCM_FMT), (b"data", b"\x00\x00"))[:25], "truncated b'LIST' chunk"),
+        (riff((b"fmt ", PCM_FMT), (b"data", b"\x00\x00"), (b"LIST", b"\x00" * 4))[:-1], "truncated b'LIST' chunk"),
+        (b"RIFX" + bytes(40), "not a RIFF/WAVE file"),
+        (b"RIFF\x04\x00\x00\x00WAV", "not a RIFF/WAVE file"),
     ],
-    ids=["no-fmt", "no-data", "small-fmt", "small-extensible-fmt", "zero-channels", "zero-rate", "partial-frame"],
+    ids=["no-fmt", "no-data", "small-fmt", "small-extensible-fmt", "zero-channels", "zero-rate", "partial-frame",
+         "truncated-data", "truncated-list-before-fmt", "truncated-chunk-after-data", "not-riff", "short-riff"],
 )
 def test_read_wav_rejects_malformed_chunks(tmp_path, raw, message):
     p = tmp_path / "x.wav"
@@ -401,6 +544,31 @@ def test_read_wav_rejects_malformed_chunks(tmp_path, raw, message):
     with pytest.raises(ingest.CorruptHeader) as excinfo:
         ingest.read_wav(p)
     assert str(excinfo.value) == f"{p}: {message}"
+
+
+PCM_FRAMES = np.arange(-2000, 2000, dtype="<i2") * 16
+PCM_DATA = (b"data", PCM_FRAMES.tobytes())
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        riff((b"LIST", b"\x04\x00\x00\x00INFO"), (b"fmt ", PCM_FMT), PCM_DATA),
+        riff((b"fmt ", PCM_FMT), (b"junk", b"odd"), PCM_DATA),
+        riff(PCM_DATA, (b"fmt ", PCM_FMT)),
+        riff((b"fmt ", PCM_FMT), PCM_DATA, tail=b"\x00" * 7),
+        riff((b"fmt ", struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)), (b"fmt ", PCM_FMT), PCM_DATA),
+    ],
+    ids=["list-before-fmt", "odd-chunk-and-pad-before-data", "fmt-after-data", "7-trailing-bytes", "last-fmt-counts"],
+)
+def test_read_wav_finds_its_chunks_wherever_they_are(tmp_path, raw):
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw)
+    w = ingest.read_wav(p)
+    assert w.sample_rate == 32000
+    assert w.samples.tobytes() == (PCM_FRAMES / 32768.0).tobytes()
+    window = ingest.read_wav(p, 0.05, FixedStart(1234))  # 1600 frames, reached by seeking
+    assert window.samples.tobytes() == w.samples[1234 : 1234 + 1600].tobytes()
 
 
 def test_dump_round_trip(tmp_path):
