@@ -285,11 +285,12 @@ def test_read_wav_stereo_mean(tmp_path):
     assert np.allclose(w.samples, [0.0, 0.5])
 
 
-@pytest.mark.parametrize("channels", [1, 2, 3, 6, 8, 9])
+@pytest.mark.parametrize("channels", [1, 2, 3, 6, 7, 8, 9])
 @pytest.mark.parametrize("code,bits", [(1, 16), (3, 32)], ids=["int16", "float32"])
 def test_read_wav_mono_mix_is_the_interleaved_mean_bitwise(tmp_path, code, bits, channels):
     # more frames than one mix block; float32 exponents spread wide enough that
-    # the order of the channel sum shows in the last bit
+    # the order of the channel sum shows in the last bit, and -0.0 samples: in
+    # one channel, and in every channel of a frame, whose mean is +0.0
     rng = np.random.default_rng(channels)
     n = ingest.MIX_BLOCK + 1001
     if bits == 16:
@@ -297,6 +298,7 @@ def test_read_wav_mono_mix_is_the_interleaved_mean_bitwise(tmp_path, code, bits,
     else:
         x, scale = (rng.uniform(-1.0, 1.0, (n, channels)) * 10.0 ** rng.integers(-20, 1, (n, channels))), 1.0
         x = x.astype(np.float32)
+        x[5, 0] = x[ingest.MIX_BLOCK + 7] = x[ingest.MIX_BLOCK + 8, -1] = -0.0
     expected = (x.astype(np.float64) / scale).reshape(-1, channels).mean(axis=1)
     p = tmp_path / "x.wav"
     p.write_bytes(raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=code, bits=bits))
