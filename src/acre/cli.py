@@ -90,14 +90,20 @@ def _mean_std(text: str) -> dsp.WhiteningStats:
         raise argparse.ArgumentTypeError(f"must be finite 'mean,std' with std > 0, got {text!r}") from None
 
 
-def _seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """A setting's parser: the value parse(text) if ok accepts it, else 'must be <rule>'."""
+    def checked(text: str) -> Any:
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return checked
+
+
+_seconds = _checked(float, lambda value: math.isfinite(value) and value > 0, "positive and finite")
+_count = _checked(int, lambda value: value >= 0, "a non-negative integer")
 
 
 class Setting(NamedTuple):
@@ -124,7 +130,7 @@ SETTINGS = (
     Setting("augmented_captions", _path, None, "JSONL variants file, embedded into variants.embd"),
     Setting("encoder", _dump_dir, None, "dump:<dir> written by embed (needed by train/finetune/evaluate/rank)"),
     Setting("preset", _preset, encoder.PRESETS["passt-n"], "patch geometry: " + " | ".join(sorted(encoder.PRESETS))),
-    Setting("epochs", int, None, "epoch count override"),
+    Setting("epochs", _count, None, "epoch count override"),
     Setting("seed", int, 0, "global seed (default 0)"),
     Setting("out", _path, None, "output directory"),
     Setting("strict", _switch, False, "finetune: fail on a caption without variants"),
@@ -264,6 +270,8 @@ def cmd_embed(settings: argparse.Namespace) -> int:
         dsp.frame_count(int(round(settings.snippet_seconds * dsp.SAMPLE_RATE)))
     except dsp.TooShort as exc:
         raise UsageError(f"snippet_seconds (--snippet-seconds) {settings.snippet_seconds!r} is below one FFT window: {exc}")
+    except OverflowError:  # round(inf): past about 5.6e303 s the sample count overflows
+        raise UsageError(f"snippet_seconds (--snippet-seconds) {settings.snippet_seconds!r} is too long") from None
     out = _require_out(settings)
     records = _load_records(settings)
     aug_sets = None
@@ -303,7 +311,7 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
         raise space.MissingAugmentation("finetune --strict requires variants.embd in the --encoder directory")
     out = _require_out(settings)
     records = _load_records(settings)
-    # variants.embd is checked whole before the other dumps are read, and stays open while training draws from it
+    # variants.embd: header and id table checked before the other dumps are read, each row when training draws it
     with ingest.DumpReader(variants) if has_variants else contextlib.nullcontext() as reader:
         pairs = _train_pairs(records, settings, command, reader)
         result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init, variants=reader)

@@ -261,6 +261,8 @@ def snippet_window(n: int, max_seconds: float, sample_rate: int, rng: np.random.
     """
     if not (math.isfinite(max_seconds) and max_seconds > 0):
         raise ValueError(f"max_seconds must be positive and finite, got {max_seconds}")
+    if not math.isfinite(max_seconds * sample_rate):
+        raise ValueError(f"max_seconds {max_seconds} at {sample_rate} Hz overflows a float sample count")
     max_len = int(round(max_seconds * sample_rate))
     if n <= max_len:
         return slice(0, n)

@@ -19,14 +19,15 @@ WAV audio: RIFF/WAVE with a ``fmt `` chunk for 16-bit PCM or 32-bit IEEE
 float (plain or WAVE_FORMAT_EXTENSIBLE), any channel count, and a ``data``
 chunk. read_wav finds the two by seeking from chunk header to chunk header,
 so other chunks may come before, between or after them, and it never holds
-the file's bytes: it reads one block of frames at a time, and only the
-snippet it is asked for (float files are read whole once, in blocks, to check
-that every sample is finite).
+the file's bytes: it reads one block of at most MIX_BYTES at a time, and only
+the snippet it is asked for (float files are read whole once, in blocks, to
+check that every sample is finite).
 
 Embedding dump (binary, little-endian): magic ``ACRE``, version u32=2,
 dim u32, count u64 (neither zero), then one count x dim block of 32-bit floats
 from byte 20, then the id table to the end of the file: per entry a u16 byte
-length and the UTF-8 id. Round-trips bit-exactly.
+length and the UTF-8 id. Round-trips bit-exactly. A DumpReader checks the
+header and the id table when it opens a dump, and each row as it reads it.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ DUMP_MAGIC = b"ACRE"
 _DUMP_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
 
-# read_wav reads and mixes MIX_BLOCK frames at a time, so its raw and float64
-# scratch is one block rather than a copy of the whole file
+# read_wav mixes MIX_BLOCK frames at a time, fewer past 8 channels: its raw and
+# float64 scratch is one block of at most MIX_BYTES, whatever a header's channel count
 MIX_BLOCK = 1 << 14
+MIX_BYTES = 1 << 20
 
 
 class IngestError(Exception):
@@ -344,13 +346,14 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
         if dtype.kind == "f":
             spans = [(0, window.start, None), *spans, (window.stop, n, None)]
         fh.seek(data_at + spans[0][0] * channels * dtype.itemsize)
-        raw = np.empty((MIX_BLOCK, channels), dtype)
-        wide = np.empty((MIX_BLOCK, channels))
-        scratch = np.empty(MIX_BLOCK)
+        step = min(MIX_BLOCK, MIX_BYTES // (8 * channels))  # 2 or more: channels is a u16
+        raw = np.empty((step, channels), dtype)
+        wide = np.empty((step, channels))
+        scratch = np.empty(step)
         lows, highs = [], []  # the extremes of each float block mixed
         for first, stop, out in spans:
-            for at in range(first, stop, MIX_BLOCK):
-                block = raw[: min(MIX_BLOCK, stop - at)]
+            for at in range(first, stop, step):
+                block = raw[: min(step, stop - at)]
                 if fh.readinto(block) != block.nbytes:  # the file shrank since it was opened
                     raise CorruptHeader(f"{path}: truncated {b'data'!r} chunk")
                 if out is not None:
@@ -483,56 +486,16 @@ def _read_dump_index(fh, path: Path) -> tuple[int, list[str]]:
     return dim, list(ids)
 
 
-def _read_rows(fh, path: Path, ids: list[str], dim: int, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of a checked dump as a new read-only float32 matrix; a
-    short read or a non-finite row (the file changed after its header was
-    checked) is a TruncatedFile or NonFiniteValue naming the entry. A float64
-    sum of finite float32 values cannot overflow, and NaN or inf carries
-    through it: one value per row instead of a full-size bool mask."""
-    rows = np.empty((stop - start, dim), dtype="<f4")
-    fh.seek(_HEADER.size + start * dim * 4)
-    got = fh.readinto(rows)
-    if got != rows.nbytes:
-        entry, part = divmod(got, dim * 4)
-        raise TruncatedFile(
-            f"{path}: entry {ids[start + entry]!r} reads {part} of {dim * 4} bytes; "
-            "the file changed after it was checked"
-        )
-    bad = np.flatnonzero(~np.isfinite(rows.sum(axis=-1, dtype=np.float64)))
-    if bad.size:
-        raise NonFiniteValue(f"{path}: entry {ids[start + bad[0]]!r} contains non-finite values")
-    rows.flags.writeable = False
-    return rows
-
-
-def read_embedding_dump(path) -> EmbeddingDump:
-    """Read a dump written by write_embedding_dump; bit-exact round trip.
-
-    After the header and the id table, one readinto fills the read-only
-    (count, dim) float32 matrix; row i belongs to ids[i].
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        dim, ids = _read_dump_index(fh, path)
-        matrix = _read_rows(fh, path, ids, dim, 0, len(ids))
-    return EmbeddingDump(ids=tuple(ids), matrix=matrix)
-
-
-# DumpReader checks a dump's vectors this many bytes of rows at a time
-CHECK_BLOCK_BYTES = 1 << 20
-
-
 class DumpReader:
-    """An embedding dump held open and read one row at a time, when asked.
+    """An embedding dump held open, its rows read from the file when asked.
 
-    Opening checks the whole file in one streaming pass, with the errors and
-    messages of read_embedding_dump: the header, the id table and every row
-    finite. reader[i] then reads row i with one seek and readinto, so the
-    reader holds the ids, never the matrix; its shape is the matrix's. A row
-    that reads short or non-finite later (the file was rewritten in place
-    after the check) is a TruncatedFile or NonFiniteValue naming its entry.
-    Use it as a context manager: the file handle closes on exit, and on any
-    error while opening.
+    Opening reads and checks the header, against the file's size, and then the
+    id table; it reads no row. reader[i] reads row i, and reader.rows(start,
+    stop) a span of rows, with one seek and readinto, and checks them as they
+    are read: a row that reads short or holds a non-finite value is a
+    TruncatedFile or NonFiniteValue naming its entry. So the reader holds the
+    ids, never the matrix; its shape is the matrix's. Use it as a context
+    manager: the file handle closes on exit, and on any error while opening.
     """
 
     def __init__(self, path):
@@ -542,9 +505,6 @@ class DumpReader:
         self._fh = open(self.path, "rb", buffering=0)
         try:
             self.dim, self.ids = _read_dump_index(self._fh, self.path)
-            step = max(1, CHECK_BLOCK_BYTES // (4 * self.dim))
-            for start in range(0, len(self.ids), step):
-                _read_rows(self._fh, self.path, self.ids, self.dim, start, min(start + step, len(self.ids)))
         except BaseException:
             self._fh.close()
             raise
@@ -562,8 +522,36 @@ class DumpReader:
     def shape(self) -> tuple[int, int]:
         return len(self.ids), self.dim
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop as a new read-only float32 matrix. A float64 sum of
+        finite float32 values cannot overflow, and NaN or inf carries through
+        it: one value per row instead of a full-size bool mask."""
+        rows = np.empty((stop - start, self.dim), dtype="<f4")
+        self._fh.seek(_HEADER.size + start * self.dim * 4)
+        view, got = memoryview(rows).cast("B"), 0
+        while got < len(view) and (n := self._fh.readinto(view[got:])):  # one read stops short of 2 GiB
+            got += n
+        if got != rows.nbytes:
+            entry, part = divmod(got, self.dim * 4)
+            raise TruncatedFile(
+                f"{self.path}: entry {self.ids[start + entry]!r} reads {part} of {self.dim * 4} bytes; "
+                "the file changed after it was checked"
+            )
+        bad = np.flatnonzero(~np.isfinite(rows.sum(axis=-1, dtype=np.float64)))
+        if bad.size:
+            raise NonFiniteValue(f"{self.path}: entry {self.ids[start + bad[0]]!r} contains non-finite values")
+        rows.flags.writeable = False
+        return rows
+
     def __getitem__(self, i: int) -> np.ndarray:
         """Row i's vector, read from the file now, as a fresh read-only array."""
         if not 0 <= i < len(self.ids):
             raise IndexError(f"{self.path}: row {i} outside 0..{len(self.ids) - 1}")
-        return _read_rows(self._fh, self.path, self.ids, self.dim, i, i + 1)[0]
+        return self.rows(i, i + 1)[0]
+
+
+def read_embedding_dump(path) -> EmbeddingDump:
+    """A dump written by write_embedding_dump, bit-exact: a DumpReader's
+    checks, then one read of every row into the read-only matrix."""
+    with DumpReader(path) as reader:
+        return EmbeddingDump(ids=tuple(reader.ids), matrix=reader.rows(0, len(reader.ids)))

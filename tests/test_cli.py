@@ -786,6 +786,8 @@ def test_finetune_fails_closed_on_variants_rewritten_after_the_check(tmp_path, m
     class RewrittenAfterTheCheck(ingest.DumpReader):
         def __init__(self, path):
             super().__init__(path)
+            if self.path != variants:  # read_embedding_dump opens a DumpReader too
+                return
             readers.append(self)
             with open(path, "r+b") as fh:  # in place, as a writer that does not rename would
                 if rewrite == "truncated":
@@ -843,9 +845,8 @@ def duplicate_last_id(raw):
         duplicate_last_id,
         lambda raw: raw + b"\x00",
         lambda raw: raw[:-1],
-        lambda raw: raw[: 20 + 399 * 32] + np.array([np.nan], "<f4").tobytes() + raw[20 + 399 * 32 + 4 :],
     ],
-    ids=["bad-magic", "version-1", "cut-block", "duplicate-id", "trailing-bytes", "cut-id", "nan-last-row"],
+    ids=["bad-magic", "version-1", "cut-block", "duplicate-id", "trailing-bytes", "cut-id"],
 )
 def test_finetune_refuses_a_bad_variants_dump_before_step_0(tmp_path, monkeypatch, capsys, corrupt):
     variants, argv = finetune_dumps(tmp_path, 16, 8)
@@ -856,6 +857,57 @@ def test_finetune_refuses_a_bad_variants_dump_before_step_0(tmp_path, monkeypatc
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {type(eager.value).__name__}: {eager.value}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_finetune_refuses_a_non_finite_variant_row_when_it_draws_it(tmp_path, monkeypatch, capsys):
+    # a row is checked when a swap reads it: the run stops there, mid-run, and writes nothing
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    argv = [*argv, "--epochs", "3"]  # one step per epoch
+    steps, first_drawn = [], {}  # variant row -> the steps run before a swap first drew it
+    exact = space.loss_gradients
+
+    def counted_step(*args, **kwargs):
+        steps.append(None)
+        return exact(*args, **kwargs)
+
+    class Drawn(ingest.DumpReader):
+        def __getitem__(self, i):
+            first_drawn.setdefault(i, len(steps))
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(space, "loss_gradients", counted_step)
+    monkeypatch.setattr(ingest, "DumpReader", Drawn)
+    assert run([*argv, "--out", str(tmp_path / "clean")]) == 0
+    row, before = max(first_drawn.items(), key=lambda drawn: drawn[1])
+    assert before == 2  # first drawn in the last step
+    entry = ingest.read_embedding_dump(variants).ids[row]
+    with open(variants, "r+b") as fh:
+        fh.seek(20 + row * 8 * 4 + 12)
+        fh.write(np.array([np.nan], "<f4").tobytes())
+    steps.clear()
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: NonFiniteValue: {variants}: entry {entry!r} contains non-finite values\n"
+    assert len(steps) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_finetune_never_reads_a_variant_row_no_caption_names(tmp_path):
+    # a non-finite row under an id of no manifest caption is never drawn, so never checked
+    variants, argv = finetune_dumps(tmp_path, 16, 8)
+    assert run(argv) == 0
+    dump = ingest.read_embedding_dump(variants)
+    extra = np.full(dump.dim, np.nan, "<f4")
+    raw = bytearray(variants.read_bytes())
+    table = 20 + dump.matrix.nbytes
+    raw[12:20] = (len(dump.ids) + 1).to_bytes(8, "little")  # by hand: the writer refuses a non-finite vector
+    stray = "other.wav#0@0".encode()
+    variants.write_bytes(raw[:table] + extra.tobytes() + raw[table:] + len(stray).to_bytes(2, "little") + stray)
+    with pytest.raises(ingest.NonFiniteValue, match="entry 'other.wav#0@0' contains non-finite values"):
+        ingest.read_embedding_dump(variants)
+    assert run([*argv, "--out", str(tmp_path / "stray")]) == 0
+    for name in ("checkpoint.ackp", "loss.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "stray" / name).read_bytes()
 
 
 def test_finetune_takes_variants_interleaved_by_an_external_writer(tmp_path):
@@ -871,10 +923,14 @@ def test_finetune_takes_variants_interleaved_by_an_external_writer(tmp_path):
 
 
 def test_train_and_evaluate_never_open_variants(wav_dataset, wav_dumps, tmp_path, monkeypatch):
-    def refuse(path):
-        raise AssertionError(f"opened {path}")
+    reader = ingest.DumpReader
 
-    monkeypatch.setattr(ingest, "DumpReader", refuse)
+    def refuse_variants(path):  # read_embedding_dump opens the other dumps through it
+        if Path(path).name == "variants.embd":
+            raise AssertionError(f"opened {path}")
+        return reader(path)
+
+    monkeypatch.setattr(ingest, "DumpReader", refuse_variants)
     assert (wav_dumps / "variants.embd").exists()
     dump = dump_encoder(wav_dumps)
     assert run(["train", *common(wav_dataset, tmp_path / "pre", dump), "--epochs", "1", "--batch-size", "3"]) == 0
@@ -1097,6 +1153,42 @@ def test_snippet_shorter_than_one_fft_window_is_a_usage_error(wav_dataset, tmp_p
         f"need at least 1024 samples, got {samples}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("value", ["1e308", "1e306", "5.7e303"])
+def test_snippet_whose_sample_count_overflows_is_a_usage_error(wav_dataset, tmp_path, capsys, where, value):
+    # finite seconds, but not a finite number of samples at 32 kHz, which int() cannot take
+    (wav_dataset["audio_dir"] / "clip0.wav").unlink()  # the refusal comes before any audio is read
+    out = tmp_path / "never"
+    if where == "flag":
+        argv = ["embed", *common(wav_dataset, out), "--snippet-seconds", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snippet_seconds = {value}\n")
+        argv = ["embed", "--config", str(cfg), *common(wav_dataset, out)]
+    assert run(argv) == 2
+    err = f"error: UsageError: snippet_seconds (--snippet-seconds) {float(value)!r} is too long\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "finetune"])
+@pytest.mark.parametrize("value", ["-1", "1.5", "abc"])
+def test_a_bad_epochs_is_refused_naming_epochs(tmp_path, capsys, command, value):
+    # parsed where it is read, so the error names --epochs or the config line,
+    # not the TrainConfig field of the other phase
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--epochs", value, "--out", str(tmp_path / "never")])
+    assert exc.value.code == 2
+    flag = capsys.readouterr().err.splitlines()[-1]
+    assert flag == f"acre {command}: error: argument --epochs: must be a non-negative integer, got {value!r}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 3\nepochs = {value}\n")
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "never")]) == 2
+    line = f"error: UsageError: {cfg}: line 2: epochs must be a non-negative integer, got {value!r}\n"
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "never").exists()
 
 
 def test_snippet_of_exactly_one_fft_window_embeds(wav_dataset, tmp_path):

@@ -127,6 +127,13 @@ def test_snippet_rejects_non_positive_or_non_finite_length(max_seconds):
         dsp.snippet_or_pad(sine(440, 1.0), max_seconds, np.random.default_rng(0))
 
 
+def test_snippet_rejects_a_length_whose_sample_count_overflows():
+    # 1e308 s is finite, but 1e308 x 32000 samples is not: int() of it would raise OverflowError
+    with pytest.raises(ValueError, match=r"^max_seconds 1e\+308 at 32000 Hz overflows a float sample count$"):
+        dsp.snippet_window(32000, 1e308, 32000, np.random.default_rng(0))
+    assert dsp.snippet_window(32000, 5.6e303, 32000, np.random.default_rng(0)) == slice(0, 32000)
+
+
 def spec_of_frames(frames, seed=0):
     return dsp.Spectrogram(np.random.default_rng(seed).normal(size=(frames, 128)))
 

@@ -328,6 +328,35 @@ def test_read_wav_holds_its_output_and_one_block(tmp_path):
     assert peak < w.samples.nbytes + 500_000
 
 
+@pytest.mark.parametrize(
+    "channels,code,bits,frames", [(65535, 1, 16, 5), (9000, 3, 32, 30)], ids=["int16-65535", "float32-9000"]
+)
+def test_read_wav_of_many_channels_holds_a_bounded_block(tmp_path, channels, code, bits, frames):
+    # a 16384-frame block sized by the header's channel count alone would be
+    # 8 GiB of float64 at 65535 channels; here blocks of 2 and 14 frames
+    rng = np.random.default_rng(channels)
+    if bits == 16:
+        x, scale = rng.integers(-32768, 32768, (frames, channels)), 32768.0
+    else:
+        x = rng.uniform(-1.0, 1.0, (frames, channels)) * 10.0 ** rng.integers(-20, 1, (frames, channels))
+        x, scale = x.astype(np.float32), 1.0
+    expected = (x.astype(np.float64) / scale).reshape(-1, channels).mean(axis=1)
+    raw = bytearray(raw_wav_bytes(x.ravel(), 32000, 1, fmt_code=code, bits=bits))
+    struct.pack_into("<H", raw, 22, channels)  # byte rate and block align stay mono's: read_wav reads neither
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw)
+    w, peak = traced_peak(lambda: ingest.read_wav(p))
+    assert w.samples.tobytes() == expected.tobytes()
+    assert peak < 2_000_000
+
+
+def test_read_wav_refuses_a_snippet_whose_sample_count_overflows(tmp_path):
+    p = tmp_path / "x.wav"
+    write_wav_pcm16(p, np.zeros((100, 1), dtype=np.int16))
+    with pytest.raises(ValueError, match=r"^max_seconds 1e\+308 at 32000 Hz overflows a float sample count$"):
+        ingest.read_wav(p, 1e308, np.random.default_rng(0))
+
+
 def write_long_wav(path, seconds: int, channels: int, bits: int) -> None:
     """A WAV of `seconds` repeats of one second of noise, written a second at a time."""
     rng = np.random.default_rng(seconds)
@@ -790,24 +819,103 @@ def refusal(read, path):
     return kind, message
 
 
-@pytest.mark.parametrize("block_bytes", [8, 16, ingest.CHECK_BLOCK_BYTES], ids=["1-row", "2-row", "default"])
+def open_only(path):
+    ingest.DumpReader(path).close()
+
+
+def read_in_spans(span):
+    """A read of a dump's every row, span rows at a time (all at once for None)."""
+
+    def read(path):
+        with ingest.DumpReader(path) as reader:
+            n = len(reader.ids)
+            for start in range(0, n, span or n):
+                reader.rows(start, min(start + (span or n), n))
+
+    return read
+
+
+@pytest.mark.parametrize("span", [1, 2, None], ids=["1-row", "2-row", "all-rows"])
 @pytest.mark.parametrize(
     "raw",
     [raw for raw, _, _ in MALFORMED_DUMPS]
     + [
         hand_dump([*THREE[:2], (b"c", [np.inf, 1.0])]),
-        # a non-finite row in an early block does not hide a bad id table
+        # a non-finite first row does not hide a bad id table
         hand_dump([(b"a", [np.nan, 1.0]), *THREE[1:]])[:-1],
     ],
     ids=[*MALFORMED_IDS, "inf-last-row", "nan-and-cut-id"],
 )
-def test_dump_reader_refuses_what_read_embedding_dump_refuses(tmp_path, monkeypatch, raw, block_bytes):
+def test_dump_reader_refuses_what_read_embedding_dump_refuses(tmp_path, raw, span):
+    # a fault of the header or the id table fails the open; a non-finite row
+    # (nan-middle, inf-last-row) opens, and the read of any span holding it
+    # fails naming that row's entry
     p = tmp_path / "d.embd"
     p.write_bytes(raw)
-    monkeypatch.setattr(ingest, "CHECK_BLOCK_BYTES", block_bytes)
     expected = refusal(ingest.read_embedding_dump, p)
     assert expected[0] is not None
-    assert refusal(ingest.DumpReader, p) == expected
+    row_fault = expected[0] is ingest.NonFiniteValue
+    assert refusal(open_only, p) == ((None, None) if row_fault else expected)
+    assert refusal(read_in_spans(span), p) == expected
+
+
+class CountedFile:
+    """A file object that counts the bytes its reads return. readinto returns
+    at most `most` bytes a call, as one read of a file past 2 GiB does."""
+
+    def __init__(self, fh, most):
+        self._fh, self.most, self.bytes_read = fh, most, 0
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def read(self, *size):
+        data = self._fh.read(*size)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buf):
+        got = self._fh.readinto(memoryview(buf).cast("B")[: self.most])
+        self.bytes_read += got
+        return got
+
+
+def counted_opens(monkeypatch, most=1 << 40):
+    """The CountedFiles of every file ingest opens from here on."""
+    files = []
+
+    def counted(*args, **kwargs):
+        files.append(CountedFile(open(*args, **kwargs), most))
+        return files[-1]
+
+    monkeypatch.setattr(ingest, "open", counted, raising=False)
+    return files
+
+
+def test_opening_a_dump_reads_no_row(tmp_path, monkeypatch):
+    n, dim = 1400, 768  # 4.3 MB of float32 vectors
+    p = tmp_path / "big.embd"
+    ingest.write_embedding_dump(((f"clip{i:05d}", np.full(dim, i)) for i in range(n)), p)
+    files = counted_opens(monkeypatch)
+    with ingest.DumpReader(p) as reader:
+        opened = files[0].bytes_read
+        row = reader[700]
+    assert opened == p.stat().st_size - n * dim * 4  # the header and the id table
+    assert files[0].bytes_read == opened + dim * 4
+    assert row.tobytes() == np.full(dim, 700, "<f4").tobytes()
+
+
+def test_dump_rows_read_whole_through_short_reads(tmp_path, monkeypatch):
+    # a read returns at most about 2 GiB on Linux; here 1000 bytes, not a whole row
+    n, dim = 300, 64
+    p = tmp_path / "d.embd"
+    vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+    ingest.write_embedding_dump(((f"clip{i:03d}", v) for i, v in enumerate(vectors)), p)
+    files = counted_opens(monkeypatch, most=1000)
+    assert ingest.read_embedding_dump(p).matrix.tobytes() == vectors.tobytes()
+    with ingest.DumpReader(p) as reader:
+        assert reader.rows(7, 290).tobytes() == vectors[7:290].tobytes()
+    assert len(files) == 2
 
 
 def test_dump_reader_reads_only_the_rows_asked_for(tmp_path):
@@ -829,7 +937,7 @@ def test_dump_reader_reads_only_the_rows_asked_for(tmp_path):
     assert (reader.shape, reader.dim, len(reader.ids)) == ((n, dim), dim, n)
     assert reader.ids[:2] == ["clip00000", "clip00001"]
     assert all(v.tobytes() == vectors[i].tobytes() and not v.flags.writeable for v, i in zip(got, rows))
-    # one check block, the id table and the ids; the matrix would be 8.4 MB
+    # the id table, the ids and the rows read; the matrix would be 8.4 MB
     assert peak < 0.5 * vectors.nbytes
 
 
