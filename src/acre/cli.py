@@ -351,10 +351,9 @@ def cmd_rank(settings: argparse.Namespace, query: str, top: int) -> int:
     records = _load_records(settings)
     ids = [rec.clip_id for rec in records]
     audio = _dump_rows(settings, "rank", "audio.embd", ids, "audio")
-    index = retrieval.project_index(ids, audio, ckpt.audio_head)
     [qvec] = encoder.text_vectors([query], settings.seed)
-    result = retrieval.rank(space.project(qvec, ckpt.text_head), index)
-    for position, (clip_id, score) in enumerate(zip(result.ranked_ids[:top], result.scores), start=1):
+    ranked = retrieval.top_k(space.project(qvec, ckpt.text_head), ids, audio, ckpt.audio_head, top)
+    for position, (clip_id, score) in enumerate(ranked, start=1):
         print(f"{position:>3}  {score:+.4f}  {clip_id}")
     return 0
 

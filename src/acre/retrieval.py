@@ -18,7 +18,8 @@ import numpy as np
 
 from . import dsp, encoder
 from .space import (
-    DimMismatch, ProjectionHead, TrainConfig, TrainPair, l2_normalize, l2_normalize_in_place, project, train,
+    DimMismatch, ProjectionHead, TrainConfig, TrainPair, ZeroNormVector, l2_normalize, l2_normalize_in_place, project,
+    train,
 )
 
 REFERENCE_FULL_DATA_MAP10 = 35.22  # percent scale; full-size pre-trained system, kept as context only
@@ -39,6 +40,12 @@ class UnknownTargetId(RetrievalError):
 # evaluate scores, and build_eval projects, EVAL_BLOCK query rows at a time
 # (dsp.row_blocks), so neither holds a full-size temporary beside the queries
 EVAL_BLOCK = 512
+# top_k projects and scores RANK_BLOCK corpus rows at a time (dsp.row_blocks),
+# so it holds one block of the projected corpus, never the whole of it. On
+# rank-serve's corpus (2000 x 768 -> 1024, 2 vCPUs) a forked rank peaked at
+# 48.9 / 51.5 / 57.1 / 69.4 / 80.0 MB with blocks of 64 / 128 / 256 / 512 /
+# 2000 rows; its p50 was the same from 128 up, and about 5 ms slower at 64.
+RANK_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,6 @@ class RetrievalIndex:
         return cls(ids=tuple(ids), vectors=l2_normalize(vectors))
 
 
-def project_index(ids: Sequence[str], raw: np.ndarray, audio_head: ProjectionHead) -> RetrievalIndex:
-    """The index of raw audio rows (row i is clip ids[i]) projected by the
-    head. The projection is a new array, so it is normalized in place: the
-    rows RetrievalIndex.build would give, without a second full-size copy."""
-    return RetrievalIndex(tuple(ids), l2_normalize_in_place(np.asarray(project(raw, audio_head), np.float64)))
-
-
 @dataclass(frozen=True)
 class QueryResult:
     ranked_ids: tuple[str, ...]
@@ -96,6 +96,49 @@ def rank(query_vec: np.ndarray, index: RetrievalIndex, target_id: str | None = N
             raise UnknownTargetId(f"target {target_id!r} not in index")
         rank_of_target = ranked.index(target_id) + 1
     return QueryResult(ranked_ids=ranked, scores=sims[order], rank_of_target=rank_of_target)
+
+
+def top_k(
+    query_vec: np.ndarray, ids: Sequence[str], raw: np.ndarray, audio_head: ProjectionHead, k: int
+) -> list[tuple[str, float]]:
+    """The min(k, len(ids)) clips most similar to the query, as (clip id,
+    cosine) pairs in the order `rank` gives: descending cosine, ties on
+    ascending clip id. Row i of raw is clip ids[i]'s unprojected audio vector.
+
+    The corpus is projected and normalized RANK_BLOCK rows at a time, and only
+    each block's cosines are kept, so the float64 scratch is one block plus
+    one score per clip; each score has the bits `rank` gives on the whole
+    projected corpus. np.partition finds the k-th score, and every clip that
+    scores at least that much, every tie at the cut included, is then sorted.
+    """
+    n = len(ids)
+    if n == 0:
+        raise EmptyIndex("cannot rank an empty corpus")
+    if np.shape(raw)[0] != n:
+        raise DimMismatch(f"{np.shape(raw)[0]} audio rows for {n} clip ids")
+    if np.shape(query_vec) != (audio_head.d_out,):
+        raise DimMismatch(f"query dim {np.shape(query_vec)} != audio head d_out {audio_head.d_out}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    try:
+        query = l2_normalize(query_vec)
+    except ZeroNormVector:
+        raise ZeroNormVector("the query projects to a zero vector under the text head") from None
+    sims = np.empty(n)
+    for rows in dsp.row_blocks(n, RANK_BLOCK):
+        try:
+            # a new array, so it is normalized in place
+            block = l2_normalize_in_place(np.asarray(project(raw[rows], audio_head), np.float64))
+        except ZeroNormVector as exc:
+            clip_id = ids[rows.start + exc.row]
+            raise ZeroNormVector(f"clip {clip_id!r} projects to a zero vector under the audio head") from None
+        sims[rows] = block @ query
+    k = min(k, n)
+    negated = -sims
+    cut = np.partition(negated, k - 1)[k - 1]
+    kept = np.flatnonzero(~(negated > cut))  # not <=: a NaN cut keeps every clip
+    order = kept[np.lexsort((np.asarray([ids[i] for i in kept]), negated[kept]))][:k]
+    return [(ids[i], float(sims[i])) for i in order]
 
 
 def average_precision_at_10(rank_of_target: int) -> float:
@@ -190,7 +233,10 @@ def build_eval(
     and the queries as evaluate takes them, one per caption: ids
     ``<clip>#<k>``, a (captions, d_out) matrix of projected captions in the
     same order, and each caption's clip id as its target."""
-    index = project_index([pair.clip_id for pair in pairs], np.stack([pair.audio for pair in pairs]), audio_head)
+    # the projection is a new array, so it is normalized in place: the rows
+    # RetrievalIndex.build would give, without a second full-size copy
+    audio = l2_normalize_in_place(np.asarray(project(np.stack([pair.audio for pair in pairs]), audio_head), np.float64))
+    index = RetrievalIndex(tuple(pair.clip_id for pair in pairs), audio)
     captions = [(f"{pair.clip_id}#{k}", pair.clip_id, cap) for pair in pairs for k, cap in enumerate(pair.captions)]
     for query_id, _, cap in captions:
         if cap.shape != (text_head.d_in,):

@@ -71,7 +71,11 @@ class NonSquare(SpaceError):
 
 
 class ZeroNormVector(SpaceError):
-    pass
+    """A zero-norm vector; ``row`` is the first zero row of a matrix, if known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class EmptyDataset(SpaceError):
@@ -138,7 +142,8 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def l2_normalize_in_place(x: np.ndarray) -> np.ndarray:
     """Scale the rows (or the single vector) of a float64 array the caller
-    owns to unit length, in place, and return it; zero norm is an error.
+    owns to unit length, in place, and return it. A zero norm is a
+    ZeroNormVector whose ``row`` is the first zero row.
 
     The norms are taken _NORM_BLOCK rows at a time, so the squares are one
     block's scratch rather than a full-size temporary; each row's sum is the
@@ -150,8 +155,9 @@ def l2_normalize_in_place(x: np.ndarray) -> np.ndarray:
     norms = np.empty((*rows.shape[:-1], 1))
     for start in range(0, len(rows), _NORM_BLOCK):
         norms[start : start + _NORM_BLOCK] = _row_norms(rows[start : start + _NORM_BLOCK])
-    if np.any(norms == 0.0):
-        raise ZeroNormVector("cannot normalize a zero vector")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroNormVector("cannot normalize a zero vector", row=int(zero[0]))
     rows /= norms
     return x
 

@@ -1284,15 +1284,15 @@ def test_rank_rejects_clip_without_audio_embedding(wav_dataset, wav_dumps, tmp_p
     assert captured.err == "error: UsageError: no audio embedding for 'ghost.wav'\n"
 
 
-@pytest.mark.parametrize("top", [3, 40], ids=["top-3", "top-past-the-clips"])
-@pytest.mark.parametrize("dump_order", ["manifest", "shuffled-with-extras"])
-def test_rank_prints_the_lines_of_the_rank_oracle(tmp_path, capsys, top, dump_order):
-    rng = np.random.default_rng(29)
-    ids = [f"clip{i:02d}.wav" for i in range(12)]
-    rows = {clip_id: rng.normal(size=16).astype(np.float32) for clip_id in ids}
-    rows["clip09.wav"] = rows["clip02.wav"].copy()  # an exact tie, broken by ascending id
-    if dump_order != "manifest":  # rows the manifest does not name, and another order
-        rows.update((f"extra{i}.wav", rng.normal(size=16).astype(np.float32)) for i in range(3))
+def write_rank_inputs(tmp_path, rng, rows, dump_order, out_dim=8):
+    """Writes a manifest of rows' clip ids, their audio dump and a checkpoint
+    of random out_dim heads, and returns the rank argv over them. With
+    dump_order "shuffled-with-extras", the dump holds three rows the manifest
+    does not name too, in another order."""
+    ids = list(rows)
+    dim = len(rows[ids[0]])
+    if dump_order != "manifest":
+        rows = {**rows, **{f"extra{i}.wav": rng.normal(size=dim).astype(np.float32) for i in range(3)}}
         items = list(rows.items())
         rows = dict(items[k] for k in rng.permutation(len(items)))
     dumps = tmp_path / "dumps"
@@ -1302,24 +1302,125 @@ def test_rank_prints_the_lines_of_the_rank_oracle(tmp_path, capsys, top, dump_or
         "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{i},a,b,c,d,e\n" for i in ids)
     )
     checkpoint = tmp_path / "checkpoint.ackp"
-    space.save_checkpoint(
-        checkpoint, space.ProjectionHead.initialize(16, 8, rng), space.ProjectionHead.initialize(encoder.WIDTH, 8, rng)
-    )
-    query = "a tone of kind 2 sounds loud"
-    argv = ["rank", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--checkpoint", str(checkpoint)]
-    assert run([*argv, "--seed", "5", "--query", query, "--top", str(top)]) == 0
+    heads = (space.ProjectionHead.initialize(d_in, out_dim, rng) for d_in in (dim, encoder.WIDTH))
+    space.save_checkpoint(checkpoint, *heads)
+    return ["rank", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--checkpoint", str(checkpoint)]
 
-    ckpt = space.load_checkpoint(checkpoint)
+
+def rank_oracle(argv, ids, query):
+    """retrieval.rank's result for the query over the clips ids, from the
+    files argv names, as `rank --seed 5` would score them."""
+    dumps = Path(argv[argv.index("--encoder") + 1].removeprefix("dump:"))
+    ckpt = space.load_checkpoint(argv[argv.index("--checkpoint") + 1])
     audio = ingest.read_embedding_dump(dumps / "audio.embd").as_dict()
     index = retrieval.RetrievalIndex.build(ids, space.project(np.stack([audio[i] for i in ids]), ckpt.audio_head))
     [q] = encoder.text_vectors([query], 5)
-    result = retrieval.rank(space.project(q, ckpt.text_head), index)
+    return retrieval.rank(space.project(q, ckpt.text_head), index)
+
+
+def rank_lines(result, top):
+    ranked = list(zip(result.ranked_ids, result.scores))[:top]
+    return "".join(f"{k:>3}  {score:+.4f}  {clip_id}\n" for k, (clip_id, score) in enumerate(ranked, start=1))
+
+
+@pytest.mark.parametrize("top", [3, 40], ids=["top-3", "top-past-the-clips"])
+@pytest.mark.parametrize("dump_order", ["manifest", "shuffled-with-extras"])
+def test_rank_prints_the_lines_of_the_rank_oracle(tmp_path, capsys, top, dump_order):
+    rng = np.random.default_rng(29)
+    ids = [f"clip{i:02d}.wav" for i in range(12)]
+    rows = {clip_id: rng.normal(size=16).astype(np.float32) for clip_id in ids}
+    rows["clip09.wav"] = rows["clip02.wav"].copy()  # an exact tie, broken by ascending id
+    argv = write_rank_inputs(tmp_path, rng, rows, dump_order)
+    query = "a tone of kind 2 sounds loud"
+    assert run([*argv, "--seed", "5", "--query", query, "--top", str(top)]) == 0
+
+    result = rank_oracle(argv, ids, query)
     tied = result.ranked_ids.index("clip02.wav")
     assert result.ranked_ids[tied + 1] == "clip09.wav" and result.scores[tied] == result.scores[tied + 1]
-    ranked = list(zip(result.ranked_ids, result.scores))[:top]
-    expected = "".join(f"{k:>3}  {score:+.4f}  {clip_id}\n" for k, (clip_id, score) in enumerate(ranked, start=1))
+    expected = rank_lines(result, top)
     assert capsys.readouterr().out == expected
     assert len(expected.splitlines()) == min(top, len(ids))
+
+
+@pytest.mark.parametrize("top", ["1", "through-the-tie", "past-the-clips"])
+@pytest.mark.parametrize("dump_order", ["manifest", "shuffled-with-extras"])
+def test_rank_in_many_blocks_prints_the_lines_of_the_rank_oracle(tmp_path, capsys, monkeypatch, top, dump_order):
+    # blocks of 4, 4, 4, 4 and 7 rows; ties inside the last block, across a
+    # block boundary and across three blocks, in manifest positions whose ids
+    # do not sort in manifest order
+    monkeypatch.setattr(retrieval, "RANK_BLOCK", 4)
+    rng = np.random.default_rng(34)
+    ids = [f"clip{i:02d}.wav" for i in rng.permutation(23)]
+    rows = {clip_id: rng.normal(size=16).astype(np.float32) for clip_id in ids}
+    for copies in ((3, 4), (1, 9, 18, 21)):
+        for position in copies[1:]:
+            rows[ids[position]] = rows[ids[copies[0]]].copy()
+    argv = write_rank_inputs(tmp_path, rng, rows, dump_order)
+    query = "a tone of kind 2 sounds loud"
+    result = rank_oracle(argv, ids, query)
+    group = sorted(ids[position] for position in (1, 9, 18, 21))
+    first = result.ranked_ids.index(group[0])
+    assert result.ranked_ids[first : first + 4] == tuple(group)
+    assert len(set(result.scores[first : first + 4].tolist())) == 1
+    k = {"1": 1, "through-the-tie": first + 2, "past-the-clips": 40}[top]
+    assert run([*argv, "--seed", "5", "--query", query, "--top", str(k)]) == 0
+    assert capsys.readouterr().out == rank_lines(result, k)
+
+
+@pytest.mark.parametrize(
+    "zero, message",
+    [
+        ("audio-head", "clip 'clip05.wav' projects to a zero vector under the audio head"),
+        ("row-in-a-later-block", "clip 'clip02.wav' projects to a zero vector under the audio head"),
+        ("text-head", "the query projects to a zero vector under the text head"),
+    ],
+)
+def test_rank_names_the_input_that_projects_to_zero(tmp_path, capsys, monkeypatch, zero, message):
+    monkeypatch.setattr(retrieval, "RANK_BLOCK", 4)
+    rng = np.random.default_rng(35)
+    ids = [f"clip{i:02d}.wav" for i in (5, 3, 8, 0, 7, 1, 6, 2, 4)]
+    rows = {clip_id: rng.normal(size=16).astype(np.float32) for clip_id in ids}
+    rows["clip02.wav"] = rows["clip04.wav"] = np.zeros(16, np.float32)  # the 8th and 9th rows: the second block
+    argv = write_rank_inputs(tmp_path, rng, rows, "manifest")
+    ckpt = space.load_checkpoint(argv[-1])
+    heads = {"audio": ckpt.audio_head, "text": ckpt.text_head}
+    if zero == "row-in-a-later-block":  # with no bias, a zero row projects to zero
+        heads["audio"] = space.ProjectionHead(ckpt.audio_head.weight, np.zeros(8))
+    else:
+        kind = zero.removesuffix("-head")
+        heads[kind] = space.ProjectionHead(np.zeros_like(heads[kind].weight), np.zeros(8))
+    space.save_checkpoint(argv[-1], heads["audio"], heads["text"])
+    assert run([*argv, "--query", "a tone"]) == 2
+    assert capsys.readouterr() == ("", f"error: ZeroNormVector: {message}\n")
+
+
+def test_rank_prints_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    rng = np.random.default_rng(36)
+    n = 3 * retrieval.RANK_BLOCK + 37
+    ids = [f"c{i:04d}.wav" for i in range(n)]
+    rows = {clip_id: rng.normal(size=256).astype(np.float32) for clip_id in ids}
+    argv = write_rank_inputs(tmp_path, rng, rows, "manifest", out_dim=1024)
+    outs, cores = [], []
+    for threads in ("1", "2"):
+        out, core = run_at_blas_threads(threads, "-m", "acre.cli", *argv, "--query", "a loud tone", "--top", str(n))
+        outs.append(out)
+        cores.append(core)
+    assert len(outs[0].splitlines()) == n
+    assert outs[0] == outs[1], f"OpenBLAS core {cores[0]}"
+
+
+def test_rank_holds_less_than_the_projected_corpus(tmp_path):
+    n, out_dim = 8192, 512
+    rng = np.random.default_rng(37)
+    rows = {f"c{i:05d}.wav": rng.normal(size=32).astype(np.float32) for i in range(n)}
+    argv = write_rank_inputs(tmp_path, rng, rows, "manifest", out_dim=out_dim)
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--query", "a loud tone"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * out_dim * 8, peak
 
 
 @pytest.mark.parametrize("top", ["0", "-3"])

@@ -62,8 +62,54 @@ def test_rank_errors():
         retrieval.RetrievalIndex(ids=(), vectors=np.zeros((0, 3)))
 
 
+def rank_oracle(query, ids, raw, head, k):
+    """top_k's pairs as rank gives them on the whole projected corpus."""
+    result = retrieval.rank(query, retrieval.RetrievalIndex.build(ids, space.project(raw, head)))
+    return list(zip(result.ranked_ids, result.scores.tolist()))[:k]
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["checkpoint-heads", "trained-heads"])
-def test_index_builds_leave_their_input_alone_and_project_index_is_bitwise(dtype):
+@pytest.mark.parametrize("k", [1, 10, 10_000], ids=["top-1", "top-10", "top-past-the-corpus"])
+def test_top_k_is_the_head_of_the_rank_oracle_bitwise(monkeypatch, blas_core, dtype, k):
+    rng = np.random.default_rng(34)
+    n = 3 * retrieval.RANK_BLOCK + 45
+    ids = [f"c{i:04d}" for i in rng.permutation(n)]  # row order is not id order
+    raw = rng.normal(size=(n, 48)).astype(np.float32)
+    raw[[5, retrieval.RANK_BLOCK + 7, n - 1]] = raw[2 * retrieval.RANK_BLOCK]  # one tie across every block
+    init = space.ProjectionHead.initialize(48, 96, rng)
+    head = space.ProjectionHead(init.weight.astype(dtype), init.bias.astype(dtype))
+    query = rng.normal(size=96).astype(dtype)
+    blocks = []
+    exact = retrieval.project
+    monkeypatch.setattr(retrieval, "project", lambda e, h: blocks.append(len(e)) or exact(e, h))
+    got = retrieval.top_k(query, ids, raw, head, k)
+    assert blocks == [retrieval.RANK_BLOCK, retrieval.RANK_BLOCK, retrieval.RANK_BLOCK + 45]
+    assert got == rank_oracle(query, ids, raw, head, k), f"OpenBLAS core {blas_core}"
+    assert len(got) == min(k, n) and all(type(score) is float for _, score in got)
+
+
+def test_top_k_keeps_every_tie_at_the_cut_and_orders_it_by_id():
+    head = space.ProjectionHead(np.eye(2), np.zeros(2))
+    raw = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
+    ids = ["e", "d", "c", "b", "a"]
+    assert retrieval.top_k(np.array([1.0, 0.0]), ids, raw, head, 2) == [("a", 1.0), ("c", 1.0)]
+    assert [clip_id for clip_id, _ in retrieval.top_k(np.array([1.0, 0.0]), ids, raw, head, 5)] == list("acdbe")
+
+
+def test_top_k_errors():
+    head = space.ProjectionHead(np.eye(3), np.zeros(3))
+    with pytest.raises(retrieval.EmptyIndex):
+        retrieval.top_k(np.ones(3), [], np.zeros((0, 3)), head, 1)
+    with pytest.raises(space.DimMismatch):
+        retrieval.top_k(np.ones(3), ["a", "b"], np.ones((1, 3)), head, 1)
+    with pytest.raises(space.DimMismatch):
+        retrieval.top_k(np.ones(4), ["a"], np.ones((1, 3)), head, 1)
+    with pytest.raises(ValueError):
+        retrieval.top_k(np.ones(3), ["a"], np.ones((1, 3)), head, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["checkpoint-heads", "trained-heads"])
+def test_index_builds_leave_their_input_alone_and_build_eval_index_is_bitwise(dtype):
     rng = np.random.default_rng(29)
     n = 2 * space._NORM_BLOCK + 45  # two blocks of squares and a short one
     ids = [f"c{i:03d}" for i in range(n)]
@@ -77,7 +123,9 @@ def test_index_builds_leave_their_input_alone_and_project_index_is_bitwise(dtype
     retrieval.RetrievalIndex.build(ids, P)
     space.l2_normalize(P)
     space.similarity_matrix(P, P[:5])
-    index = retrieval.project_index(ids, raw, head)
+    retrieval.top_k(rng.normal(size=40), ids, raw, head, 10)
+    pairs = [space.TrainPair(clip_id, row, (np.ones(3),)) for clip_id, row in zip(ids, raw)]
+    _, index = retrieval.build_eval(pairs, head, space.ProjectionHead.initialize(3, 40, rng))
     assert raw.tobytes() == kept
     assert index.ids == tuple(ids)
     assert index.vectors.tobytes() == (P / np.linalg.norm(P, axis=-1, keepdims=True)).tobytes()
