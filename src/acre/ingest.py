@@ -128,8 +128,8 @@ class AugmentedCaptionSet:
 @dataclass(frozen=True)
 class EmbeddingDump:
     """A dump's ids in row order and its read-only (count, dim) float32 matrix.
-    acre itself reads the two fields; ``entries`` and ``as_dict()`` have no
-    caller in src/acre and are kept as perfbench's read API."""
+    acre itself reads the two fields; ``dim``, ``entries`` and ``as_dict()``
+    have no caller in src/acre and are kept as perfbench's read API."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +40,9 @@ class UnknownTargetId(RetrievalError):
 # evaluate scores, and build_eval projects, EVAL_BLOCK query rows at a time
 # (dsp.row_blocks), so neither holds a full-size temporary beside the queries
 EVAL_BLOCK = 512
-# top_k projects and scores RANK_BLOCK corpus rows at a time (dsp.row_blocks),
-# so it holds one block of the projected corpus, never the whole of it. On
+# _unit_clips projects and normalizes RANK_BLOCK corpus rows at a time
+# (dsp.row_blocks) for top_k and build_eval, so top_k holds one block of the
+# projected corpus, never the whole of it. On
 # rank-serve's corpus (2000 x 768 -> 1024, 2 vCPUs) a forked rank peaked at
 # 48.9 / 51.5 / 57.1 / 69.4 / 80.0 MB with blocks of 64 / 128 / 256 / 512 /
 # 2000 rows; its p50 was the same from 128 up, and about 5 ms slower at 64.
@@ -98,6 +99,18 @@ def rank(query_vec: np.ndarray, index: RetrievalIndex, target_id: str | None = N
     return QueryResult(ranked_ids=ranked, scores=sims[order], rank_of_target=rank_of_target)
 
 
+def _unit_clips(ids: Sequence[str], raw: np.ndarray, audio_head: ProjectionHead) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, unit float64 rows of raw[rows] projected by the audio head) for
+    each dsp.row_blocks(len(ids), RANK_BLOCK) slice; a zero row names its clip."""
+    for rows in dsp.row_blocks(len(ids), RANK_BLOCK):
+        try:  # the projection is a new array, so it is normalized in place
+            block = l2_normalize_in_place(np.asarray(project(raw[rows], audio_head), np.float64))
+        except ZeroNormVector as exc:
+            clip_id = ids[rows.start + exc.row]
+            raise ZeroNormVector(f"clip {clip_id!r} projects to a zero vector under the audio head") from None
+        yield rows, block
+
+
 def top_k(
     query_vec: np.ndarray, ids: Sequence[str], raw: np.ndarray, audio_head: ProjectionHead, k: int
 ) -> list[tuple[str, float]]:
@@ -125,13 +138,7 @@ def top_k(
     except ZeroNormVector:
         raise ZeroNormVector("the query projects to a zero vector under the text head") from None
     sims = np.empty(n)
-    for rows in dsp.row_blocks(n, RANK_BLOCK):
-        try:
-            # a new array, so it is normalized in place
-            block = l2_normalize_in_place(np.asarray(project(raw[rows], audio_head), np.float64))
-        except ZeroNormVector as exc:
-            clip_id = ids[rows.start + exc.row]
-            raise ZeroNormVector(f"clip {clip_id!r} projects to a zero vector under the audio head") from None
+    for rows, block in _unit_clips(ids, raw, audio_head):
         sims[rows] = block @ query
     k = min(k, n)
     negated = -sims
@@ -191,8 +198,11 @@ def evaluate(queries: tuple[Sequence[str], np.ndarray, Sequence[str]], index: Re
 
     ranks = np.empty(n, dtype=np.int64)
     for rows in dsp.row_blocks(n, EVAL_BLOCK):
-        # a fancy-indexed block is a new array, so it is normalized in place
-        sims = l2_normalize_in_place(np.asarray(vectors[order[rows]], np.float64)) @ index.vectors.T
+        try:  # a fancy-indexed block is a new array, so it is normalized in place
+            sims = l2_normalize_in_place(np.asarray(vectors[order[rows]], np.float64)) @ index.vectors.T
+        except ZeroNormVector as exc:
+            query_id = query_ids[order[rows.start + exc.row]]
+            raise ZeroNormVector(f"query {query_id!r} projects to a zero vector under the text head") from None
         block_targets = targets[rows]
         s_target = sims[np.arange(len(block_targets)), block_targets][:, None]
         ahead = (sims > s_target) | ((sims == s_target) & (id_order < id_order[block_targets][:, None]))
@@ -233,10 +243,12 @@ def build_eval(
     and the queries as evaluate takes them, one per caption: ids
     ``<clip>#<k>``, a (captions, d_out) matrix of projected captions in the
     same order, and each caption's clip id as its target."""
-    # the projection is a new array, so it is normalized in place: the rows
-    # RetrievalIndex.build would give, without a second full-size copy
-    audio = l2_normalize_in_place(np.asarray(project(np.stack([pair.audio for pair in pairs]), audio_head), np.float64))
-    index = RetrievalIndex(tuple(pair.clip_id for pair in pairs), audio)
+    ids = tuple(pair.clip_id for pair in pairs)
+    audio = np.empty((len(ids), audio_head.d_out))  # filled block by block: no second full-size copy
+    for rows, block in _unit_clips(ids, np.stack([pair.audio for pair in pairs]), audio_head):
+        audio[rows] = block
+    del block  # else the last block lives on beside the projected captions
+    index = RetrievalIndex(ids, audio)
     captions = [(f"{pair.clip_id}#{k}", pair.clip_id, cap) for pair in pairs for k, cap in enumerate(pair.captions)]
     for query_id, _, cap in captions:
         if cap.shape != (text_head.d_in,):

@@ -46,7 +46,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # l2_normalize_in_place squares this many rows at a time: 128 rows of 1024
-# float64 are 1 MiB, and the scratch is reused instead of faulted in afresh
+# float64 are 1 MiB, and the scratch is reused instead of faulted in afresh.
+# evaluate normalizes 512-row query blocks: in a fresh process, its 5000 x 1024
+# queries took about 21 ms this way and 41-48 ms squared whole (2 vCPUs)
 _NORM_BLOCK = 128
 
 # step of gradient_check's central finite differences

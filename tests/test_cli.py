@@ -1394,6 +1394,44 @@ def test_rank_names_the_input_that_projects_to_zero(tmp_path, capsys, monkeypatc
     assert capsys.readouterr() == ("", f"error: ZeroNormVector: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "kind, zero, message",
+    [
+        ("audio", "head", "clip 'clip05.wav' projects to a zero vector under the audio head"),
+        ("audio", "rows", "clip 'clip02.wav' projects to a zero vector under the audio head"),
+        ("text", "head", "query 'clip00.wav#0' projects to a zero vector under the text head"),
+        ("text", "rows", "query 'clip03.wav#4' projects to a zero vector under the text head"),
+    ],
+    ids=["audio-head", "audio-rows-in-a-later-block", "text-head", "caption-rows-out-of-query-id-order"],
+)
+def test_evaluate_names_the_input_that_projects_to_zero(tmp_path, capsys, monkeypatch, kind, zero, message):
+    monkeypatch.setattr(retrieval, "RANK_BLOCK", 4)
+    monkeypatch.setattr(retrieval, "EVAL_BLOCK", 4)
+    rng = np.random.default_rng(37)
+    ids = [f"clip{i:02d}.wav" for i in (5, 3, 8, 0, 7, 1, 6, 2, 4)]
+    audio = {clip_id: rng.normal(size=16).astype(np.float32) for clip_id in ids}
+    captions = {f"{clip_id}#{k}": rng.normal(size=12).astype(np.float32) for clip_id in ids for k in range(5)}
+    audio["clip02.wav"] = audio["clip04.wav"] = np.zeros(16, np.float32)  # the 8th and 9th clips: the second block
+    # rows 1 and 9 of the captions; in query-id order, 'clip03.wav#4' (the 20th query) comes first
+    captions["clip05.wav#1"] = captions["clip03.wav#4"] = np.zeros(12, np.float32)
+    dumps = tmp_path / "dumps"
+    ingest.write_embedding_dump(audio.items(), dumps / "audio.embd")
+    ingest.write_embedding_dump(captions.items(), dumps / "captions.embd")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{i},a,b,c,d,e\n" for i in ids)
+    )
+    heads = {"audio": space.ProjectionHead.initialize(16, 8, rng), "text": space.ProjectionHead.initialize(12, 8, rng)}
+    weight = heads[kind].weight if zero == "rows" else np.zeros_like(heads[kind].weight)
+    heads[kind] = space.ProjectionHead(weight, np.zeros(8))  # with no bias, a zero row projects to zero
+    space.save_checkpoint(tmp_path / "checkpoint.ackp", heads["audio"], heads["text"])
+    argv = ["evaluate", "--manifest", str(manifest), *dump_encoder(dumps)]
+    argv += ["--checkpoint", str(tmp_path / "checkpoint.ackp"), "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: ZeroNormVector: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_rank_prints_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     rng = np.random.default_rng(36)
     n = 3 * retrieval.RANK_BLOCK + 37

@@ -1,6 +1,10 @@
 """The benchmark's own tests run in tier-1: they pin the names of acre that
-perfbench reads (dump entries and as_dict, TrainPair, build_eval, the traced
-functions), so a change to those names fails here and not only in the bench.
+perfbench reads (TrainPair, build_eval, the traced functions, and the names
+below), so a change to those names fails here and not only in the bench.
+
+These have no caller in src/acre, but perfbench reads them, so they stay:
+EmbeddingDump's dim, entries and as_dict(), RetrievalIndex.build,
+retrieval.rank and encoder.text_encode.
 """
 
 import os

@@ -111,7 +111,7 @@ def test_top_k_errors():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["checkpoint-heads", "trained-heads"])
 def test_index_builds_leave_their_input_alone_and_build_eval_index_is_bitwise(dtype):
     rng = np.random.default_rng(29)
-    n = 2 * space._NORM_BLOCK + 45  # two blocks of squares and a short one
+    n = 2 * retrieval.RANK_BLOCK + 45  # two blocks of the index (and of squares), the second with the remainder
     ids = [f"c{i:03d}" for i in range(n)]
     raw = rng.normal(size=(n, 24)).astype(np.float32)
     raw.flags.writeable = False  # as a dump's matrix is: writing to it would raise
@@ -322,7 +322,8 @@ def test_build_eval_projects_in_blocks_bitwise(monkeypatch, blas_core):
     exact = retrieval.project
     monkeypatch.setattr(retrieval, "project", lambda e, h: blocks.append(len(e)) or exact(e, h))
     queries, _ = retrieval.build_eval(pairs, audio_head, text_head)
-    assert blocks == [n, retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # the index, then the captions
+    index_blocks = [rows.stop - rows.start for rows in dsp.row_blocks(n, retrieval.RANK_BLOCK)]
+    assert blocks == [*index_blocks, retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # the index, then the captions
     whole = exact(np.stack([p.captions[0] for p in pairs]), text_head)
     assert queries[1].tobytes() == whole.tobytes(), f"OpenBLAS core {blas_core}"
 
@@ -345,7 +346,7 @@ def test_evaluate_holds_less_than_the_score_matrix():
 
 def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     rng = np.random.default_rng(28)
-    n_clips = 2 * retrieval.EVAL_BLOCK // 5 + 7  # five captions each: more than two blocks of queries
+    n_clips = 2 * retrieval.RANK_BLOCK + 45  # two blocks of the index; at five captions each, two of queries
     ids = [f"c{i:04d}.wav" for i in range(n_clips)]
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(
@@ -363,7 +364,8 @@ def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_pat
         args = ["evaluate", "--manifest", str(manifest), "--encoder", f"dump:{dumps}"]
         args += ["--checkpoint", str(tmp_path / "ckpt.ackp"), "--out", str(out)]
         _, core = run_at_blas_threads(threads, "-m", "acre.cli", *args)
-    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes(), f"OpenBLAS core {core}"
+    for name in ("metrics.csv", "report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), f"{name}: OpenBLAS core {core}"
 
 
 @pytest.mark.parametrize(
