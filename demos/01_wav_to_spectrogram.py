@@ -28,21 +28,19 @@ with tempfile.TemporaryDirectory(prefix="acre-demo-") as workdir:
     print(f"decoded {wav_path.name}: {len(w)} samples at {w.sample_rate} Hz ({w.duration:.1f} s)")
 
     # Long recordings are cut to a random 30-second snippet before analysis.
-    # snippet_or_pad cuts one from a waveform in memory; read_wav cuts the same
-    # one from the file, decoding only those 30 s, as acre embed does.
-    snippet = dsp.snippet_or_pad(w, 30.0, np.random.default_rng(7))
-    windowed = ingest.read_wav(wav_path, 30.0, np.random.default_rng(7))
-assert windowed.samples.tobytes() == snippet.samples.tobytes()
-print(f"snippet: {snippet.duration:.1f} s (contiguous cut, offset drawn from the generator;")
-print("         read_wav(path, 30.0, rng) decodes the same samples and nothing else)")
+    # read_wav(path, 30.0, rng) cuts it from the file, decoding only those 30 s,
+    # as acre embed does; the start is drawn from the generator.
+    snippet = ingest.read_wav(wav_path, 30.0, np.random.default_rng(7))
+print(f"snippet: {snippet.duration:.1f} s (a contiguous cut at a start drawn from the generator)")
 
 # 128-bin log-mel analysis: 1024-point FFT, hop 320 -> 100 frames per second.
 spec = dsp.logmel(snippet)
 print(f"log-mel spectrogram: {spec.frames} frames x {spec.bins} mel bins")
 
 # Whitening uses a global mean/std; on a real corpus compute it once over the
-# training split and reuse it everywhere.
-stats = dsp.compute_whitening_stats([spec])
+# training split and reuse it everywhere. The statistics come from each
+# spectrogram's cell sums, added in order.
+stats = dsp.stats_from_sums([dsp.cell_sums(spec)])
 white = dsp.whiten(spec, stats)
 print(f"whitening stats: mean={stats.mean:.3f} std={stats.std:.3f}")
 print(f"whitened cell range: [{white.values.min():.2f}, {white.values.max():.2f}]")

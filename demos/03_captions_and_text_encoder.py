@@ -22,9 +22,10 @@ long_caption = " ".join(["water"] * 50)
 ts = encoder.tokenize(long_caption, vocab)
 print(f"\n50-word caption -> {ts.content_length} content tokens + class token")
 
-# The frozen text encoder returns the class-token output as the embedding.
+# The frozen text encoder returns the class-token output as the embedding. Its
+# seed and its vocabulary size (the embedding table's rows) come from the caller.
 params = encoder.EncoderParams(seed=11)
-a = encoder.text_encode(encoder.tokenize("dog barks near water", vocab), params)
-b = encoder.text_encode(encoder.tokenize("water barks near dog", vocab), params)
+a = encoder.text_encode(encoder.tokenize("dog barks near water", vocab), params, len(vocab))
+b = encoder.text_encode(encoder.tokenize("water barks near dog", vocab), params, len(vocab))
 print(f"\ntext embedding width: {a.shape[0]}")
 print("word order changes the embedding:", float(np.abs(a - b).max()) > 1e-6)

@@ -247,11 +247,6 @@ def stats_from_sums(sums: Iterable[tuple[int, float, float]]) -> WhiteningStats:
     return WhiteningStats(mean=mean, std=math.sqrt(var))
 
 
-def compute_whitening_stats(specs: Iterable[Spectrogram]) -> WhiteningStats:
-    """Streaming global mean/std (population) over all cells of all spectrograms."""
-    return stats_from_sums(map(cell_sums, specs))
-
-
 def snippet_window(n: int, max_seconds: float, sample_rate: int, rng: np.random.Generator) -> slice:
     """The samples of an n-sample clip that a snippet keeps.
 
@@ -268,16 +263,6 @@ def snippet_window(n: int, max_seconds: float, sample_rate: int, rng: np.random.
         return slice(0, n)
     start = int(rng.integers(0, n - max_len + 1))
     return slice(start, start + max_len)
-
-
-def snippet_or_pad(w: Waveform, max_seconds: float, rng: np.random.Generator) -> Waveform:
-    """Return w unchanged if short enough, else a uniformly random contiguous
-    snippet, as snippet_window cuts it. ingest.read_wav(path, max_seconds, rng)
-    gives the same snippet of a WAV file without decoding the rest."""
-    window = snippet_window(len(w), max_seconds, w.sample_rate, rng)
-    if window.stop - window.start == len(w):
-        return w
-    return Waveform(w.samples[window], w.sample_rate)
 
 
 def segment(s: Spectrogram, seg_frames: int) -> list[Spectrogram]:

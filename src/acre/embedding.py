@@ -9,8 +9,8 @@ over each worker's stdin and stdout:
 2. Unless the whitening statistics are given, worker -> parent: the cell sums
    of each of its clips' log-mels (``dsp.cell_sums``). The worker has spilled
    the log-mels to one unlinked temp file, and encodes its texts while the
-   parent adds the sums in manifest order, as ``dsp.compute_whitening_stats``
-   would, and sends the statistics back.
+   parent adds the sums in manifest order (``dsp.stats_from_sums``) and
+   sends the statistics back.
 3. worker -> parent: its audio and text vectors, which the parent puts back
    in manifest and text order.
 

@@ -5,11 +5,12 @@ by structured patchout) and runs a small frozen self-attention stack over the
 patch tokens; the text side runs the same stack over WordPiece tokens and
 returns the class-token output. Both stacks have a fixed shape, DEPTH = 2
 blocks of WIDTH = 64 with HEADS = 4 attention heads, as a pre-trained encoder's
-shape is fixed by its weights. All weights are drawn once from a seed and
-never trained: learning happens entirely in the projection heads, and real
-pre-trained encoders can be swapped in through embedding dumps. Both stacks
-run in float32. embed_long_audio, the one long-audio path from a whitened
-spectrogram to a clip vector, is what acre embed and the sweep both run.
+shape is fixed by its weights. All weights are drawn once, from the seed that
+each call takes from its caller (with the vocabulary size, on the text side),
+and never trained: learning happens entirely in the projection heads, and
+real pre-trained encoders can be swapped in through embedding dumps. Both
+stacks run in float32. embed_long_audio, the one long-audio path from a
+whitened spectrogram to a clip vector, is what acre embed and the sweep run.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def structured_patchout(grid: PatchGrid, drop_f: int, drop_t: int, rng: np.rando
 class EncoderParams:
     """Seed of a frozen toy encoder."""
 
-    seed: int = 0
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def _sinusoid(positions: np.ndarray, dim: int) -> np.ndarray:
     return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def audio_encode(grid: PatchGrid, p: EncoderParams = EncoderParams()) -> np.ndarray:
+def audio_encode(grid: PatchGrid, p: EncoderParams) -> np.ndarray:
     """Encode a patch grid to a WIDTH-dim vector with the frozen audio stack.
 
     Patches are linearly projected, given a sinusoidal 2-D positional code
@@ -307,9 +308,7 @@ def audio_encode(grid: PatchGrid, p: EncoderParams = EncoderParams()) -> np.ndar
     return _encode_tokens(tokens, blocks).mean(axis=0)
 
 
-def embed_long_audio(
-    s: Spectrogram, seg_frames: int, g: PatchGeometry, p: EncoderParams = EncoderParams()
-) -> np.ndarray:
+def embed_long_audio(s: Spectrogram, seg_frames: int, g: PatchGeometry, p: EncoderParams) -> np.ndarray:
     """The one long-audio path: encode each seg_frames-frame segment of a
     whitened spectrogram (dsp.segment) and average the encodings."""
     return np.mean([audio_encode(extract_patches(chunk, g), p) for chunk in segment(s, seg_frames)], axis=0)
@@ -407,19 +406,14 @@ def tokenize(c: str, vocab: Vocabulary) -> TokenSeq:
     return TokenSeq(tuple(ids), tuple(pieces))
 
 
-def text_encode_batch(
-    seqs: list[TokenSeq], p: EncoderParams = EncoderParams(), vocab_size: int | None = None
-) -> np.ndarray:
+def text_encode_batch(seqs: list[TokenSeq], p: EncoderParams, vocab_size: int) -> np.ndarray:
     """Encode token sequences with the frozen bidirectional stack; return the
     class-token outputs as an (N, WIDTH) float32 array, rows in input order.
 
     Sequences of one length run as one stacked batch, with no padding, so a
     row does not depend on what else is in the batch. vocab_size fixes the
-    embedding table; it defaults to the shipped vocabulary's size, and must
-    match the vocabulary the ids came from.
+    embedding table, and must match the vocabulary the ids came from.
     """
-    if vocab_size is None:
-        vocab_size = len(Vocabulary.default())
     table, blocks = _text_weights(p, vocab_size)
     by_length: dict[int, list[int]] = {}
     for i, t in enumerate(seqs):
@@ -443,6 +437,6 @@ def text_vectors(texts: list[str], seed: int) -> np.ndarray:
     return text_encode_batch([tokenize(normalize_text(text), vocab) for text in texts], params, len(vocab))
 
 
-def text_encode(t: TokenSeq, p: EncoderParams = EncoderParams(), vocab_size: int | None = None) -> np.ndarray:
+def text_encode(t: TokenSeq, p: EncoderParams, vocab_size: int) -> np.ndarray:
     """The class-token output of one sequence: text_encode_batch's row for it."""
     return text_encode_batch([t], p, vocab_size)[0]

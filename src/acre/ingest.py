@@ -332,8 +332,8 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
 
     With max_seconds given, only the snippet that dsp.snippet_window cuts from
     the file's frame count is decoded, drawing its start from rng when the clip
-    is longer: the bytes and the draw of dsp.snippet_or_pad(read_wav(path),
-    max_seconds, rng). An int16 file is read only there; a float file is read
+    is longer: the same bytes and the same draw as cutting the whole decode
+    with that window. An int16 file is read only there; a float file is read
     whole once, in blocks, because every one of its samples must be finite.
     """
     path = Path(path)
@@ -537,7 +537,8 @@ class DumpReader:
                 f"{self.path}: entry {self.ids[start + entry]!r} reads {part} of {self.dim * 4} bytes; "
                 "the file changed after it was checked"
             )
-        bad = np.flatnonzero(~np.isfinite(rows.sum(axis=-1, dtype=np.float64)))
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens to float64
+            bad = np.flatnonzero(~np.isfinite(rows.sum(axis=-1, dtype=np.float64)))
         if bad.size:
             raise NonFiniteValue(f"{self.path}: entry {self.ids[start + bad[0]]!r} contains non-finite values")
         rows.flags.writeable = False

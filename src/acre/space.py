@@ -26,7 +26,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,9 +116,8 @@ class ProjectionHead:
         return self.weight.shape[0]
 
     @classmethod
-    def initialize(cls, d_in: int, d_out: int = SHARED_DIM, rng: np.random.Generator | None = None) -> "ProjectionHead":
+    def initialize(cls, d_in: int, d_out: int, rng: np.random.Generator) -> "ProjectionHead":
         """Uniform init in +-1/sqrt(d_in), zero-mean; bias included."""
-        rng = rng or np.random.default_rng(0)
         bound = 1.0 / math.sqrt(d_in)
         return cls(
             weight=rng.uniform(-bound, bound, (d_out, d_in)),
@@ -613,6 +612,14 @@ class Checkpoint(NamedTuple):
     text_head: ProjectionHead
 
 
+def _require_finite(body: np.ndarray, d_out: int, d_a: int, d_t: int, message: Callable[[str], str]) -> None:
+    """Raise NonFiniteValue(message(part)) for the first part, as 'audio.weight', not all finite."""
+    for head, (weight, bias) in zip(("audio", "text"), _split(np.isfinite(body), d_out, d_a, d_t)):
+        for part, finite in (("weight", weight), ("bias", bias)):
+            if not finite.all():
+                raise NonFiniteValue(message(f"{head}.{part}"))
+
+
 def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead) -> None:
     """Serialize both heads as little-endian float32, atomically.
 
@@ -628,10 +635,7 @@ def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead)
         raise DimMismatch(f"heads project to dims ({d_out}, {text_head.d_out}); a checkpoint holds one")
     with np.errstate(over="ignore"):
         body = _flatten(audio_head, text_head, "<f4")
-    for head, (weight, bias) in zip(("audio", "text"), _split(np.isfinite(body), d_out, d_a, d_t)):
-        for part, finite in (("weight", weight), ("bias", bias)):
-            if not finite.all():
-                raise NonFiniteValue(f"{head}.{part} is not finite as float32; checkpoint not written")
+    _require_finite(body, d_out, d_a, d_t, lambda part: f"{part} is not finite as float32; checkpoint not written")
     buf = bytearray(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, d_out, d_a, d_t))
     buf += memoryview(body)
     atomic_write(path, buf)
@@ -640,9 +644,9 @@ def save_checkpoint(path, audio_head: ProjectionHead, text_head: ProjectionHead)
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; any other version is refused.
 
-    The header and the file's size are checked before the body is read, so a
-    file that is not a checkpoint is refused without reading it; the body is
-    read with one readinto into one float32 vector.
+    The header and size are checked first, so a file that is not a checkpoint
+    is refused unread. The body is one readinto into one float32 vector; a
+    part of it that is not finite raises NonFiniteValue naming file and part.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -665,5 +669,6 @@ def load_checkpoint(path) -> Checkpoint:
         got = fh.readinto(body)
     if got != body.nbytes:  # the file shrank after its size was taken
         raise SpaceError(f"{path}: size {_CHECKPOINT_HEADER.size + got} != expected {expected}")
-    # float64 views of one vector; ProjectionHead checks finiteness
+    # checked in float32: casting a signalling NaN to float64 warns, isfinite does not
+    _require_finite(body, d_out, d_in_a, d_in_t, lambda part: f"{path}: {part} is not finite")
     return Checkpoint(*_heads(body.astype(np.float64), d_out, d_in_a, d_in_t))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from acre import cli, space
+from acre import cli, dsp, space
 from acre.seeding import derive_seed
 
 
@@ -37,6 +37,12 @@ def raw_wav_bytes(data_int16: np.ndarray, rate: int, channels: int, fmt_code: in
     header += b"fmt " + struct.pack("<IHHIIHH", 16, fmt_code, channels, rate, rate * block, block, bits)
     header += b"data" + struct.pack("<I", len(payload))
     return header + payload
+
+
+def snippet(w: dsp.Waveform, seconds: float, rng: np.random.Generator) -> dsp.Waveform:
+    """The snippet ingest.read_wav(path, seconds, rng) decodes, cut here from
+    the whole decode w by dsp.snippet_window: the windowed decoder's oracle."""
+    return dsp.Waveform(w.samples[dsp.snippet_window(len(w), seconds, w.sample_rate, rng)], w.sample_rate)
 
 
 def write_v1_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:

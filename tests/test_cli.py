@@ -114,7 +114,8 @@ seg_frames = dsp.seconds_to_frames(preset.max_input_seconds)
 params = encoder.EncoderParams(seed=derive_seed(seed, "audio-encoder"))
 for clip_id in clips:
     rng = np.random.default_rng(derive_seed(seed, f"snippet:{clip_id}"))
-    spec = dsp.logmel(dsp.snippet_or_pad(ingest.read_wav(f"{audio_dir}/{clip_id}"), 30.0, rng))
+    w = ingest.read_wav(f"{audio_dir}/{clip_id}")
+    spec = dsp.logmel(dsp.Waveform(w.samples[dsp.snippet_window(len(w), 30.0, w.sample_rate, rng)], w.sample_rate))
     vector = encoder.embed_long_audio(dsp.whiten(spec, stats), seg_frames, preset, params)
     print(clip_id, math.ceil(spec.frames / seg_frames), vector.astype("<f4").tobytes().hex())
 """

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acre import dsp
-from conftest import run_at_blas_threads
+from conftest import run_at_blas_threads, snippet
 
 
 def sine(freq, seconds, amplitude=0.5, rate=32000):
@@ -94,7 +94,7 @@ def test_whiten_algebraic_inverse():
 def test_whitening_stats_streaming():
     rng = np.random.default_rng(2)
     blocks = [dsp.Spectrogram(rng.normal(1.5, 0.7, size=(n, 128))) for n in (3, 9, 5)]
-    stats = dsp.compute_whitening_stats(blocks)
+    stats = dsp.stats_from_sums(map(dsp.cell_sums, blocks))
     cells = np.concatenate([b.values.reshape(-1) for b in blocks])
     assert stats.mean == pytest.approx(cells.mean(), abs=1e-12)
     assert stats.std == pytest.approx(cells.std(), abs=1e-12)
@@ -102,13 +102,13 @@ def test_whitening_stats_streaming():
 
 def test_whitening_stats_rejects_constant_input():
     with pytest.raises(dsp.DspError):
-        dsp.compute_whitening_stats([dsp.Spectrogram(np.ones((4, 128)))])
+        dsp.stats_from_sums(map(dsp.cell_sums, [dsp.Spectrogram(np.ones((4, 128)))]))
 
 
 def test_snippet_is_contiguous_subrange():
     w = sine(440, 45.0)
     rng = np.random.default_rng(7)
-    out = dsp.snippet_or_pad(w, 30.0, rng)
+    out = snippet(w, 30.0, rng)
     assert len(out) == 30 * 32000
     # locate the snippet: it must be a contiguous cut of the input
     starts = [s for s in range(0, len(w) - len(out) + 1) if w.samples[s] == out.samples[0]]
@@ -117,14 +117,16 @@ def test_snippet_is_contiguous_subrange():
 
 def test_snippet_short_input_unchanged():
     w = sine(440, 10.0)
-    out = dsp.snippet_or_pad(w, 30.0, np.random.default_rng(0))
-    assert out is w
+    rng = np.random.default_rng(0)
+    out = snippet(w, 30.0, rng)
+    assert out.samples.tobytes() == w.samples.tobytes()
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("max_seconds", [0.0, -1.0, math.nan, math.inf])
 def test_snippet_rejects_non_positive_or_non_finite_length(max_seconds):
     with pytest.raises(ValueError, match=rf"^max_seconds must be positive and finite, got {max_seconds}$"):
-        dsp.snippet_or_pad(sine(440, 1.0), max_seconds, np.random.default_rng(0))
+        snippet(sine(440, 1.0), max_seconds, np.random.default_rng(0))
 
 
 def test_snippet_rejects_a_length_whose_sample_count_overflows():

@@ -155,7 +155,7 @@ def test_audio_encode_seed_changes_everything(toy_grid):
 def test_audio_encode_rejects_empty_grid():
     empty = encoder.PatchGrid(2, 2, np.zeros((0, 256)), np.zeros((0, 2), dtype=int))
     with pytest.raises(encoder.EmptyGrid):
-        encoder.audio_encode(empty)
+        encoder.audio_encode(empty, encoder.EncoderParams(seed=0))
 
 
 def test_embed_long_audio_mean(toy_grid):
@@ -291,21 +291,21 @@ def test_tokenize_of_a_100000_character_word_is_quick(vocab):
 def test_text_encode_deterministic_and_shaped(vocab):
     p = encoder.EncoderParams(seed=21)
     ts = encoder.tokenize("rain on a window", vocab)
-    a = encoder.text_encode(ts, p)
+    a = encoder.text_encode(ts, p, len(vocab))
     assert a.shape == (64,)
-    assert np.array_equal(a, encoder.text_encode(ts, p))
+    assert np.array_equal(a, encoder.text_encode(ts, p, len(vocab)))
 
 
 def test_text_encode_class_token_only(vocab):
     p = encoder.EncoderParams(seed=21)
-    out = encoder.text_encode(encoder.tokenize("", vocab), p)
+    out = encoder.text_encode(encoder.tokenize("", vocab), p, len(vocab))
     assert out.shape == (64,) and np.all(np.isfinite(out))
 
 
 def test_text_encode_position_sensitive(vocab):
     p = encoder.EncoderParams(seed=21)
-    a = encoder.text_encode(encoder.tokenize("dog water", vocab), p)
-    b = encoder.text_encode(encoder.tokenize("water dog", vocab), p)
+    a = encoder.text_encode(encoder.tokenize("dog water", vocab), p, len(vocab))
+    b = encoder.text_encode(encoder.tokenize("water dog", vocab), p, len(vocab))
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -418,7 +418,7 @@ def test_encoder_outputs_are_pinned_to_the_byte(vocab, blas_core):
     p = encoder.EncoderParams(seed=3)
     grid = encoder.extract_patches(spec_of_frames(997, seed=5), encoder.PRESETS["passt-n"])
     audio = encoder.audio_encode(grid, p)
-    text = encoder.text_encode(encoder.tokenize("a dog barks while rain falls on a tin roof", vocab), p)
+    text = encoder.text_encode(encoder.tokenize("a dog barks while rain falls on a tin roof", vocab), p, len(vocab))
     assert [hashlib.sha256(v.astype(np.float32).tobytes()).hexdigest() for v in (audio, text)] == [
         "bb88823fc7b576d507e154a1aef1f8646aa423c5c6f41f0b0973250ee9ba7125",
         "61c80516993dcd26860cf78a9bef2aef1609b0b070c79e607e25bf116f857278",

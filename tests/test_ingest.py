@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acre import cli, dsp, ingest
-from conftest import raw_wav_bytes, write_wav_float32, write_wav_pcm16
+from acre import cli, ingest
+from conftest import raw_wav_bytes, snippet, write_wav_float32, write_wav_pcm16
 
 
 def write_manifest(path, rows, header=None):
@@ -426,7 +426,7 @@ def test_read_wav_window_is_decode_all_then_snippet_bitwise(tmp_path, bits, chan
     seconds = WINDOW_FRAMES / 32000
     windowed, whole = FixedStart(start), FixedStart(start)
     got = ingest.read_wav(p, seconds, windowed)
-    expected = dsp.snippet_or_pad(ingest.read_wav(p), seconds, whole)
+    expected = snippet(ingest.read_wav(p), seconds, whole)
     assert got.samples.tobytes() == expected.samples.tobytes()
     assert got.samples.tobytes() == mono_oracle(x, bits)[start : start + WINDOW_FRAMES].tobytes()
     assert windowed.calls == whole.calls == [(0, n - WINDOW_FRAMES + 1)]
@@ -434,7 +434,7 @@ def test_read_wav_window_is_decode_all_then_snippet_bitwise(tmp_path, bits, chan
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["shorter", "exactly-as-long", "one-frame-longer"])
 @pytest.mark.parametrize("bits", [16, 32], ids=["int16", "float32"])
-def test_read_wav_window_draws_as_snippet_or_pad(tmp_path, bits, extra):
+def test_read_wav_window_draws_as_the_whole_decode_cut(tmp_path, bits, extra):
     n = WINDOW_FRAMES + extra
     x = noise_frames(np.random.default_rng(n), n, 2, bits)
     p = tmp_path / "x.wav"
@@ -442,7 +442,7 @@ def test_read_wav_window_draws_as_snippet_or_pad(tmp_path, bits, extra):
     seconds = WINDOW_FRAMES / 16000  # the window is counted at the file's rate
     windowed, whole = np.random.default_rng(11), np.random.default_rng(11)
     got = ingest.read_wav(p, seconds, windowed)
-    expected = dsp.snippet_or_pad(ingest.read_wav(p), seconds, whole)
+    expected = snippet(ingest.read_wav(p), seconds, whole)
     assert len(got) == min(n, WINDOW_FRAMES) and got.sample_rate == expected.sample_rate == 16000
     assert got.samples.tobytes() == expected.samples.tobytes()
     assert windowed.bit_generator.state == whole.bit_generator.state

@@ -848,6 +848,23 @@ def test_checkpoint_body_is_the_parameter_vector_in_readme_order(tmp_path):
         assert np.array_equal(got.weight, want.weight) and np.array_equal(got.bias, want.bias)
 
 
+@pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0xFF800000], ids=["signalling-nan", "quiet-nan", "-inf"])
+@pytest.mark.parametrize(
+    "part, at", [("audio.weight", 11), ("audio.bias", 12), ("text.weight", 15), ("text.bias", 21)]
+)
+def test_checkpoint_load_names_the_file_and_the_part_that_is_not_finite(tmp_path, part, at, bits):
+    # d_out 3, d_in 4 and 2: the parts are body values 0-11, 12-14, 15-20 and 21-23;
+    # a signalling NaN would warn in a cast to float64, and pytest makes a RuntimeWarning an error
+    d_out, d_a, d_t = 3, 4, 2
+    body = np.ones(d_out * (d_a + d_t + 2), dtype="<f4")
+    body.view("<u4")[at] = bits
+    path = tmp_path / "x.ackp"
+    path.write_bytes(struct.pack("<4sIIII", b"ACKP", 3, d_out, d_a, d_t) + body.tobytes())
+    with pytest.raises(ingest.NonFiniteValue) as refused:
+        space.load_checkpoint(path)
+    assert str(refused.value) == f"{path}: {part} is not finite"
+
+
 @pytest.mark.parametrize("dims", [(0, 4, 2), (3, 0, 2), (3, 4, 0)], ids=["d_out", "audio-d_in", "text-d_in"])
 def test_checkpoint_refuses_a_zero_dimension(tmp_path, dims):
     d_out, d_a, d_t = dims
