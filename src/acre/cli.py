@@ -303,8 +303,11 @@ def cmd_embed(settings: argparse.Namespace) -> int:
 
 def _run_training(settings: argparse.Namespace, command: str) -> int:
     phase = "pretrain" if command == "train" else "finetune"
-    init = None if settings.checkpoint is None else space.load_checkpoint(settings.checkpoint)
-    space.check_phase(settings.train, phase, init)
+    # a one-slot list that the train call empties: the float64 heads are then
+    # held by train alone (CPython 3.11 on moves call arguments into the callee),
+    # which drops them once they are copied into its float32 vector
+    init = [] if settings.checkpoint is None else [space.load_checkpoint(settings.checkpoint)]
+    space.check_phase(settings.train, phase, *init)
     variants = None if settings.encoder is None else settings.encoder / "variants.embd"
     has_variants = phase == "finetune" and variants is not None and variants.exists()
     if phase == "finetune" and settings.strict and not has_variants:
@@ -314,7 +317,10 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
     # variants.embd: header and id table checked before the other dumps are read, each row when training draws it
     with ingest.DumpReader(variants) if has_variants else contextlib.nullcontext() as reader:
         pairs = _train_pairs(records, settings, command, reader)
-        result = space.train(pairs, settings.train, phase=phase, strict=settings.strict, init=init, variants=reader)
+        result = space.train(
+            pairs, settings.train, phase=phase, strict=settings.strict, init=init.pop() if init else None,
+            variants=reader,
+        )
     checkpoint = out / "checkpoint.ackp"
     space.save_checkpoint(checkpoint, result.audio_head, result.text_head)
     ingest.atomic_write(out / "loss.csv", (_loss_csv(result.curve) + "\n").encode("utf-8"))

@@ -351,36 +351,39 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
         wide = np.empty((step, channels))
         scratch = np.empty(step)
         lows, highs = [], []  # the extremes of each float block mixed
-        for first, stop, out in spans:
-            for at in range(first, stop, step):
-                block = raw[: min(step, stop - at)]
-                if fh.readinto(block) != block.nbytes:  # the file shrank since it was opened
-                    raise CorruptHeader(f"{path}: truncated {b'data'!r} chunk")
-                if out is not None:
-                    mix = out[at - first : at - first + len(block)]
-                elif np.isfinite(block.min()) and np.isfinite(block.max()):
-                    continue  # finite frames mix to finite sums, which cannot change the message
-                else:
-                    mix = scratch[: len(block)]
-                # the bits of numpy's row sums of float64 frames, as in a
-                # whole-file reshape(-1, channels).mean(axis=1). Below 8
-                # channels numpy adds left to right from +0.0, so 2-7 are added
-                # a column at a time, several times faster than a reduce along
-                # so narrow an axis, and adding +0.0 maps a frame of -0.0 to
-                # +0.0 as the reduce does; 8 or more are summed pairwise
-                frames = wide[: len(block)]
-                frames[...] = block
-                if 2 <= channels < 8:
-                    np.add(frames[:, 0], frames[:, 1], out=mix)
-                    for c in range(2, channels):
-                        mix += frames[:, c]
+        # a signalling NaN warns in the cast to float64 and inf + -inf in a frame's
+        # sum; either is refused below, in one NonFiniteValue, so neither may warn
+        with np.errstate(invalid="ignore"):
+            for first, stop, out in spans:
+                for at in range(first, stop, step):
+                    block = raw[: min(step, stop - at)]
+                    if fh.readinto(block) != block.nbytes:  # the file shrank since it was opened
+                        raise CorruptHeader(f"{path}: truncated {b'data'!r} chunk")
+                    if out is not None:
+                        mix = out[at - first : at - first + len(block)]
+                    elif np.isfinite(block.min()) and np.isfinite(block.max()):
+                        continue  # finite frames mix to finite sums, which cannot change the message
+                    else:
+                        mix = scratch[: len(block)]
+                    # the bits of numpy's row sums of float64 frames, as in a
+                    # whole-file reshape(-1, channels).mean(axis=1). Below 8
+                    # channels numpy adds left to right from +0.0, so 2-7 are added
+                    # a column at a time, several times faster than a reduce along
+                    # so narrow an axis, and adding +0.0 maps a frame of -0.0 to
+                    # +0.0 as the reduce does; 8 or more are summed pairwise
+                    frames = wide[: len(block)]
+                    frames[...] = block
+                    if 2 <= channels < 8:
+                        np.add(frames[:, 0], frames[:, 1], out=mix)
+                        for c in range(2, channels):
+                            mix += frames[:, c]
+                        if dtype.kind == "f":
+                            mix += 0.0
+                    else:
+                        np.add.reduce(frames, axis=1, out=mix)
                     if dtype.kind == "f":
-                        mix += 0.0
-                else:
-                    np.add.reduce(frames, axis=1, out=mix)
-                if dtype.kind == "f":
-                    lows.append(mix.min())
-                    highs.append(mix.max())
+                        lows.append(mix.min())
+                        highs.append(mix.max())
     samples /= channels
     if dtype.kind == "i":
         samples /= 32768.0  # exact, so it may follow the mean

@@ -37,8 +37,10 @@ class UnknownTargetId(RetrievalError):
     pass
 
 
-# evaluate scores, and build_eval projects, EVAL_BLOCK query rows at a time
-# (dsp.row_blocks), so neither holds a full-size temporary beside the queries
+# evaluate reads, normalizes and scores EVAL_BLOCK query rows at a time
+# (dsp.row_blocks); on build_eval's queries each read projects just that block
+# of captions, so neither the (captions x d_out) queries nor the (captions x
+# clips) scores are ever held whole
 EVAL_BLOCK = 512
 # _unit_clips projects and normalizes RANK_BLOCK corpus rows at a time
 # (dsp.row_blocks) for top_k and build_eval, so top_k holds one block of the
@@ -148,6 +150,29 @@ def top_k(
     return [(ids[i], float(sims[i])) for i in order]
 
 
+class ProjectedRows:
+    """A (len(rows), head.d_out) matrix of rows projected by head, projected
+    when it is read: ``m[i]`` is one projected row and ``m[a]``, for an array
+    of row numbers, the stack of those rows in one product, in the head's
+    dtype. build_eval's queries are one, so the whole matrix is never held."""
+
+    def __init__(self, rows: Sequence[np.ndarray], head: ProjectionHead):
+        self.rows, self.head = rows, head
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.head.d_out
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index) -> np.ndarray:
+        picked = np.arange(len(self.rows))[index]  # an int past the end is the IndexError iteration stops on
+        if picked.ndim == 0:
+            return project(self.rows[picked], self.head)
+        return project(np.stack([self.rows[i] for i in picked]), self.head)
+
+
 def average_precision_at_10(rank_of_target: int) -> float:
     """AP@10 with a single relevant item: 1/rank inside the top ten, else 0."""
     if rank_of_target < 1:
@@ -170,13 +195,18 @@ class MetricsReport:
             raise ValueError("mAP@10 cannot exceed R@10")
 
 
-def evaluate(queries: tuple[Sequence[str], np.ndarray, Sequence[str]], index: RetrievalIndex) -> MetricsReport:
+def evaluate(
+    queries: tuple[Sequence[str], np.ndarray | ProjectedRows, Sequence[str]], index: RetrievalIndex
+) -> MetricsReport:
     """Mean AP@10 and R@{1,5,10} over the queries, summed in query-id order.
 
     ``queries`` is ``(query_ids, vectors, target_ids)``, as build_eval returns
-    it: row i of the 2-D ``vectors`` is query i, whose relevant clip is
-    ``target_ids[i]``. The similarity matrix is scored EVAL_BLOCK query rows
-    at a time, in query-id order. A target's rank is 1 + #(sim > s_target) +
+    it: row i of ``vectors``, a 2-D array or build_eval's ProjectedRows, is
+    query i, whose relevant clip is ``target_ids[i]``. The queries are read,
+    normalized and scored EVAL_BLOCK rows at a time, in query-id order, so
+    only one block of them and of the similarity matrix is held at a time;
+    each row's score has the same bits whatever rows share its block. A
+    target's rank is 1 + #(sim > s_target) +
     #(sim == s_target and id < target id), which is the order `rank` defines:
     descending cosine, ties on ascending clip id.
     """
@@ -238,25 +268,29 @@ def build_eval(
     pairs: Sequence[TrainPair],
     audio_head: ProjectionHead,
     text_head: ProjectionHead,
-) -> tuple[tuple[list[str], np.ndarray, list[str]], RetrievalIndex]:
+) -> tuple[tuple[list[str], ProjectedRows, list[str]], RetrievalIndex]:
     """Project held-out pairs into the shared space: one index entry per clip,
     and the queries as evaluate takes them, one per caption: ids
-    ``<clip>#<k>``, a (captions, d_out) matrix of projected captions in the
-    same order, and each caption's clip id as its target."""
+    ``<clip>#<k>``, the captions in the same order as ProjectedRows under the
+    text head, and each caption's clip id as its target.
+
+    The clips are projected here, RANK_BLOCK at a time (_unit_clips); the
+    captions only when evaluate reads them, one EVAL_BLOCK at a time, so no
+    (captions x d_out) matrix is made. The audio head is not kept."""
     ids = tuple(pair.clip_id for pair in pairs)
     audio = np.empty((len(ids), audio_head.d_out))  # filled block by block: no second full-size copy
     for rows, block in _unit_clips(ids, np.stack([pair.audio for pair in pairs]), audio_head):
         audio[rows] = block
-    del block  # else the last block lives on beside the projected captions
     index = RetrievalIndex(ids, audio)
-    captions = [(f"{pair.clip_id}#{k}", pair.clip_id, cap) for pair in pairs for k, cap in enumerate(pair.captions)]
-    for query_id, _, cap in captions:
-        if cap.shape != (text_head.d_in,):
-            raise DimMismatch(f"caption {query_id!r}: dim {cap.shape} != head d_in {text_head.d_in}")
-    vectors = np.empty((len(captions), text_head.d_out), dtype=text_head.weight.dtype)
-    for rows in dsp.row_blocks(len(captions), EVAL_BLOCK):
-        vectors[rows] = project(np.stack([cap for _, _, cap in captions[rows]]), text_head)
-    return ([query_id for query_id, _, _ in captions], vectors, [target for _, target, _ in captions]), index
+    query_ids, captions, targets = [], [], []
+    for pair in pairs:
+        for k, cap in enumerate(pair.captions):
+            query_ids.append(f"{pair.clip_id}#{k}")
+            if cap.shape != (text_head.d_in,):
+                raise DimMismatch(f"caption {query_ids[-1]!r}: dim {cap.shape} != head d_in {text_head.d_in}")
+            captions.append(cap)
+            targets.append(pair.clip_id)
+    return (query_ids, ProjectedRows(captions, text_head), targets), index
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,12 @@ def train(
     variants, a 2-D array or an open ingest.DumpReader, holds the rows the
     pairs' variant row numbers index; a row outside it, or a width other than
     the captions', is refused before step 0.
+
+    The initial heads, init or seeded draws, are copied once into one float32
+    vector in checkpoint order and not kept: train's reference to them goes
+    before step 0, so a caller that hands over its only one frees them too.
+    Beside that vector the loop holds Adam's two moments and one step's
+    gradient, dropped once Adam has applied it.
     """
     check_phase(cfg, phase, init)
     pairs = list(pairs)
@@ -580,6 +586,7 @@ def train(
         raise DimMismatch(f"init heads expect dims ({init[0].d_in}, {init[1].d_in}), dataset has ({d_a}, {d_t})")
     # training runs in float32 on one vector; the heads are views into it, and Adam's moments follow it
     params = _flatten(*init, np.float32)
+    del init  # params alone holds the initial values from here on
     audio_head, text_head = _heads(params, cfg.out_dim, d_a, d_t)
     state = AdamState.zeros_like(params)
 
@@ -600,6 +607,7 @@ def train(
                 if not math.isfinite(loss.value):
                     raise NonFiniteValue(f"{phase} step {step}: loss is {loss.value}")
                 adam_step(params, grad, state, lr)
+                del grad  # else step k+1's gradient is made while step k's is still bound
                 curve.append(LossPoint(step, lr, loss.value, loss.text_to_audio, loss.audio_to_text))
                 step += 1
     return TrainResult(audio_head, text_head, tuple(curve), total_steps)

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,18 @@ def snippet(w: dsp.Waveform, seconds: float, rng: np.random.Generator) -> dsp.Wa
     """The snippet ingest.read_wav(path, seconds, rng) decodes, cut here from
     the whole decode w by dsp.snippet_window: the windowed decoder's oracle."""
     return dsp.Waveform(w.samples[dsp.snippet_window(len(w), seconds, w.sample_rate, rng)], w.sample_rate)
+
+
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak of the call: the most bytes that
+    Python and numpy held at once, of what was allocated after the call began."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_v1_checkpoint(path, d_out=4, d_in_audio=3, d_in_text=2) -> None:

@@ -10,8 +10,8 @@ import sys
 import tempfile
 import time
 import traceback
-import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,10 @@ import pytest
 
 from acre import cli, dsp, embedding, encoder, ingest, retrieval, space
 from acre.seeding import derive_seed
-from conftest import embed_wav_dumps, run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint, write_wav_float32, write_wav_pcm16
+from conftest import (
+    embed_wav_dumps, raw_wav_bytes, run_at_blas_threads, traced_peak, write_v1_checkpoint, write_v2_checkpoint,
+    write_wav_float32, write_wav_pcm16,
+)
 
 
 def run(args):
@@ -81,6 +84,27 @@ def test_embed_non_finite_float_wav_exits_2(wav_dataset, tmp_path, capsys, bad):
     assert err.startswith(f"error: NonFiniteValue: {bad_wav}: samples must be finite")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("channels, bad", [(1, "signalling-nan"), (2, "inf-and--inf-in-one-frame")])
+def test_embed_of_a_clip_whose_mix_is_invalid_prints_one_error_line(wav_dataset, tmp_path, channels, bad):
+    # in a child, so the stderr of embed's workers is seen too: they run under
+    # numpy's default filters, where a RuntimeWarning prints before the error line
+    x = np.full((32000, channels), 0.1, dtype=np.float32)
+    if bad == "signalling-nan":
+        x.view(np.uint32)[5, -1] = 0x7F800001
+    else:
+        x[5] = np.inf, -np.inf
+    bad_wav = wav_dataset["audio_dir"] / "clip1.wav"
+    bad_wav.write_bytes(raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=3, bits=32))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "acre.cli", "embed", *common(wav_dataset, tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: NonFiniteValue: {bad_wav}: samples must be finite, got peak nan\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -224,12 +248,7 @@ def share_peaks(audio: Path, whiten: dsp.WhiteningStats | None) -> dict[int, int
     peaks = {}
     for copies in (2, 2, 8):  # the first run fills the encoders' caches
         share, channel = hum_share(audio, copies, whiten), StubChannel()
-        tracemalloc.start()
-        try:
-            audio_rows, _ = embedding.run_share(share, channel)
-            _, peaks[copies] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (audio_rows, _), peaks[copies] = traced_peak(lambda: embedding.run_share(share, channel))
         assert audio_rows.shape == (copies, encoder.WIDTH)
         assert [len(sums) for sums in channel.sent] == ([] if whiten else [copies])  # one message of cell sums
     return peaks
@@ -762,19 +781,64 @@ def finetune_dumps(tmp_path, n_clips, text_dim, audio_dim=16):
     return dumps / "variants.embd", argv
 
 
+def owner(array):
+    """The array that owns array's memory: array itself, or the base of its view."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_training_holds_no_float64_initial_head_and_one_gradient(tmp_path, monkeypatch, command):
+    # train's initial heads are seeded draws, finetune's the --checkpoint heads
+    # load_checkpoint widens to float64; once copied into the float32 vector
+    # neither lives on through the loop, and no step's gradient outlives its step
+    _, argv = finetune_dumps(tmp_path, 48, 10)
+    pre = tmp_path / "pre"
+    run_args = ["--epochs", "2", "--batch-size", "16", "--out-dim", "16"]
+    assert run(["train", *argv[1:5], "--out", str(pre), *run_args]) == 0
+    if command == "finetune":
+        argv = [*argv, *run_args, "--checkpoint", str(pre / "checkpoint.ackp")]
+    else:
+        argv = ["train", *argv[1:5], "--out", str(tmp_path / "again"), *run_args]
+    initial, grads, steps = [], [], []
+
+    def kept(heads):
+        initial.extend(weakref.ref(owner(array)) for head in heads for array in (head.weight, head.bias))
+        assert all(ref().dtype == np.float64 for ref in initial)
+        return heads
+
+    exact_initialize, exact_load = space.ProjectionHead.initialize, space.load_checkpoint
+    initialize = classmethod(lambda cls, *args: kept([exact_initialize(*args)])[0])
+    monkeypatch.setattr(space.ProjectionHead, "initialize", initialize)
+    monkeypatch.setattr(space, "load_checkpoint", lambda path: kept(exact_load(path)))
+
+    def loss_gradients(*args):
+        assert all(ref() is None for ref in grads), f"step {len(grads) - 1}'s gradient is still held"
+        loss, grad = exact_gradients(*args)
+        grads.append(weakref.ref(grad))
+        return loss, grad
+
+    def adam_step(*args):
+        assert all(ref() is None for ref in initial), "an initial head is still held"
+        steps.append(exact_adam(*args))
+
+    exact_gradients, exact_adam = space.loss_gradients, space.adam_step
+    monkeypatch.setattr(space, "loss_gradients", loss_gradients)
+    monkeypatch.setattr(space, "adam_step", adam_step)
+    assert run(argv) == 0
+    assert len(initial) == 4 and len(steps) == len(grads) == 6
+
+
 def test_finetune_reads_no_undrawn_variant_row(tmp_path):
     # 3200 variants of 512 floats: 8 steps of 16 clips draw at most 128 of them
     variants, argv = finetune_dumps(tmp_path, 128, 512)
     assert variants.stat().st_size >= 4_000_000
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        tracemalloc.start()
-        try:
-            assert run(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run(argv))
         gc.collect()
+    assert code == 0
     assert peak < variants.stat().st_size, peak
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
@@ -1453,12 +1517,8 @@ def test_rank_holds_less_than_the_projected_corpus(tmp_path):
     rng = np.random.default_rng(37)
     rows = {f"c{i:05d}.wav": rng.normal(size=32).astype(np.float32) for i in range(n)}
     argv = write_rank_inputs(tmp_path, rng, rows, "manifest", out_dim=out_dim)
-    tracemalloc.start()
-    try:
-        assert run([*argv, "--query", "a loud tone"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: run([*argv, "--query", "a loud tone"]))
+    assert code == 0
     assert peak < n * out_dim * 8, peak
 
 

@@ -1,18 +1,22 @@
-"""Seeded mutation fuzz of acre's binary readers.
+"""Seeded mutation fuzz of acre's readers.
 
 Aim 3's promise for a bad input file is an input error: one ``error: <Kind>:
 <message>`` line and exit 2, never a traceback and never a quiet number. So
-every mutant of a valid checkpoint or embedding dump must read back or raise
-one of cli._ERROR_KINDS. The seeds and case counts are fixed, so a failure
-names a case that reruns the same way; the file takes about 1.5 s (2 vCPUs).
+every mutant of a valid checkpoint, embedding dump, WAV, manifest,
+augmented-captions file or config file must read back or raise one of
+cli._ERROR_KINDS, and so must tokenizing random Unicode. The seeds and case
+counts are fixed, so a failure names a case that reruns the same way; the file
+takes about 4.5 s (2 vCPUs).
 """
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from acre import cli, encoder, ingest, space
+from conftest import raw_wav_bytes, snippet
 
 # u32 values that overwrite four bytes: the edges of u32 and i32, plus the
 # file's own size (appended per file)
@@ -121,3 +125,126 @@ def test_rank_on_a_mutated_checkpoint_prints_its_lines_or_one_error_line(tmp_pat
         if k == 0:
             assert err == f"error: NonFiniteValue: {checkpoint}: audio.weight is not finite\n"
     assert 0 in exits
+
+
+class At:
+    """A stand-in generator whose integers(low, high) is the first, middle or
+    last start: a windowed read and the cut of a whole read draw the same."""
+
+    def __init__(self, where):
+        self.where = where
+
+    def integers(self, low, high):
+        return {"start": low, "middle": (low + high - 1) // 2, "end": high - 1}[self.where]
+
+
+def read_wav_whole_and_windowed(path):
+    """Reads path whole, then windowed at the start, middle and end of the
+    clip; each windowed read must be refused as the whole read is, or equal
+    its cut."""
+    try:
+        whole = ingest.read_wav(path)
+    except cli._ERROR_KINDS as exc:
+        whole = exc
+    for where in ("start", "middle", "end"):
+        try:
+            got = ingest.read_wav(path, WAV_WINDOW_SECONDS, At(where))
+        except cli._ERROR_KINDS as exc:
+            assert isinstance(whole, Exception), (where, exc)
+            continue
+        assert not isinstance(whole, Exception), (where, whole)
+        expected = snippet(whole, WAV_WINDOW_SECONDS, At(where))
+        assert got.sample_rate == expected.sample_rate and got.samples.tobytes() == expected.samples.tobytes(), where
+    if isinstance(whole, Exception):
+        raise whole
+
+
+WAV_FRAMES = 600
+WAV_WINDOW_SECONDS = 250 / 32000  # shorter than the clip at most mutated rates, so the three windows differ
+
+
+@pytest.mark.parametrize("bits", [16, 32], ids=["int16", "float32"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_mutated_wavs_read_back_or_are_input_errors(tmp_path, bits, channels):
+    rng = np.random.default_rng(10 * bits + channels)
+    x = rng.uniform(-1.2, 1.2, (WAV_FRAMES, channels))  # float32 overshoot is clipped
+    x = np.round(x * 20000).astype(np.int16) if bits == 16 else x.astype(np.float32)
+    data = raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=1 if bits == 16 else 3, bits=bits)
+    read, refused = read_or_refuse(read_wav_whole_and_windowed, tmp_path / "x.wav", mutants(data, 7 + bits, 800))
+    assert read > 100 and refused > 100
+
+
+MANIFEST = (
+    "file_name,caption_1,caption_2,caption_3,caption_4,caption_5,keywords\n"
+    'a.wav,a dog barks,"rain, then thunder",a car,é ü ß,birds,x;y\n'
+    "sub/b.wav,one,two,three,four,five,\n"
+)
+AUGMENTED = "".join(
+    json.dumps({"clip_id": clip_id, "caption_index": k, "variants": [f"variant {j} of {k}" for j in range(5)]}) + "\n"
+    for clip_id in ("a.wav", "b.wav")
+    for k in (0, 3)
+)
+CONFIG = "# a run\nseed = 3\nepochs=2\nlr_max = 1e-3\nstrict = yes\nmanifest = a.csv, b.csv\nwhiten = 0.5,2\n"
+# characters that mean something to one of the text formats, and some that are wide in UTF-8
+TEXT_SPECIALS = ',"\n\r=#{}[]:\\\x00\ufeff\u2028 \té€𝄞'
+
+
+def text_mutants(text: str, seed: int, count: int):
+    """count mutants of a text file: half from mutants() on its UTF-8 bytes,
+    half with characters of TEXT_SPECIALS or random code points inserted,
+    replaced or deleted, written back as UTF-8 (surrogates escaped)."""
+    rng = np.random.default_rng(seed)
+    yield from mutants(text.encode("utf-8"), seed, count // 2)
+    for _ in range(count - count // 2):
+        chars = list(text)
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(len(chars) + 1))
+            special = rng.random() < 0.7
+            pick = TEXT_SPECIALS[rng.integers(len(TEXT_SPECIALS))] if special else chr(rng.integers(0x110000))
+            op = rng.integers(3)
+            if op == 0 or at == len(chars):
+                chars.insert(at, pick)
+            elif op == 1:
+                chars[at] = pick
+            else:
+                del chars[at]
+        yield "characters", "".join(chars).encode("utf-8", "surrogatepass")
+
+
+@pytest.mark.parametrize(
+    "read, text, name",
+    [
+        (ingest.load_manifest, MANIFEST, "manifest.csv"),
+        (ingest.load_augmented_captions, AUGMENTED, "augmented.jsonl"),
+        (cli.parse_config_file, CONFIG, "run.cfg"),
+    ],
+    ids=["load_manifest", "load_augmented_captions", "parse_config_file"],
+)
+def test_mutated_text_files_read_back_or_are_input_errors(tmp_path, read, text, name):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    read(path)  # the file mutated reads back
+    read_back, refused = read_or_refuse(read, path, text_mutants(text, len(name), 1500))
+    assert read_back > 100 and refused > 100
+
+
+def test_tokenizing_random_unicode_gives_a_token_sequence():
+    rng = np.random.default_rng(11)
+    vocab = encoder.Vocabulary.default()
+    words = list(vocab.index)
+    for k in range(1500):
+        parts = []
+        for _ in range(rng.integers(0, 12)):
+            if rng.random() < 0.5:
+                parts.append(words[rng.integers(len(words))])
+            else:  # any code point, surrogates included, or one from the ASCII and Latin-1 range
+                top = 0x110000 if rng.random() < 0.5 else 0x100
+                parts.append("".join(map(chr, rng.integers(0, top, size=rng.integers(1, 9)))))
+        text = "".join(part + (" " if rng.random() < 0.6 else "") for part in parts)
+        try:
+            seq = encoder.tokenize(encoder.normalize_text(text), vocab)
+        except cli._ERROR_KINDS:
+            continue
+        except Exception as exc:
+            raise AssertionError(f"case {k}: {text!r}: {type(exc).__name__}: {exc}") from exc
+        assert seq.ids[0] == vocab.cls_id and len(seq.ids) == len(seq.pieces) + 1 <= encoder.MAX_CONTENT_TOKENS + 1, k

@@ -2,7 +2,6 @@ import gc
 import re
 import struct
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acre import cli, ingest
-from conftest import raw_wav_bytes, snippet, write_wav_float32, write_wav_pcm16
+from conftest import raw_wav_bytes, snippet, traced_peak, write_wav_float32, write_wav_pcm16
 
 
 def write_manifest(path, rows, header=None):
@@ -305,17 +304,6 @@ def test_read_wav_mono_mix_is_the_interleaved_mean_bitwise(tmp_path, code, bits,
     assert ingest.read_wav(p).samples.tobytes() == expected.tobytes()
 
 
-def traced_peak(fn):
-    """fn's result and the tracemalloc peak of the call."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_read_wav_holds_its_output_and_one_block(tmp_path):
     p = tmp_path / "long.wav"
     x = np.random.default_rng(0).integers(-20000, 20000, (40 * 32000, 2)).astype(np.int16)
@@ -471,7 +459,6 @@ def test_read_wav_refuses_non_finite_float_samples(tmp_path, bad):
 NON_FINITE_FRAMES = 5 * ingest.MIX_BLOCK + 100
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf + -inf, as numpy warns
 @pytest.mark.parametrize("window", ["whole", "start", "middle", "end"])
 @pytest.mark.parametrize("block", ["first", "middle", "last"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "nan-and-inf", "inf-and--inf-in-one-frame"])
@@ -499,6 +486,33 @@ def test_read_wav_refuses_a_non_finite_sample_in_any_block_in_or_out_of_the_wind
     start = {"start": 0, "middle": 2 * span + 5, "end": n - span}[window]
     with pytest.raises(ingest.NonFiniteValue, match=message):
         ingest.read_wav(p, span / 32000, FixedStart(start))
+
+
+SIGNALLING_NAN = 0x7F800001  # float32 bits: exponent all ones, quiet bit clear
+
+
+@pytest.mark.parametrize("window", ["whole", "window-holding-it", "window-before-it"])
+@pytest.mark.parametrize(
+    "channels, bad", [(1, "signalling-nan"), (2, "signalling-nan"), (2, "inf-and--inf-in-one-frame")]
+)
+def test_read_wav_refuses_a_signalling_nan_or_an_inf_pair_without_a_warning(tmp_path, channels, bad, window):
+    # a numpy RuntimeWarning fails the test (pyproject's filterwarnings): the
+    # float64 cast of a signalling NaN and inf + -inf in a frame's sum each warn
+    n, span = 3 * ingest.MIX_BLOCK + 5, ingest.MIX_BLOCK
+    x = np.random.default_rng(channels).uniform(-0.5, 0.5, (n, channels)).astype(np.float32)
+    at = span + 9
+    if bad == "signalling-nan":
+        x.view(np.uint32)[at, -1] = SIGNALLING_NAN
+    else:
+        x[at] = np.inf, -np.inf
+    p = tmp_path / "x.wav"
+    p.write_bytes(raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=3, bits=32))
+    assert np.isnan(np.frombuffer(p.read_bytes()[44:], "<f4")).sum() == (bad == "signalling-nan")
+    with pytest.raises(ingest.NonFiniteValue, match=re.escape(f"{p}: samples must be finite, got peak nan") + "$"):
+        if window == "whole":
+            ingest.read_wav(p)
+        else:
+            ingest.read_wav(p, span / 32000, FixedStart(span if window == "window-holding-it" else 0))
 
 
 def test_read_wav_extensible_format(tmp_path):
@@ -792,12 +806,7 @@ def test_dump_read_holds_the_matrix_not_the_file(tmp_path):
     p = tmp_path / "big.embd"
     vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
     ingest.write_embedding_dump(((f"clip{i:05d}", v) for i, v in enumerate(vectors)), p)
-    tracemalloc.start()
-    try:
-        dump = ingest.read_embedding_dump(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    dump, peak = traced_peak(lambda: ingest.read_embedding_dump(p))
     assert np.array_equal(np.stack([v for _, v in dump.entries]), vectors)
     # the matrix plus one view, id and tuple per entry; the file's bytes on top of it would be 2x
     assert peak < 1.5 * vectors.nbytes
@@ -923,17 +932,17 @@ def test_dump_reader_reads_only_the_rows_asked_for(tmp_path):
     p = tmp_path / "big.embd"
     vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
     ingest.write_embedding_dump(((f"clip{i:05d}", v) for i, v in enumerate(vectors)), p)
-    tracemalloc.start()
-    try:
+    rows = (2730, 0, 1366)
+
+    def read_rows():
         with ingest.DumpReader(p) as reader:
-            rows = (2730, 0, 1366)
             got = [reader[i] for i in rows]
             for outside in (-1, n):  # a negative row would seek into the header
                 with pytest.raises(IndexError, match=rf"row {outside} outside 0\.\.{n - 1}$"):
                     reader[outside]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return reader, got
+
+    (reader, got), peak = traced_peak(read_rows)
     assert (reader.shape, reader.dim, len(reader.ids)) == ((n, dim), dim, n)
     assert reader.ids[:2] == ["clip00000", "clip00001"]
     assert all(v.tobytes() == vectors[i].tobytes() and not v.flags.writeable for v, i in zip(got, rows))
@@ -969,12 +978,7 @@ def test_dump_write_holds_the_file_once(tmp_path):
     p = tmp_path / "big.embd"
     vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
     entries = [(f"clip{i:05d}", v) for i, v in enumerate(vectors)]
-    tracemalloc.start()
-    try:
-        ingest.write_embedding_dump(entries, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ingest.write_embedding_dump(entries, p))
     # the buffer being built, plus a small per-entry list; a copy of it on write would be 2x
     assert peak < 1.5 * p.stat().st_size
 

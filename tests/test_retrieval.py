@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from acre import dsp, encoder, ingest, retrieval, space
-from conftest import make_latent_pairs, query_set, run_at_blas_threads
+from conftest import make_latent_pairs, query_set, run_at_blas_threads, traced_peak
 
 
 def unit(v):
@@ -310,7 +308,7 @@ def test_blocked_evaluate_ranks_agree_with_rank_exactly(monkeypatch, extra):
     assert retrieval.evaluate(queries, index) == report
 
 
-def test_build_eval_projects_in_blocks_bitwise(monkeypatch, blas_core):
+def test_build_eval_queries_are_projected_in_blocks_bitwise(monkeypatch, blas_core):
     rng = np.random.default_rng(26)
     n = 2 * retrieval.EVAL_BLOCK + 3
     pairs = [
@@ -320,12 +318,16 @@ def test_build_eval_projects_in_blocks_bitwise(monkeypatch, blas_core):
     text_head = space.ProjectionHead.initialize(64, 128, rng)
     blocks = []
     exact = retrieval.project
-    monkeypatch.setattr(retrieval, "project", lambda e, h: blocks.append(len(e)) or exact(e, h))
-    queries, _ = retrieval.build_eval(pairs, audio_head, text_head)
+    # a copy of each projection: evaluate normalizes the float64 blocks in place
+    monkeypatch.setattr(retrieval, "project", lambda e, h: blocks.append(exact(e, h)) or blocks[-1].copy())
+    queries, index = retrieval.build_eval(pairs, audio_head, text_head)
     index_blocks = [rows.stop - rows.start for rows in dsp.row_blocks(n, retrieval.RANK_BLOCK)]
-    assert blocks == [*index_blocks, retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # the index, then the captions
+    assert [len(block) for block in blocks] == index_blocks  # build_eval projects the clips only
+    del blocks[:]
+    retrieval.evaluate(queries, index)
+    assert [len(block) for block in blocks] == [retrieval.EVAL_BLOCK, retrieval.EVAL_BLOCK + 3]  # one read per block
     whole = exact(np.stack([p.captions[0] for p in pairs]), text_head)
-    assert queries[1].tobytes() == whole.tobytes(), f"OpenBLAS core {blas_core}"
+    assert np.concatenate(blocks).tobytes() == whole.tobytes(), f"OpenBLAS core {blas_core}"
 
 
 def test_evaluate_holds_less_than_the_score_matrix():
@@ -335,13 +337,23 @@ def test_evaluate_holds_less_than_the_score_matrix():
     index = retrieval.RetrievalIndex.build(ids, rng.normal(size=(n_clips, 32)))
     vectors = rng.normal(size=(n_queries, 32))
     queries = ([f"q{k:05d}" for k in range(n_queries)], vectors, [ids[k % n_clips] for k in range(n_queries)])
-    tracemalloc.start()
-    try:
-        retrieval.evaluate(queries, index)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: retrieval.evaluate(queries, index))
     assert peak < n_queries * n_clips * 8, peak
+
+
+def test_evaluate_of_build_eval_holds_less_than_the_projected_captions():
+    # 4096 captions into 256 dims are 8 MB as float64; no (captions x d_out) matrix is made
+    rng = np.random.default_rng(30)
+    n_clips, per_clip, d_in, d_out = 128, 32, 32, 256
+    pairs = [
+        space.TrainPair(f"c{i:04d}", rng.normal(size=d_in), tuple(rng.normal(size=(per_clip, d_in))))
+        for i in range(n_clips)
+    ]
+    audio_head = space.ProjectionHead.initialize(d_in, d_out, rng)
+    text_head = space.ProjectionHead.initialize(d_in, d_out, rng)
+    report, peak = traced_peak(lambda: retrieval.evaluate(*retrieval.build_eval(pairs, audio_head, text_head)))
+    assert report.n_queries == n_clips * per_clip
+    assert peak < n_clips * per_clip * d_out * 8, peak
 
 
 def test_evaluate_metrics_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from acre import ingest, retrieval, space
 from acre.seeding import derive_seed
-from conftest import make_latent_pairs, run_at_blas_threads, write_v1_checkpoint, write_v2_checkpoint
+from conftest import make_latent_pairs, run_at_blas_threads, traced_peak, write_v1_checkpoint, write_v2_checkpoint
 
 
 # ---------------------------------------------------------------- projection
@@ -555,10 +554,26 @@ def test_float32_vectors_train_and_evaluate_bitwise_as_their_float64_copies():
         fine = space.train(pairs, cfg, phase="finetune", init=(pre.audio_head, pre.text_head), variants=variants)
         queries, index = retrieval.build_eval(as_dtype(eval32, dtype), fine.audio_head, fine.text_head)
         arrays = [a for r in (pre, fine) for h in (r.audio_head, r.text_head) for a in (h.weight, h.bias)]
-        arrays += [index.vectors, queries[1]]
+        arrays += [index.vectors, queries[1][:]]  # the projected captions, read whole
         outcomes.append(([a.tobytes() for a in arrays], pre.curve, fine.curve, retrieval.evaluate(queries, index)))
     assert pairs[0].audio.dtype == np.float64 and train32[0].audio.dtype == np.float32
     assert outcomes[0] == outcomes[1]
+
+
+def test_train_holds_its_float32_state_and_one_gradient_only():
+    # P parameters: the float32 vector, Adam's two moments and one gradient
+    # are 16P bytes. The float64 initial heads kept through the loop would add
+    # 8P, and a second gradient 4P; Adam's two block buffers (0.5 MiB, under P
+    # bytes here) and one batch's scratch are small beside them.
+    d_in, d_out, batch = 512, 512, 8
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(4 * batch, 2, d_in)).astype(np.float32)
+    pairs = [space.TrainPair(f"c{i:02d}", audio, (caption,)) for i, (audio, caption) in enumerate(rows)]
+    cfg = space.TrainConfig(batch_size=batch, pretrain_epochs=2, lr_max=1e-3, out_dim=d_out)
+    n_params = d_out * (2 * d_in + 2)
+    result, peak = traced_peak(lambda: space.train(pairs, cfg))
+    assert result.total_steps == 8 and result.audio_head.weight.dtype == np.float32
+    assert peak < 18 * n_params, (peak, n_params)
 
 
 def test_finetune_swaps_alter_stream():
@@ -898,13 +913,13 @@ def test_checkpoint_refuses_a_large_file_without_reading_it(tmp_path, header, me
     with open(path, "wb") as fh:
         fh.write(header)
         fh.truncate(64 << 20)
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(space.SpaceError) as refused:
             space.load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return refused
+
+    refused, peak = traced_peak(refuse)
     assert str(refused.value) == f"{path}: {message}"
     assert peak < 1 << 20
 
