@@ -314,7 +314,7 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
         raise space.MissingAugmentation("finetune --strict requires variants.embd in the --encoder directory")
     out = _require_out(settings)
     records = _load_records(settings)
-    # variants.embd: header and id table checked before the other dumps are read, each row when training draws it
+    # variants.embd: header and id block checked before the other dumps are read, each row when training draws it
     with ingest.DumpReader(variants) if has_variants else contextlib.nullcontext() as reader:
         pairs = _train_pairs(records, settings, command, reader)
         result = space.train(

@@ -23,11 +23,11 @@ the file's bytes: it reads one block of at most MIX_BYTES at a time, and only
 the snippet it is asked for (float files are read whole once, in blocks, to
 check that every sample is finite).
 
-Embedding dump (binary, little-endian): magic ``ACRE``, version u32=2,
+Embedding dump (binary, little-endian): magic ``ACRE``, version u32=3,
 dim u32, count u64 (neither zero), then one count x dim block of 32-bit floats
-from byte 20, then the id table to the end of the file: per entry a u16 byte
-length and the UTF-8 id. Round-trips bit-exactly. A DumpReader checks the
-header and the id table when it opens a dump, and each row as it reads it.
+from byte 20, then the id block to the end of the file: each id's UTF-8 bytes
+and one NUL byte, in row order. Round-trips bit-exactly. A DumpReader checks
+the header and the id block when it opens a dump, and each row as it reads it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import json
 import operator
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,7 +52,7 @@ VARIANTS_PER_CAPTION = 5
 _REQUIRED_COLUMNS = ("file_name", "caption_1", "caption_2", "caption_3", "caption_4", "caption_5")
 
 DUMP_MAGIC = b"ACRE"
-_DUMP_VERSION = 2
+_DUMP_VERSION = 3
 _HEADER = struct.Struct("<4sIIQ")
 
 # read_wav mixes MIX_BLOCK frames at a time, fewer past 8 channels: its raw and
@@ -417,8 +418,8 @@ def atomic_write(path, payload: bytes | bytearray) -> None:
 
 def write_embedding_dump(entries, path) -> None:
     """Write (id, vector) pairs, every vector 1-d and of one length, in the
-    binary dump format, atomically: the vectors, then the id table, into one
-    buffer, so the file is held once."""
+    binary dump format, atomically: the vectors, then the id block, into one
+    buffer, so the file is held once. An id may not hold a NUL, which ends it."""
     items = [(str(i), np.asarray(v)) for i, v in entries]
     if not items:
         raise IngestError("cannot write an empty embedding dump")
@@ -426,7 +427,6 @@ def write_embedding_dump(entries, path) -> None:
     if dim == 0:
         raise IngestError(f"entry {items[0][0]!r}: cannot write a zero-length vector")
     buf = bytearray(_HEADER.pack(DUMP_MAGIC, _DUMP_VERSION, dim, len(items)))
-    table = bytearray()
     seen: set[str] = set()
     for entry_id, vec in items:
         if vec.ndim != 1:
@@ -438,20 +438,19 @@ def write_embedding_dump(entries, path) -> None:
             raise NonFiniteValue(f"entry {entry_id!r}: vector contains non-finite values")
         if entry_id in seen:
             raise IngestError(f"duplicate entry id {entry_id!r}")
+        if "\0" in entry_id:
+            raise IngestError(f"entry id {entry_id!r} holds a NUL byte")
         seen.add(entry_id)
-        id_bytes = entry_id.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise IngestError(f"entry id too long ({len(id_bytes)} bytes)")
         buf += vec.tobytes()
-        table += len(id_bytes).to_bytes(2, "little") + id_bytes
-    buf += table
+    buf += "".join(entry_id + "\0" for entry_id, _ in items).encode("utf-8")
     atomic_write(path, buf)
 
 
 def _read_dump_index(fh, path: Path) -> tuple[int, list[str]]:
     """A dump's dim and its ids, in row order. The header is checked against
     the open file's size first, so an untrusted header sizes nothing; then the
-    id table, which runs from the end of the vector block to the end of the file."""
+    id block, which runs from the end of the vector block to the end of the
+    file and must hold exactly count NUL-terminated UTF-8 ids, no two alike."""
     size = os.fstat(fh.fileno()).st_size
     if size < _HEADER.size:
         raise TruncatedFile(f"{path}: {size} bytes, shorter than the {_HEADER.size}-byte header")
@@ -468,32 +467,24 @@ def _read_dump_index(fh, path: Path) -> tuple[int, list[str]]:
     if block_end > size:
         raise TruncatedFile(f"{path}: {count} x {dim} vectors end at byte {block_end}, past the end at {size}")
     fh.seek(block_end)
-    table = fh.read()
-    ids: dict[str, None] = {}  # insertion-ordered, and a duplicate costs one lookup
-    pos = 0
-    for row in range(count):
-        # a cut length prefix reads short, so this one check also catches it
-        start = pos + 2
-        pos = start + int.from_bytes(table[pos:start], "little")
-        if pos > len(table):
-            raise TruncatedFile(f"{path}: id table cut short at entry {row}")
-        try:
-            entry_id = str(table[start:pos], "utf-8")
-        except UnicodeDecodeError:
-            raise CorruptHeader(f"{path}: entry id is not valid UTF-8") from None
-        if entry_id in ids:
-            raise IngestError(f"{path}: duplicate entry id {entry_id!r}")
-        ids[entry_id] = None
-    if pos != len(table):
-        raise CorruptHeader(f"{path}: {len(table) - pos} trailing bytes")
-    return dim, list(ids)
+    try:
+        *ids, tail = str(fh.read(), "utf-8").split("\0")
+    except UnicodeDecodeError:
+        raise CorruptHeader(f"{path}: entry ids are not valid UTF-8") from None
+    if tail or len(ids) != count:  # a cut or extended last id leaves bytes after the last NUL
+        extra = len(tail.encode())
+        raise CorruptHeader(f"{path}: {len(ids)} NUL-terminated ids and {extra} bytes after them, expected {count}")
+    if len(set(ids)) != count:
+        duplicate = next(entry_id for entry_id, n in Counter(ids).items() if n > 1)
+        raise IngestError(f"{path}: duplicate entry id {duplicate!r}")
+    return dim, ids
 
 
 class DumpReader:
     """An embedding dump held open, its rows read from the file when asked.
 
     Opening reads and checks the header, against the file's size, and then the
-    id table; it reads no row. reader[i] reads row i, and reader.rows(start,
+    id block; it reads no row. reader[i] reads row i, and reader.rows(start,
     stop) a span of rows, with one seek and readinto, and checks them as they
     are read: a row that reads short or holds a non-finite value is a
     TruncatedFile or NonFiniteValue naming its entry. So the reader holds the

@@ -46,6 +46,23 @@ def snippet(w: dsp.Waveform, seconds: float, rng: np.random.Generator) -> dsp.Wa
     return dsp.Waveform(w.samples[dsp.snippet_window(len(w), seconds, w.sample_rate, rng)], w.sample_rate)
 
 
+def read_dump_by_layout(path) -> tuple[list[str], bytes]:
+    """A dump's ids and row bytes, read from README's layout alone and not by
+    acre.ingest: the oracle of read_embedding_dump. Little-endian: magic
+    ACRE, version u32 = 3, dim u32, count u64 (neither zero), count x dim
+    finite float32 rows from byte 20, then each id's UTF-8 bytes and one NUL,
+    in row order, to the end of the file; no two ids alike."""
+    raw = Path(path).read_bytes()
+    magic, version, dim, count = struct.unpack_from("<4sIIQ", raw)
+    assert (magic, version) == (b"ACRE", 3) and dim > 0 and count > 0
+    end = 20 + count * dim * 4
+    rows = np.frombuffer(raw[20:end], dtype="<f4")
+    assert rows.size == count * dim and np.isfinite(rows).all()
+    *ids, tail = raw[end:].decode("utf-8").split("\0")
+    assert tail == "" and len(ids) == len(set(ids)) == count
+    return ids, rows.tobytes()
+
+
 def traced_peak(fn):
     """fn()'s result and the tracemalloc peak of the call: the most bytes that
     Python and numpy held at once, of what was allocated after the call began."""

@@ -20,8 +20,8 @@ import pytest
 from acre import cli, dsp, embedding, encoder, ingest, retrieval, space
 from acre.seeding import derive_seed
 from conftest import (
-    embed_wav_dumps, raw_wav_bytes, run_at_blas_threads, traced_peak, write_v1_checkpoint, write_v2_checkpoint,
-    write_wav_float32, write_wav_pcm16,
+    embed_wav_dumps, raw_wav_bytes, read_dump_by_layout, run_at_blas_threads, traced_peak, write_v1_checkpoint,
+    write_v2_checkpoint, write_wav_float32, write_wav_pcm16,
 )
 
 
@@ -52,6 +52,9 @@ def test_embed_writes_dumps(wav_dataset, tmp_path, capsys):
     assert len(captions.entries) == 30
     assert audio.dim == 64
     assert "embedded 6 clips" in capsys.readouterr().out
+    # acre's reader gives what README's layout gives, row for row
+    for name, dump in (("audio.embd", audio), ("captions.embd", captions)):
+        assert read_dump_by_layout(out / name) == (list(dump.ids), dump.matrix.tobytes())
 
 
 def test_embed_rerun_is_byte_identical(wav_dataset, tmp_path):
@@ -896,9 +899,9 @@ def test_finetune_refuses_a_checkpoint_of_another_out_dim(tmp_path, capsys, monk
 
 
 def duplicate_last_id(raw):
-    # 400 rows of 8 floats, then ids of 12 bytes each, 'c000.wav#0@0' to 'c015.wav#4@4'
-    table = 20 + 400 * 32
-    return raw[:-12] + raw[table + 2 : table + 14]
+    # 400 rows of 8 floats, then ids of 12 bytes and a NUL each, 'c000.wav#0@0' to 'c015.wav#4@4'
+    ids = 20 + 400 * 32
+    return raw[:-13] + raw[ids : ids + 13]
 
 
 @pytest.mark.parametrize(
@@ -906,12 +909,13 @@ def duplicate_last_id(raw):
     [
         lambda raw: b"NOPE" + raw[4:],
         lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
+        lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
         lambda raw: raw[:20 + 100],
         duplicate_last_id,
         lambda raw: raw + b"\x00",
         lambda raw: raw[:-1],
     ],
-    ids=["bad-magic", "version-1", "cut-block", "duplicate-id", "trailing-bytes", "cut-id"],
+    ids=["bad-magic", "version-1", "version-2", "cut-block", "duplicate-id", "trailing-bytes", "cut-id"],
 )
 def test_finetune_refuses_a_bad_variants_dump_before_step_0(tmp_path, monkeypatch, capsys, corrupt):
     variants, argv = finetune_dumps(tmp_path, 16, 8)
@@ -964,10 +968,9 @@ def test_finetune_never_reads_a_variant_row_no_caption_names(tmp_path):
     dump = ingest.read_embedding_dump(variants)
     extra = np.full(dump.dim, np.nan, "<f4")
     raw = bytearray(variants.read_bytes())
-    table = 20 + dump.matrix.nbytes
+    ids = 20 + dump.matrix.nbytes
     raw[12:20] = (len(dump.ids) + 1).to_bytes(8, "little")  # by hand: the writer refuses a non-finite vector
-    stray = "other.wav#0@0".encode()
-    variants.write_bytes(raw[:table] + extra.tobytes() + raw[table:] + len(stray).to_bytes(2, "little") + stray)
+    variants.write_bytes(raw[:ids] + extra.tobytes() + raw[ids:] + "other.wav#0@0\0".encode())
     with pytest.raises(ingest.NonFiniteValue, match="entry 'other.wav#0@0' contains non-finite values"):
         ingest.read_embedding_dump(variants)
     assert run([*argv, "--out", str(tmp_path / "stray")]) == 0
@@ -1262,20 +1265,29 @@ def test_snippet_of_exactly_one_fft_window_embeds(wav_dataset, tmp_path):
     assert len(ingest.read_embedding_dump(out / "audio.embd").entries) == 6
 
 
-def test_dump_encoder_refuses_version_1_dump(tmp_path, capsys):
+def train_on_an_old_dump(tmp_path, capsys, version, body):
+    """train on an audio.embd of the given version and body (1 row of 2 floats
+    for 'a.wav'): it must exit 2 with one error line saying to re-export it."""
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("file_name,caption_1,caption_2,caption_3,caption_4,caption_5\na.wav,a,b,c,d,e\n")
     dumps = tmp_path / "dumps"
     dumps.mkdir()
-    # version 1 interleaved each id (u16 length, UTF-8) with its vector
-    header = struct.pack("<4sIIQ", b"ACRE", 1, 2, 1)
-    (dumps / "audio.embd").write_bytes(header + struct.pack("<H", 5) + b"a.wav" + np.ones(2, "<f4").tobytes())
+    (dumps / "audio.embd").write_bytes(struct.pack("<4sIIQ", b"ACRE", version, 2, 1) + body)
     out = tmp_path / "out"
     assert run(["train", "--manifest", str(manifest), "--encoder", f"dump:{dumps}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: CorruptHeader: {dumps / 'audio.embd'}: dump version 1, expected 2; re-export it with acre embed"
-    ]
+    message = f"dump version {version}, expected 3; re-export it with acre embed"
+    assert capsys.readouterr().err.splitlines() == [f"error: CorruptHeader: {dumps / 'audio.embd'}: {message}"]
     assert not out.exists()
+
+
+def test_dump_encoder_refuses_version_1_dump(tmp_path, capsys):
+    # version 1 interleaved each id (u16 length, UTF-8) with its vector
+    train_on_an_old_dump(tmp_path, capsys, 1, struct.pack("<H", 5) + b"a.wav" + np.ones(2, "<f4").tobytes())
+
+
+def test_dump_encoder_refuses_version_2_dump(tmp_path, capsys):
+    # version 2 stored each id (u16 length, UTF-8) after the vectors
+    train_on_an_old_dump(tmp_path, capsys, 2, np.ones(2, "<f4").tobytes() + struct.pack("<H", 5) + b"a.wav")
 
 
 def test_rank_prints_ordering(wav_dataset, wav_dumps, tmp_path, capsys):

@@ -4,9 +4,11 @@ Aim 3's promise for a bad input file is an input error: one ``error: <Kind>:
 <message>`` line and exit 2, never a traceback and never a quiet number. So
 every mutant of a valid checkpoint, embedding dump, WAV, manifest,
 augmented-captions file or config file must read back or raise one of
-cli._ERROR_KINDS, and so must tokenizing random Unicode. The seeds and case
-counts are fixed, so a failure names a case that reruns the same way; the file
-takes about 4.5 s (2 vCPUs).
+cli._ERROR_KINDS, and so must tokenizing random Unicode. A dump that reads
+back must give the ids and rows that README's layout gives, and evaluate,
+finetune and rank, run in process on a mutated dump, must exit 0 or print one
+error line with exit 2. The seeds and case counts are fixed, so a failure
+names a case that reruns the same way; the file takes about 5 s (2 vCPUs).
 """
 
 import json
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from acre import cli, encoder, ingest, space
-from conftest import raw_wav_bytes, snippet
+from conftest import raw_wav_bytes, read_dump_by_layout, snippet
 
 # u32 values that overwrite four bytes: the edges of u32 and i32, plus the
 # file's own size (appended per file)
@@ -77,10 +79,30 @@ def dump_bytes(tmp_path, rng, ids, dim) -> bytes:
     return path.read_bytes()
 
 
-def rows_in_spans(path, span=2):
+def read_whole(path) -> tuple[list[str], bytes]:
+    dump = ingest.read_embedding_dump(path)
+    return list(dump.ids), dump.matrix.tobytes()
+
+
+def rows_in_spans(path, span=2) -> tuple[list[str], bytes]:
     with ingest.DumpReader(path) as reader:
-        for start in range(0, len(reader.ids), span):
-            reader.rows(start, min(start + span, len(reader.ids)))
+        n = len(reader.ids)
+        return reader.ids, b"".join(reader.rows(start, min(start + span, n)).tobytes() for start in range(0, n, span))
+
+
+def as_the_layout_reads(read):
+    """read, and a check that what it accepts is what README's layout gives:
+    the same ids and row bytes, where any other outcome fails the case."""
+
+    def checked(path):
+        got = read(path)  # an input error here is a refusal
+        try:
+            expected = read_dump_by_layout(path)
+        except Exception as exc:
+            raise AssertionError(f"read back, but the layout refuses it: {type(exc).__name__}: {exc}") from exc
+        assert got == expected, "read back other ids or rows than the layout gives"
+
+    return checked
 
 
 def test_mutated_checkpoints_read_back_or_are_input_errors(tmp_path):
@@ -89,11 +111,11 @@ def test_mutated_checkpoints_read_back_or_are_input_errors(tmp_path):
     assert read > 100 and refused > 100
 
 
-@pytest.mark.parametrize("read", [ingest.read_embedding_dump, rows_in_spans], ids=["whole", "rows-in-spans"])
+@pytest.mark.parametrize("read", [read_whole, rows_in_spans], ids=["whole", "rows-in-spans"])
 def test_mutated_dumps_read_back_or_are_input_errors(tmp_path, read):
-    # ids of one, two and many bytes (UTF-8 too), so cuts land inside lengths and characters
+    # ids of one, two and many bytes (UTF-8 too), so cuts land inside ids and characters
     data = dump_bytes(tmp_path, np.random.default_rng(3), ["a", "clip1.wav", "é#0", "clip3.wav#4@2", "z" * 40], 3)
-    outcomes = read_or_refuse(read, tmp_path / "x.embd", mutants(data, 4, 3000))
+    outcomes = read_or_refuse(as_the_layout_reads(read), tmp_path / "x.embd", mutants(data, 4, 3000))
     assert min(outcomes) > 100
 
 
@@ -125,6 +147,57 @@ def test_rank_on_a_mutated_checkpoint_prints_its_lines_or_one_error_line(tmp_pat
         if k == 0:
             assert err == f"error: NonFiniteValue: {checkpoint}: audio.weight is not finite\n"
     assert 0 in exits
+
+
+# each dump with the commands that read it: rank reads no caption, and only finetune opens variants
+DUMP_READERS = [
+    ("audio.embd", "evaluate"), ("audio.embd", "finetune"), ("audio.embd", "rank"),
+    ("captions.embd", "evaluate"), ("captions.embd", "finetune"), ("variants.embd", "finetune"),
+]
+
+
+def test_commands_on_a_mutated_dump_print_their_lines_or_one_error_line(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    ids = [f"c{i}.wav" for i in range(6)]
+    captions = [f"{c}#{k}" for c in ids for k in range(5)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n" + "".join(f"{i},a,b,c,d,e\n" for i in ids)
+    )
+    valid = {
+        "audio.embd": dump_bytes(tmp_path, rng, ids, 3),
+        "captions.embd": dump_bytes(tmp_path, rng, captions, 4),
+        "variants.embd": dump_bytes(tmp_path, rng, [f"{key}@{j}" for key in captions for j in range(5)], 4),
+    }
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    # evaluate's text head takes the 4-d caption rows; rank's the encoder's query vector
+    (tmp_path / "eval.ackp").write_bytes(checkpoint_bytes(tmp_path, rng, 3, 4, 4))
+    (tmp_path / "rank.ackp").write_bytes(checkpoint_bytes(tmp_path, rng, 3, encoder.WIDTH, 4))
+    given = ["--manifest", str(manifest), "--encoder", f"dump:{dumps}"]
+    argvs = {
+        "evaluate": ["evaluate", *given, "--checkpoint", str(tmp_path / "eval.ackp"), "--out", str(tmp_path / "out")],
+        "finetune": [
+            "finetune", *given, "--out", str(tmp_path / "out"), "--epochs", "1", "--batch-size", "6",
+            "--out-dim", "4", "--swap-prob", "0.5", "--strict",
+        ],
+        "rank": ["rank", *given, "--checkpoint", str(tmp_path / "rank.ackp"), "--query", "a"],
+    }
+    exits = []
+    for seed, (name, command) in enumerate(DUMP_READERS):
+        for k, (mutator, case) in enumerate(mutants(valid[name], 20 + seed, 80)):
+            for other, data in valid.items():
+                (dumps / other).write_bytes(case if other == name else data)
+            exits.append(cli.main(argvs[command]))
+            out, err = capsys.readouterr()
+            where = (name, command, k, mutator)
+            if exits[-1] == 0:
+                assert err == "", where
+                assert command != "rank" or len(out.splitlines()) == len(ids), where
+            else:
+                assert exits[-1] == 2 and out == "", where
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (*where, err)
+    assert exits.count(0) > 100 and exits.count(2) > 100
 
 
 class At:

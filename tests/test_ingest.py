@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acre import cli, ingest
-from conftest import raw_wav_bytes, snippet, traced_peak, write_wav_float32, write_wav_pcm16
+from conftest import read_dump_by_layout, raw_wav_bytes, snippet, traced_peak, write_wav_float32, write_wav_pcm16
 
 
 def write_manifest(path, rows, header=None):
@@ -629,10 +629,14 @@ def test_dump_round_trip(tmp_path):
         assert wvec.tobytes() == rvec.tobytes()  # bit-exact
 
 
+# st.text's own default, less NUL: a NUL ends an id, so the writer refuses one
+ID_CHARACTERS = st.characters(exclude_categories=("Cs",), exclude_characters="\0")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.text(min_size=1, max_size=20), st.integers(0, 2**32 - 1)),
+        st.tuples(st.text(ID_CHARACTERS, min_size=1, max_size=20), st.integers(0, 2**32 - 1)),
         min_size=1,
         max_size=8,
         unique_by=lambda t: t[0],
@@ -662,8 +666,12 @@ def test_dump_bad_magic(tmp_path):
 def test_dump_truncated(tmp_path):
     p = tmp_path / "d.embd"
     ingest.write_embedding_dump([("a", np.ones(3, dtype=np.float32))], p)
-    p.write_bytes(p.read_bytes()[:-2])
-    with pytest.raises(ingest.TruncatedFile):
+    raw = p.read_bytes()
+    p.write_bytes(raw[:-2])  # the id block "a\0" gone: no id left
+    with pytest.raises(ingest.CorruptHeader, match="0 NUL-terminated ids and 0 bytes after them, expected 1$"):
+        ingest.read_embedding_dump(p)
+    p.write_bytes(raw[:-3])  # into the last vector
+    with pytest.raises(ingest.TruncatedFile, match="1 x 3 vectors end at byte 32, past the end at 31$"):
         ingest.read_embedding_dump(p)
 
 
@@ -715,22 +723,47 @@ def test_dump_rejects_empty_and_duplicates(tmp_path):
         ingest.write_embedding_dump(entries, tmp_path / "d.embd")
 
 
-def hand_dump(entries, dim=2, count=None, version=2):
+def test_dump_refuses_an_id_holding_a_nul(tmp_path):
+    p = tmp_path / "d.embd"
+    with pytest.raises(ingest.IngestError) as excinfo:
+        ingest.write_embedding_dump([("a", np.ones(2)), ("b\0c", np.ones(2))], p)
+    assert str(excinfo.value) == "entry id 'b\\x00c' holds a NUL byte"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_round_trips_an_id_of_70000_bytes(tmp_path):
+    # a u16 length could not hold it; the NUL-terminated id block has no limit
+    long_id = "é" * 35_000
+    p, again = tmp_path / "d.embd", tmp_path / "again.embd"
+    ingest.write_embedding_dump([("a", np.ones(2)), (long_id, np.array([1.0, -1.0]))], p)
+    assert len(p.read_bytes()) == 20 + 2 * 2 * 4 + len("a\0") + 70_000 + 1
+    dump = ingest.read_embedding_dump(p)
+    assert dump.ids == ("a", long_id)
+    assert read_dump_by_layout(p) == (list(dump.ids), dump.matrix.tobytes())
+    ingest.write_embedding_dump(dump.entries, again)
+    assert again.read_bytes() == p.read_bytes()
+
+
+def hand_dump(entries, dim=2, count=None, version=3):
     """Dump bytes built by hand, for files the writer refuses to produce: the
-    header, the vectors from byte 20, then each id with its u16 length. Version
-    1 interleaves each id with its vector."""
+    header, the vectors from byte 20, then each id and a NUL. Versions 1 and 2
+    store each id after its u16 length instead: version 2 after the vectors,
+    version 1 interleaved with them."""
     raw = struct.pack("<4sIIQ", b"ACRE", version, dim, len(entries) if count is None else count)
-    ids = [struct.pack("<H", len(id_bytes)) + id_bytes for id_bytes, _ in entries]
     vecs = [np.asarray(vec, dtype="<f4").tobytes() for _, vec in entries]
+    if version == 3:
+        return raw + b"".join(vecs) + b"".join(id_bytes + b"\0" for id_bytes, _ in entries)
+    ids = [struct.pack("<H", len(id_bytes)) + id_bytes for id_bytes, _ in entries]
     if version == 1:
         return raw + b"".join(i + v for i, v in zip(ids, vecs))
     return raw + b"".join(vecs) + b"".join(ids)
 
 
-def test_dump_rejects_other_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_dump_rejects_other_version(tmp_path, version):
     p = tmp_path / "d.embd"
-    p.write_bytes(hand_dump([(b"a", [1.0, 2.0])], version=1))
-    message = f"{p}: dump version 1, expected 2; re-export it with acre embed"
+    p.write_bytes(hand_dump([(b"a", [1.0, 2.0])], version=version))
+    message = f"{p}: dump version {version}, expected 3; re-export it with acre embed"
     with pytest.raises(ingest.CorruptHeader) as excinfo:
         ingest.read_embedding_dump(p)
     assert str(excinfo.value) == message
@@ -739,27 +772,32 @@ def test_dump_rejects_other_version(tmp_path):
 def test_dump_golden_bytes(tmp_path):
     p = tmp_path / "d.embd"
     ingest.write_embedding_dump([("a", np.array([1.0, -2.0])), ("bé", np.array([0.5, 3.0]))], p)
-    header = b"ACRE" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little") + (2).to_bytes(8, "little")
+    header = b"ACRE" + (3).to_bytes(4, "little") + (2).to_bytes(4, "little") + (2).to_bytes(8, "little")
     block = bytes.fromhex("0000803f" "000000c0" "0000003f" "00004040")  # 1.0, -2.0, 0.5, 3.0
-    table = b"\x01\x00a" + b"\x03\x00b\xc3\xa9"
-    assert p.read_bytes() == header + block + table
+    assert p.read_bytes() == header + block + b"a\0" + b"b\xc3\xa9\0"
     dump = ingest.read_embedding_dump(p)
+    assert read_dump_by_layout(p) == (list(dump.ids), dump.matrix.tobytes()) == (["a", "bé"], block)
     ingest.write_embedding_dump(dump.entries, tmp_path / "again.embd")
     assert (tmp_path / "again.embd").read_bytes() == p.read_bytes()
 
 
-THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]  # 53 bytes: 20 header, 24 vectors, 9 ids
+THREE = [(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0]), (b"c", [5.0, 6.0])]  # 50 bytes: 20 header, 24 vectors, 6 ids
 
 
 MALFORMED_DUMPS = [
-    (hand_dump([(b"a", [1.0, 2.0]), (b"a", [3.0, 4.0])]), ingest.IngestError, "duplicate entry id 'a'"),
-    (hand_dump([(b"\xff\xfe", [1.0, 2.0])]), ingest.CorruptHeader, "entry id is not valid UTF-8"),
-    (hand_dump(THREE) + b"\x00", ingest.CorruptHeader, "1 trailing bytes"),
-    # the fourth row takes the first 8 bytes of the id table, which then lacks a length
-    (hand_dump(THREE, count=4), ingest.TruncatedFile, "id table cut short at entry 0$"),
-    (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"{2**62} x 2 vectors end at byte {20 + 2**65}, past the end at 53$"),
+    (hand_dump([*THREE[:2], (b"a", [5.0, 6.0])]), ingest.IngestError, "duplicate entry id 'a'$"),
+    (hand_dump([(b"\xff\xfe", [1.0, 2.0])]), ingest.CorruptHeader, "entry ids are not valid UTF-8$"),
+    (hand_dump(THREE) + b"x", ingest.CorruptHeader, "3 NUL-terminated ids and 1 bytes after them, expected 3$"),
+    (hand_dump(THREE) + b"\0", ingest.CorruptHeader, "4 NUL-terminated ids and 0 bytes after them, expected 3$"),
+    # the fourth row takes the first 8 of the id block's 11 bytes, which then hold one id
+    (
+        hand_dump([*THREE[:2], (b"clip-c", [5.0, 6.0])], count=4),
+        ingest.CorruptHeader,
+        "1 NUL-terminated ids and 0 bytes after them, expected 4$",
+    ),
+    (hand_dump(THREE, count=2**62), ingest.TruncatedFile, f"{2**62} x 2 vectors end at byte {20 + 2**65}, past the end at 50$"),
     (hand_dump(THREE)[:40], ingest.TruncatedFile, "3 x 2 vectors end at byte 44, past the end at 40$"),
-    (hand_dump(THREE)[:-1], ingest.TruncatedFile, "id table cut short at entry 2$"),
+    (hand_dump(THREE)[:-1], ingest.CorruptHeader, "2 NUL-terminated ids and 1 bytes after them, expected 3$"),
     (hand_dump([THREE[0], (b"b", [3.0, np.nan]), THREE[2]]), ingest.NonFiniteValue, "entry 'b' contains non-finite"),
     (hand_dump(THREE)[:19], ingest.TruncatedFile, "19 bytes, shorter than the 20-byte header$"),
     (hand_dump([(b"a", [])], dim=0), ingest.CorruptHeader, "zero dimension$"),
@@ -767,7 +805,7 @@ MALFORMED_DUMPS = [
     (hand_dump([], dim=2**32 - 1), ingest.CorruptHeader, "zero entries$"),
 ]
 MALFORMED_IDS = [
-    "duplicate-id", "bad-utf8-id", "trailing-bytes", "count-plus-one", "count-2-pow-62", "cut-vector",
+    "duplicate-id", "bad-utf8-id", "trailing-bytes", "trailing-nul", "count-plus-one", "count-2-pow-62", "cut-vector",
     "cut-id", "nan-middle", "short-header", "zero-dim", "zero-entries",
 ]
 
@@ -782,6 +820,19 @@ def test_dump_read_rejects_malformed_bytes(tmp_path, raw, error, message):
     assert caught.type is error
     # a count the bytes cannot hold fails the size check, never by sizing from it
     assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("change", ["cut", "extended"])
+def test_dump_read_refuses_the_id_block_cut_or_extended_by_any_byte_count(tmp_path, change):
+    # ids of one, two and three bytes: every cut lands before, on or inside an id or a character
+    raw = hand_dump([(b"a", [1.0, 2.0]), ("é".encode(), [3.0, 4.0]), ("€".encode(), [5.0, 6.0])])
+    block = raw[20 + 3 * 2 * 4 :]
+    p = tmp_path / "d.embd"
+    for n in range(1, len(block) + 1):  # a cut of the whole block leaves no id; an extension by it repeats every id
+        p.write_bytes(raw[:-n] if change == "cut" else raw + block[:n])
+        with pytest.raises(ingest.CorruptHeader) as excinfo:
+            ingest.read_embedding_dump(p)
+        assert excinfo.type is ingest.CorruptHeader, n
 
 
 def test_dump_read_refuses_rows_cut_short_after_the_checks(tmp_path, monkeypatch):
@@ -850,13 +901,13 @@ def read_in_spans(span):
     [raw for raw, _, _ in MALFORMED_DUMPS]
     + [
         hand_dump([*THREE[:2], (b"c", [np.inf, 1.0])]),
-        # a non-finite first row does not hide a bad id table
+        # a non-finite first row does not hide a bad id block
         hand_dump([(b"a", [np.nan, 1.0]), *THREE[1:]])[:-1],
     ],
     ids=[*MALFORMED_IDS, "inf-last-row", "nan-and-cut-id"],
 )
 def test_dump_reader_refuses_what_read_embedding_dump_refuses(tmp_path, raw, span):
-    # a fault of the header or the id table fails the open; a non-finite row
+    # a fault of the header or the id block fails the open; a non-finite row
     # (nan-middle, inf-last-row) opens, and the read of any span holding it
     # fails naming that row's entry
     p = tmp_path / "d.embd"
@@ -909,7 +960,7 @@ def test_opening_a_dump_reads_no_row(tmp_path, monkeypatch):
     with ingest.DumpReader(p) as reader:
         opened = files[0].bytes_read
         row = reader[700]
-    assert opened == p.stat().st_size - n * dim * 4  # the header and the id table
+    assert opened == p.stat().st_size - n * dim * 4  # the header and the id block
     assert files[0].bytes_read == opened + dim * 4
     assert row.tobytes() == np.full(dim, 700, "<f4").tobytes()
 
@@ -946,7 +997,7 @@ def test_dump_reader_reads_only_the_rows_asked_for(tmp_path):
     assert (reader.shape, reader.dim, len(reader.ids)) == ((n, dim), dim, n)
     assert reader.ids[:2] == ["clip00000", "clip00001"]
     assert all(v.tobytes() == vectors[i].tobytes() and not v.flags.writeable for v, i in zip(got, rows))
-    # the id table, the ids and the rows read; the matrix would be 8.4 MB
+    # the id block, the ids and the rows read; the matrix would be 8.4 MB
     assert peak < 0.5 * vectors.nbytes
 
 
