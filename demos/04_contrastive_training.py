@@ -38,7 +38,7 @@ cfg = space.TrainConfig(
 )
 result = space.train(train_pairs, cfg, phase="pretrain")
 
-print("steps:", result.total_steps)
+print("steps:", len(result.curve))
 for p in result.curve[:: len(result.curve) // 8]:
     print(f"  step {p.step:>3}  lr {p.lr:.2e}  loss {p.loss:.4f}")
 print(f"  step {result.curve[-1].step:>3}  lr {result.curve[-1].lr:.2e}  loss {result.curve[-1].loss:.4f}")

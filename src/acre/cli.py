@@ -327,7 +327,7 @@ def _run_training(settings: argparse.Namespace, command: str) -> int:
     first = result.curve[0].loss if result.curve else float("nan")
     last = result.curve[-1].loss if result.curve else float("nan")
     print(
-        f"{phase}: {len(pairs)} clips, {result.total_steps} steps, "
+        f"{phase}: {len(pairs)} clips, {len(result.curve)} steps, "
         f"loss {first:.4f} -> {last:.4f}, checkpoint -> {checkpoint}"
     )
     return 0

@@ -328,21 +328,22 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
     Accepts 16-bit PCM and 32-bit IEEE float (plain or WAVE_FORMAT_EXTENSIBLE);
     multichannel input is averaged to mono. Integer samples are scaled by
     1/32768, the symmetric-range convention, so int16 -32768 maps to -1.0
-    exactly. Float samples must be finite (NonFiniteValue otherwise); finite
-    overshoot past +-1 is clipped.
+    exactly. Float samples must be finite (NonFiniteValue otherwise, naming the
+    largest |sample|, NaN if one is NaN); finite overshoot past +-1 is clipped.
 
     With max_seconds given, only the snippet that dsp.snippet_window cuts from
     the file's frame count is decoded, drawing its start from rng when the clip
     is longer: the same bytes and the same draw as cutting the whole decode
     with that window. An int16 file is read only there; a float file is read
-    whole once, in blocks, because every one of its samples must be finite.
+    whole once, in blocks, because every sample on disk must be finite, but
+    only the snippet's frames are mixed.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         dtype, channels, rate, data_at, n = _wav_layout(path, fh)
         window = slice(0, n) if max_seconds is None else snippet_window(n, max_seconds, rate, rng)
         samples = np.empty(window.stop - window.start)
-        # (first frame, last frame + 1, the float64 rows they mix into, or None for scratch)
+        # (first frame, last frame + 1, the float64 rows they mix into, or None: checked, not mixed)
         spans = [(window.start, window.stop, samples)]
         if dtype.kind == "f":
             spans = [(0, window.start, None), *spans, (window.stop, n, None)]
@@ -350,8 +351,7 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
         step = min(MIX_BLOCK, MIX_BYTES // (8 * channels))  # 2 or more: channels is a u16
         raw = np.empty((step, channels), dtype)
         wide = np.empty((step, channels))
-        scratch = np.empty(step)
-        lows, highs = [], []  # the extremes of each float block mixed
+        peak = 0.0
         # a signalling NaN warns in the cast to float64 and inf + -inf in a frame's
         # sum; either is refused below, in one NonFiniteValue, so neither may warn
         with np.errstate(invalid="ignore"):
@@ -360,12 +360,11 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
                     block = raw[: min(step, stop - at)]
                     if fh.readinto(block) != block.nbytes:  # the file shrank since it was opened
                         raise CorruptHeader(f"{path}: truncated {b'data'!r} chunk")
-                    if out is not None:
-                        mix = out[at - first : at - first + len(block)]
-                    elif np.isfinite(block.min()) and np.isfinite(block.max()):
-                        continue  # finite frames mix to finite sums, which cannot change the message
-                    else:
-                        mix = scratch[: len(block)]
+                    if dtype.kind == "f":  # np.maximum, not max(): it keeps a NaN
+                        peak = np.maximum(peak, max(-block.min(), block.max()))
+                    if out is None:
+                        continue
+                    mix = out[at - first : at - first + len(block)]
                     # the bits of numpy's row sums of float64 frames, as in a
                     # whole-file reshape(-1, channels).mean(axis=1). Below 8
                     # channels numpy adds left to right from +0.0, so 2-7 are added
@@ -382,18 +381,12 @@ def read_wav(path, max_seconds: float | None = None, rng: np.random.Generator | 
                             mix += 0.0
                     else:
                         np.add.reduce(frames, axis=1, out=mix)
-                    if dtype.kind == "f":
-                        lows.append(mix.min())
-                        highs.append(mix.max())
+    if not np.isfinite(peak):  # NaN or +-inf: clipping would turn inf into a full-scale sample
+        raise NonFiniteValue(f"{path}: samples must be finite, got peak {float(peak)}")
     samples /= channels
     if dtype.kind == "i":
         samples /= 32768.0  # exact, so it may follow the mean
-    elif lows:
-        # np.min, not min(): min(0.0, nan) is 0.0. The sums stand in for the
-        # means: a finite sum stays finite, and dividing keeps NaN and +-inf
-        peak = max(-float(np.min(lows)), float(np.max(highs)))
-        if not np.isfinite(peak):  # NaN or +-inf: clipping would turn inf into a full-scale sample
-            raise NonFiniteValue(f"{path}: samples must be finite, got peak {peak}")
+    else:
         np.clip(samples, -1.0, 1.0, out=samples)  # float files may carry headroom overshoot
     return Waveform(samples, int(rate))
 

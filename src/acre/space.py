@@ -511,7 +511,6 @@ class TrainResult:
     audio_head: ProjectionHead
     text_head: ProjectionHead
     curve: tuple[LossPoint, ...]
-    total_steps: int
 
 
 def train(
@@ -610,7 +609,7 @@ def train(
                 del grad  # else step k+1's gradient is made while step k's is still bound
                 curve.append(LossPoint(step, lr, loss.value, loss.text_to_audio, loss.audio_to_text))
                 step += 1
-    return TrainResult(audio_head, text_head, tuple(curve), total_steps)
+    return TrainResult(audio_head, text_head, tuple(curve))
 
 
 class Checkpoint(NamedTuple):

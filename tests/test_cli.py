@@ -106,7 +106,8 @@ def test_embed_of_a_clip_whose_mix_is_invalid_prints_one_error_line(wav_dataset,
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == f"error: NonFiniteValue: {bad_wav}: samples must be finite, got peak nan\n"
+    peak = "nan" if bad == "signalling-nan" else "inf"  # the largest |sample| on disk, not the frame's NaN mean
+    assert result.stderr == f"error: NonFiniteValue: {bad_wav}: samples must be finite, got peak {peak}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -795,7 +796,8 @@ def owner(array):
 def test_training_holds_no_float64_initial_head_and_one_gradient(tmp_path, monkeypatch, command):
     # train's initial heads are seeded draws, finetune's the --checkpoint heads
     # load_checkpoint widens to float64; once copied into the float32 vector
-    # neither lives on through the loop, and no step's gradient outlives its step
+    # neither lives on, not even into step 0's gradient, and no step's gradient
+    # outlives its step
     _, argv = finetune_dumps(tmp_path, 48, 10)
     pre = tmp_path / "pre"
     run_args = ["--epochs", "2", "--batch-size", "16", "--out-dim", "16"]
@@ -817,13 +819,13 @@ def test_training_holds_no_float64_initial_head_and_one_gradient(tmp_path, monke
     monkeypatch.setattr(space, "load_checkpoint", lambda path: kept(exact_load(path)))
 
     def loss_gradients(*args):
+        assert all(ref() is None for ref in initial), f"an initial head is still held at step {len(grads)}"
         assert all(ref() is None for ref in grads), f"step {len(grads) - 1}'s gradient is still held"
         loss, grad = exact_gradients(*args)
         grads.append(weakref.ref(grad))
         return loss, grad
 
     def adam_step(*args):
-        assert all(ref() is None for ref in initial), "an initial head is still held"
         steps.append(exact_adam(*args))
 
     exact_gradients, exact_adam = space.loss_gradients, space.adam_step

@@ -463,21 +463,21 @@ NON_FINITE_FRAMES = 5 * ingest.MIX_BLOCK + 100
 @pytest.mark.parametrize("block", ["first", "middle", "last"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "nan-and-inf", "inf-and--inf-in-one-frame"])
 def test_read_wav_refuses_a_non_finite_sample_in_any_block_in_or_out_of_the_window(tmp_path, bad, block, window):
-    # the message names the whole file's peak: NaN wherever a NaN is, inf else,
-    # even when the one NaN is outside the window and an inf is inside it
+    # the message names the whole file's peak |sample|: NaN wherever a NaN is,
+    # inf else, even when the one NaN is outside the window and an inf is inside it
     n, span = NON_FINITE_FRAMES, ingest.MIX_BLOCK
     x = np.random.default_rng(5).uniform(-0.5, 0.5, (n, 2)).astype(np.float32)
     at = {"first": 7, "middle": 2 * span + 50, "last": n - 3}[block]
     if bad == "nan-and-inf":
         x[at, 0] = np.nan
         x[3 * span + 9 if block != "last" else 11, 1] = np.inf  # in a block the window may hold
-    elif bad == "inf-and--inf-in-one-frame":  # no NaN on disk; the frame's mean is one
+    elif bad == "inf-and--inf-in-one-frame":  # no NaN on disk, so the peak is inf, though the frame's mean is NaN
         x[at] = np.inf, -np.inf
     else:
         x[at, 1] = float(bad)
     p = tmp_path / "x.wav"
     p.write_bytes(raw_wav_bytes(x.ravel(), 32000, 2, fmt_code=3, bits=32))
-    peak = "nan" if "nan" in bad or "one-frame" in bad else "inf"
+    peak = "nan" if "nan" in bad else "inf"
     message = re.escape(f"{p}: samples must be finite, got peak {peak}") + "$"
     if window == "whole":
         with pytest.raises(ingest.NonFiniteValue, match=message):
@@ -497,7 +497,8 @@ SIGNALLING_NAN = 0x7F800001  # float32 bits: exponent all ones, quiet bit clear
 )
 def test_read_wav_refuses_a_signalling_nan_or_an_inf_pair_without_a_warning(tmp_path, channels, bad, window):
     # a numpy RuntimeWarning fails the test (pyproject's filterwarnings): the
-    # float64 cast of a signalling NaN and inf + -inf in a frame's sum each warn
+    # float64 cast of a signalling NaN and inf + -inf in a frame's sum each warn.
+    # The peak is the largest |sample| on disk: inf for the pair, not its NaN mean
     n, span = 3 * ingest.MIX_BLOCK + 5, ingest.MIX_BLOCK
     x = np.random.default_rng(channels).uniform(-0.5, 0.5, (n, channels)).astype(np.float32)
     at = span + 9
@@ -508,7 +509,8 @@ def test_read_wav_refuses_a_signalling_nan_or_an_inf_pair_without_a_warning(tmp_
     p = tmp_path / "x.wav"
     p.write_bytes(raw_wav_bytes(x.ravel(), 32000, channels, fmt_code=3, bits=32))
     assert np.isnan(np.frombuffer(p.read_bytes()[44:], "<f4")).sum() == (bad == "signalling-nan")
-    with pytest.raises(ingest.NonFiniteValue, match=re.escape(f"{p}: samples must be finite, got peak nan") + "$"):
+    peak = "nan" if bad == "signalling-nan" else "inf"
+    with pytest.raises(ingest.NonFiniteValue, match=re.escape(f"{p}: samples must be finite, got peak {peak}") + "$"):
         if window == "whole":
             ingest.read_wav(p)
         else:

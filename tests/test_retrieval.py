@@ -493,6 +493,24 @@ def test_ablation_single_combo_row():
     assert 0.0 <= rows[0].map_at_10 <= 1.0
 
 
+def test_ablation_scores_its_heads_as_evaluate_scores_their_checkpoint(tmp_path, monkeypatch):
+    # evaluate widens a checkpoint's float32 heads to float64; the ablation
+    # widens the heads it trains the same way, so both score the same bits
+    train_pairs, eval_pairs = make_latent_pairs(0, n_train=64, n_eval=16)
+    result = space.train(train_pairs, fast_cfg(), phase="pretrain")
+    space.save_checkpoint(tmp_path / "c.ackp", result.audio_head, result.text_head)
+    ckpt = space.load_checkpoint(tmp_path / "c.ackp")
+    report = retrieval.evaluate(*retrieval.build_eval(eval_pairs, ckpt.audio_head, ckpt.text_head))
+    seen, exact = [], retrieval.build_eval
+    monkeypatch.setattr(retrieval, "build_eval", lambda pairs, *heads: seen.append(heads) or exact(pairs, *heads))
+    [row] = retrieval.ablation_run({"A": train_pairs}, [("A",)], eval_pairs, fast_cfg())
+    [heads] = seen
+    for got, want in zip(heads, (ckpt.audio_head, ckpt.text_head)):
+        assert got.weight.dtype == got.bias.dtype == np.float64
+        assert (got.weight.tobytes(), got.bias.tobytes()) == (want.weight.tobytes(), want.bias.tobytes())
+    assert row.map_at_10 == report.map_at_10
+
+
 def test_ablation_combined_data_helps():
     # A and B drawn from one latent model; the union cannot hurt a linear probe
     deltas = []
