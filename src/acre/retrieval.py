@@ -314,7 +314,8 @@ def ablation_run(
             raise ValueError("each combination needs at least one dataset")
         result = train([pair for name in names for pair in datasets[name]], cfg, phase="pretrain")
         # scored in float64, as acre evaluate scores these heads once it loads their checkpoint
-        heads = (ProjectionHead(h.weight.astype(np.float64), h.bias.astype(np.float64)) for h in (result.audio_head, result.text_head))
+        trained = (result.audio_head, result.text_head)
+        heads = [ProjectionHead(h.weight.astype(np.float64), h.bias.astype(np.float64)) for h in trained]
         queries, index = build_eval(eval_pairs, *heads)
         rows.append(AblationRow(datasets=names, map_at_10=evaluate(queries, index).map_at_10))
     return rows
